@@ -32,6 +32,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -269,7 +270,11 @@ def main(argv: list[str] | None = None) -> int:
         "reduce": cmd_reduce,
         "solve3p": cmd_solve3p,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except Exception as e:  # e.g. RecursionError on a very deep formula
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

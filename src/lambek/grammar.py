@@ -146,38 +146,50 @@ def _balanced_assignments(entries, target, skipped):
                 break
         suffix[i] = acc if len(acc) <= _SUFFIX_CAP else None
 
-    def rec(i: int, acc: dict[str, int]):
-        ss = suffix[i]
-        if ss is not None:
-            residual = dict(target)
-            for name, k in acc.items():
-                new = residual.get(name, 0) - k
-                if new:
-                    residual[name] = new
-                else:
-                    residual.pop(name, None)
-            if _vkey(residual) not in ss:
-                skipped[0] += sizes[i]
-                return
-        if i == n:
-            if ss is None and acc != target:
-                skipped[0] += 1
-                return
-            yield ()
-            return
-        for f in entries[i]:
-            vec = formula_counts(f)
-            new_acc = dict(acc)
-            for name, k in vec.items():
-                new = new_acc.get(name, 0) + k
-                if new:
-                    new_acc[name] = new
-                else:
-                    new_acc.pop(name, None)
-            for rest in rec(i + 1, new_acc):
-                yield (f,) + rest
+    def admit(i: int, residual: dict[str, int]) -> bool:
+        """Whether ``i`` entries can be followed by ones summing to ``residual``.
 
-    yield from rec(0, {})
+        ``suffix[n]`` is never capped, so a full assignment is admitted
+        only when it reaches ``target``.
+        """
+        ss = suffix[i]
+        if ss is not None and _vkey(residual) not in ss:
+            skipped[0] += sizes[i]
+            return False
+        return True
+
+    # Depth-first over prefixes, as a loop: a generator that called
+    # itself through a closure would be a reference cycle, keeping the
+    # tables of every query alive until the cyclic collector runs.
+    if not admit(0, target):
+        return
+    prefix: list[Formula] = []
+    residuals: list[dict[str, int]] = [target]
+    choices = [iter(entries[0])]
+    while choices:
+        f = next(choices[-1], None)
+        if f is None:
+            choices.pop()
+            residuals.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        residual = dict(residuals[-1])
+        for name, k in formula_counts(f).items():
+            new = residual.get(name, 0) - k
+            if new:
+                residual[name] = new
+            else:
+                residual.pop(name, None)
+        i = len(prefix) + 1
+        if not admit(i, residual):
+            continue
+        if i == n:
+            yield (*prefix, f)
+            continue
+        prefix.append(f)
+        residuals.append(residual)
+        choices.append(iter(entries[i]))
 
 
 def recognize(

@@ -24,8 +24,13 @@ To keep it tractable the searcher does not commit to an insertion
 position when it strips ``B -o A``: stripped arguments live in a
 multiset of pending antecedent formulas that may still float to any
 position.  Left rules then split the pending multiset between their
-premises, and the count invariant pins the split down (exactly, when
-the pending formulas are atoms).  Returned proof trees are fully
+premises, and the count invariant pins the split down.  Count vectors
+are packed into ints, one lane per primitive, so the counts the pending
+part of a premise ``T => B`` must supply (those of ``B`` less those of
+T's committed span) cost one subtraction per span position.  An empty
+multiset then splits only when that need is zero; a multiset of atoms
+has at most one split, read off the lanes of the need; only compound
+pending formulas are enumerated.  Returned proof trees are fully
 positional regardless: every -oR node records its insertion index and
 every left node its split, so ``lambek.checker.check_proof`` can
 replay them.
@@ -34,13 +39,15 @@ replay them.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
-from .analysis import formula_counts, linimp_polarities, polarity_report, sequent_counts
+from .analysis import linimp_polarities, polarity_report
 from .prooftree import ProofTree, Rule
-from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, format_formula
+from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, connective_count, format_formula
 
 __all__ = [
     "CalculusMode",
@@ -182,68 +189,76 @@ def _bag_remove_one(bag: Bag, f: Formula) -> Bag:
     return tuple(out)
 
 
-def _bag_sub(bag: Bag, take: dict[Formula, int]) -> Bag:
+def _bag_sub(bag: Bag, take: Bag) -> Bag:
+    taken = dict(take)
     out = []
     for g, k in bag:
-        rest = k - take.get(g, 0)
+        rest = k - taken.get(g, 0)
         if rest:
             out.append((g, rest))
     return tuple(out)
-
-
-def _bag_of(take: dict[Formula, int]) -> Bag:
-    return tuple(sorted(take.items(), key=lambda kv: hash(kv[0])))
 
 
 def _bag_total(bag: Bag) -> int:
     return sum(k for _, k in bag)
 
 
-def _vec_sub(acc: dict[str, int], vec: dict[str, int], mult: int = 1) -> None:
-    for name, n in vec.items():
-        new = acc.get(name, 0) - n * mult
-        if new:
-            acc[name] = new
-        else:
-            acc.pop(name, None)
+# Count vectors are packed into one int with a lane of _LANE_BITS bits
+# per primitive, so adding or subtracting two ints adds or subtracts
+# the vectors lane by lane.  That holds while every lane stays below
+# _LANE_HALF in magnitude, which _Search._admissible makes sure of.
+_LANE_BITS = 16
+_LANE_MASK = (1 << _LANE_BITS) - 1
+_LANE_HALF = 1 << (_LANE_BITS - 1)
+
+_AtomPart = tuple[Atom, int, int]  # pending atom, multiplicity, lane shift
+_CompoundPart = tuple[Formula, int, int]  # pending formula, multiplicity, packed counts
 
 
-def _float_splits(bag: Bag, need: dict[str, int]) -> Iterator[dict[Formula, int]]:
-    """Sub-multisets of ``bag`` whose summed count vectors equal ``need``.
+def _atom_take(atoms: list[_AtomPart], need: int) -> Bag | None:
+    """The one sub-multiset of pending ``atoms`` whose counts are ``need``.
 
-    Atoms contribute unit vectors, so their multiplicities are forced
-    once the non-atomic choices are fixed; only non-atomic pending
-    formulas are enumerated.
+    Atoms have unit vectors, so each lane of ``need`` is the number of
+    copies of its atom to take.  The take is valid when every lane read
+    is at most the atom's multiplicity and nothing is left over, which
+    also rules out negative lanes and lanes of primitives not pending.
     """
-    complexes = [(f, k) for f, k in bag if not isinstance(f, Atom)]
-    atoms = {f.name: (f, k) for f, k in bag if isinstance(f, Atom)}
+    take = []
+    for a, k, shift in atoms:
+        t = need >> shift & _LANE_MASK
+        if t:
+            if t > k:
+                return None
+            take.append((a, t))
+            need -= t << shift
+    return tuple(take) if need == 0 else None
 
-    def close(residual: dict[str, int], chosen: dict[Formula, int]) -> Iterator[dict[Formula, int]]:
-        take = dict(chosen)
-        for name, n in residual.items():
-            if n < 0:
-                return
-            entry = atoms.get(name)
-            if entry is None or entry[1] < n:
-                return
-            take[entry[0]] = n
-        yield take
 
-    def rec(i: int, residual: dict[str, int], chosen: dict[Formula, int]) -> Iterator[dict[Formula, int]]:
-        if i == len(complexes):
-            yield from close(residual, chosen)
-            return
-        f, k = complexes[i]
-        vec = formula_counts(f)
-        for t in range(k + 1):
-            res = dict(residual)
-            _vec_sub(res, vec, t)
-            nxt = dict(chosen)
+def _float_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: int) -> Iterable[Bag]:
+    """Sub-multisets of a pending bag whose summed counts equal ``need``.
+
+    The bag is given split into its atoms and its compound formulas.
+    With atoms only there is at most one take, read off the lanes of
+    ``need``; otherwise the compound multiplicities are enumerated in
+    lexicographic order and the atoms close each choice.
+    """
+    if not compounds:
+        take = _atom_take(atoms, need)
+        return () if take is None else (take,)
+    return _compound_splits(atoms, compounds, need)
+
+
+def _compound_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: int) -> Iterator[Bag]:
+    for counts in itertools.product(*(range(k + 1) for _, k, _ in compounds)):
+        residual = need
+        chosen = []
+        for (f, _, vec), t in zip(compounds, counts):
             if t:
-                nxt[f] = t
-            yield from rec(i + 1, res, nxt)
-
-    yield from rec(0, {k: v for k, v in need.items() if v}, {})
+                residual -= t * vec
+                chosen.append((f, t))
+        rest = _atom_take(atoms, residual)
+        if rest is not None:
+            yield tuple(sorted(chosen + list(rest), key=lambda kv: hash(kv[0])))
 
 
 def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
@@ -266,6 +281,10 @@ class _Search:
         self.stats = SearchStats()
         self.memo: dict[State, Result | None] = {}
         self._baseline = 0
+        # Packed count vector of every subformula of the goals seen so
+        # far; lanes are given to primitives in order of appearance.
+        self._packed: dict[Formula, int] = {}
+        self._lanes: dict[str, int] = {}
 
     # -- public entry points ------------------------------------------------
 
@@ -300,8 +319,13 @@ class _Search:
     # -- admissibility of a root goal ----------------------------------------
 
     def _admissible(self, s: Sequent) -> bool:
-        lhs, rhs = sequent_counts(s)
-        if lhs != rhs:
+        # Every lane of every count vector in the search is a sum over
+        # distinct atom occurrences of the root, so the root's total
+        # (one more atom than connectives per formula) bounds them all.
+        if connective_count(s) + len(s.antecedent) + 1 >= _LANE_HALF:
+            raise ValueError(f"sequents with {_LANE_HALF} or more atom occurrences are not supported")
+        vec = self._vec
+        if sum(map(vec, s.antecedent)) != vec(s.succedent):
             self.stats.pruned_by_count += 1
             return False
         # -o is only usable in positive positions; in mode l not at all.
@@ -316,6 +340,28 @@ class _Search:
             if linimp_polarities(s.succedent)[1]:
                 return False
         return True
+
+    def _vec(self, f: Formula) -> int:
+        """Packed count vector of ``f``, cached with all its subformulas'."""
+        v = self._packed.get(f)
+        if v is None:
+            if isinstance(f, Atom):
+                v = 1 << self._lanes.setdefault(f.name, _LANE_BITS * len(self._lanes))
+            else:
+                v = self._vec(f.result) - self._vec(f.arg)
+            self._packed[f] = v
+        return v
+
+    def _parts(self, bag: Bag) -> tuple[list[_AtomPart], list[_CompoundPart]]:
+        """A pending bag as ``_float_splits`` takes it: atoms, then compounds."""
+        atoms: list[_AtomPart] = []
+        compounds: list[_CompoundPart] = []
+        for f, k in bag:
+            if isinstance(f, Atom):
+                atoms.append((f, k, self._packed[f].bit_length() - 1))
+            else:
+                compounds.append((f, k, self._packed[f]))
+        return atoms, compounds
 
     # -- core recursion -------------------------------------------------------
 
@@ -425,14 +471,12 @@ class _Search:
             yield [child], True, linimp_r
 
         for i, f in enumerate(fixed):
-            if isinstance(f, Over):
-                yield from self._over_l_fixed(fixed, bag, succ, i)
-            elif isinstance(f, Under):
-                yield from self._under_l_fixed(fixed, bag, succ, i)
+            if isinstance(f, (Over, Under)):
+                yield from self._left(fixed, bag, succ, f, i)
 
         for g, _ in bag:
             if isinstance(g, (Over, Under)):
-                yield from self._left_pending(fixed, bag, succ, g)
+                yield from self._left(fixed, bag, succ, g)
 
     def _materializations(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """Commit one pending formula to a concrete position.
@@ -452,122 +496,68 @@ class _Search:
 
                 yield [child], False, fix_mask
 
-    def _over_l_fixed(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, i: int) -> Iterator[_Option]:
-        functor = fixed[i]
-        assert isinstance(functor, Over)
-        res, arg = functor.result, functor.arg
-        need = dict(formula_counts(arg))
-        for j in range(i + 1, len(fixed) + 1):
-            if j > i + 1:
-                _vec_sub(need, formula_counts(fixed[j - 1]))
-            found = False
-            for take in _float_splits(bag, need):
-                if (j - i - 1) + sum(take.values()) < 1:
-                    continue
-                found = True
-                p1 = (fixed[i + 1 : j], _bag_of(take), arg)
-                p2 = (fixed[:i] + (res,) + fixed[j:], _bag_sub(bag, take), succ)
+    def _left(
+        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functor: Formula, i: int | None = None
+    ) -> Iterator[_Option]:
+        """/L or \\L on ``functor``: ``fixed[i]``, or a pending copy when ``i`` is None.
 
-                def recombine(
-                    rs: list[Result],
-                    i: int = i,
-                    functor: Formula = functor,
-                ) -> Iterator[Result]:
-                    (t1, m1), (t2, m2) = rs
-                    q = _nth_fixed_index(m2, i)
-                    ant2 = t2.conclusion.antecedent
-                    ant = ant2[:q] + (functor,) + t1.conclusion.antecedent + ant2[q + 1 :]
-                    mask = m2[:q] + (False,) + m1 + m2[q + 1 :]
-                    yield (
-                        ProofTree(Rule.OVER_L, Sequent(ant, succ), (t1, t2), split=(q, len(m1))),
-                        mask,
-                    )
-
-                yield [p1, p2], True, recombine
-            if not found:
-                self.stats.pruned_by_count += 1
-
-    def _under_l_fixed(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, i: int) -> Iterator[_Option]:
-        functor = fixed[i]
-        assert isinstance(functor, Under)
+        The left premise ``T => functor.arg`` takes a span ``fixed[lo:hi]``
+        next to the functor, plus the pending formulas whose counts make
+        up the rest of the argument's.  A fixed functor's span grows away
+        from it; a pending functor may land at any ``lo``, its span then
+        growing rightwards.
+        """
+        assert isinstance(functor, (Over, Under))
+        over = isinstance(functor, Over)
+        pending = i is None
+        if pending:
+            bag = _bag_remove_one(bag, functor)
+        packed = self._packed
+        atoms, compounds = self._parts(bag)
         arg, res = functor.arg, functor.result
-        need = dict(formula_counts(arg))
-        for j in range(i, -1, -1):
-            if j < i:
-                _vec_sub(need, formula_counts(fixed[j]))
-            found = False
-            for take in _float_splits(bag, need):
-                if (i - j) + sum(take.values()) < 1:
-                    continue
-                found = True
-                p1 = (fixed[j:i], _bag_of(take), arg)
-                p2 = (fixed[:j] + (res,) + fixed[i + 1 :], _bag_sub(bag, take), succ)
+        rule = Rule.OVER_L if over else Rule.UNDER_L
+        n = len(fixed)
+        rightward = pending or over
+        starts = range(n + 1) if pending else (i + 1,) if over else (i,)
 
-                def recombine(
-                    rs: list[Result],
-                    j: int = j,
-                    functor: Formula = functor,
-                ) -> Iterator[Result]:
-                    (t1, m1), (t2, m2) = rs
-                    q = _nth_fixed_index(m2, j)
-                    ant2 = t2.conclusion.antecedent
-                    ant = ant2[:q] + t1.conclusion.antecedent + (functor,) + ant2[q + 1 :]
-                    mask = m2[:q] + m1 + (False,) + m2[q + 1 :]
-                    yield (
-                        ProofTree(Rule.UNDER_L, Sequent(ant, succ), (t1, t2), split=(q, len(m1))),
-                        mask,
-                    )
+        def recombine(rs: list[Result], a: int) -> Iterator[Result]:
+            (t1, m1), (t2, m2) = rs
+            q = _nth_fixed_index(m2, a)
+            ant1, ant2 = t1.conclusion.antecedent, t2.conclusion.antecedent
+            if over:
+                ant = ant2[:q] + (functor,) + ant1 + ant2[q + 1 :]
+                mask = m2[:q] + (pending,) + m1 + m2[q + 1 :]
+            else:
+                ant = ant2[:q] + ant1 + (functor,) + ant2[q + 1 :]
+                mask = m2[:q] + m1 + (pending,) + m2[q + 1 :]
+            yield ProofTree(rule, Sequent(ant, succ), (t1, t2), split=(q, len(m1))), mask
 
-                yield [p1, p2], True, recombine
-            if not found:
-                self.stats.pruned_by_count += 1
-
-    def _left_pending(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, g: Formula) -> Iterator[_Option]:
-        """Left rule on a pending functor: it lands adjacent to its T."""
-        assert isinstance(g, (Over, Under))
-        rest = _bag_remove_one(bag, g)
-        arg = g.arg
-        res = g.result
-        is_over = isinstance(g, Over)
-        for i in range(len(fixed) + 1):
-            need = dict(formula_counts(arg))
-            for j in range(i, len(fixed) + 1):
-                if j > i:
-                    _vec_sub(need, formula_counts(fixed[j - 1]))
+        for start in starts:
+            lo = hi = start
+            need = packed[arg]
+            while True:
                 found = False
-                for take in _float_splits(rest, need):
-                    if (j - i) + sum(take.values()) < 1:
+                for take in _float_splits(atoms, compounds, need) if bag else ((),) if need == 0 else ():
+                    if lo == hi and not take:
                         continue
                     found = True
-                    p1 = (fixed[i:j], _bag_of(take), arg)
-                    p2 = (fixed[:i] + (res,) + fixed[j:], _bag_sub(rest, take), succ)
-
-                    def recombine(
-                        rs: list[Result],
-                        i: int = i,
-                        g: Formula = g,
-                        is_over: bool = is_over,
-                    ) -> Iterator[Result]:
-                        (t1, m1), (t2, m2) = rs
-                        q = _nth_fixed_index(m2, i)
-                        ant2 = t2.conclusion.antecedent
-                        ant1 = t1.conclusion.antecedent
-                        if is_over:
-                            ant = ant2[:q] + (g,) + ant1 + ant2[q + 1 :]
-                            mask = m2[:q] + (True,) + m1 + m2[q + 1 :]
-                            rule = Rule.OVER_L
-                        else:
-                            ant = ant2[:q] + ant1 + (g,) + ant2[q + 1 :]
-                            mask = m2[:q] + m1 + (True,) + m2[q + 1 :]
-                            rule = Rule.UNDER_L
-                        yield (
-                            ProofTree(rule, Sequent(ant, succ), (t1, t2), split=(q, len(m1))),
-                            mask,
-                        )
-
-                    yield [p1, p2], True, recombine
+                    # p2 replaces the functor and its span by the result.
+                    a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
+                    p1 = (fixed[lo:hi], take, arg)
+                    p2 = (fixed[:a] + (res,) + fixed[b:], _bag_sub(bag, take), succ)
+                    yield [p1, p2], True, functools.partial(recombine, a=a)
                 if not found:
                     self.stats.pruned_by_count += 1
+                if rightward:
+                    if hi == n:
+                        break
+                    need -= packed[fixed[hi]]
+                    hi += 1
+                else:
+                    if lo == 0:
+                        break
+                    lo -= 1
+                    need -= packed[fixed[lo]]
 
 
 def prove(
@@ -581,7 +571,8 @@ def prove(
     Returns the first proof in canonical search order, or None when the
     search space is exhausted without one.  Raises BudgetExceededError
     after ``budget`` node expansions; that outcome means "unknown", not
-    "underivable".
+    "underivable".  Raises ValueError for a sequent of 32,768 or more
+    atom occurrences, too many for the packed count vectors.
     """
     search = _Search(mode, budget)
     tree = search.run(s)

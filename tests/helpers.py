@@ -1,17 +1,20 @@
 """Shared test machinery.
 
-Three independent oracles live here so the library is never checked
+Independent oracles live here so the library is never checked
 against itself:
 
 * a forward proof generator that builds derivable sequents by
   instantiating rules root-ward from axioms,
 * ``naive_check``, a straight replay of the rule schemas used to
   cross-validate the packaged checker and to filter proof mutants,
-* random formula and sequent generators.
+* random formula and sequent generators,
+* ``brute_force_splits``, every way to split a pending multiset by
+  counts, for the prover's split routine.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from lambek import (
@@ -261,3 +264,42 @@ def mutate_proof(rng: random.Random, t: ProofTree) -> ProofTree | None:
         )
     out = _replace_at(t, path, mutated)
     return None if out == t else out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force splits of a pending multiset (the oracle for the prover's)
+# ---------------------------------------------------------------------------
+
+
+def oracle_counts(f: Formula) -> dict[str, int]:
+    """Primitive counts of ``f`` straight from their definition."""
+    if isinstance(f, Atom):
+        return {f.name: 1}
+    out = dict(oracle_counts(f.result))
+    for name, n in oracle_counts(f.arg).items():
+        out[name] = out.get(name, 0) - n
+    return {name: n for name, n in out.items() if n}
+
+
+def brute_force_splits(bag, need: dict[str, int]) -> list[tuple]:
+    """Every sub-multiset of ``bag`` whose summed counts equal ``need``.
+
+    ``bag`` is a tuple of (formula, multiplicity) pairs.  Each take is
+    returned in the same shape, in bag order, without zero entries.
+    Takes come in lexicographic order of the multiplicities of the
+    compound formulas, in bag order; the atoms' multiplicities are then
+    forced, so at most one take exists per choice of the compounds.
+    """
+    order = [i for i, (f, _) in enumerate(bag) if not isinstance(f, Atom)]
+    order += [i for i, (f, _) in enumerate(bag) if isinstance(f, Atom)]
+    want = {name: n for name, n in need.items() if n}
+    out = []
+    for picks in itertools.product(*(range(bag[i][1] + 1) for i in order)):
+        total: dict[str, int] = {}
+        for i, t in zip(order, picks):
+            for name, n in oracle_counts(bag[i][0]).items():
+                total[name] = total.get(name, 0) + t * n
+        if {name: n for name, n in total.items() if n} == want:
+            taken = dict(zip(order, picks))
+            out.append(tuple((f, taken[i]) for i, (f, _) in enumerate(bag) if taken[i]))
+    return out

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from lambek import grammar_from_text, proof_from_json
-from lambek.cli import main
+from lambek.cli import EXIT_INTERNAL, main
 
 GOOD_INSTANCE = '{"m": 1, "N": 12, "sizes": [4, 4, 4]}'
 UNSOLVABLE = '{"m": 2, "N": 16, "sizes": [5, 5, 5, 5, 5, 7]}'
@@ -232,3 +232,14 @@ def test_budget_must_be_positive(capsys):
     with pytest.raises(SystemExit) as e:
         main(["prove", "a => a", "--budget", "0"])
     assert e.value.code == 2
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("lambek.cli.prove", crash)
+    code, out, err = run(capsys, "prove", "a => a")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -220,3 +221,21 @@ def test_cfg_duplicate_productions_collapse():
 def test_cfg_rejects(cfg, fragment):
     with pytest.raises(GnfError, match=fragment):
         cfg_to_grammar(cfg)
+
+
+def test_membership_leaves_no_cyclic_garbage():
+    # The filter's tables and the search state must be freed when a
+    # query returns, not held by reference cycles until the cyclic
+    # collector runs.  Before that was so, this sweep left about 50,000
+    # objects for gc.collect() to find.
+    g = anbncn_grammar()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 6):
+            for word in itertools.product("abc", repeat=n):
+                recognize(g, word)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed < 1_000

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from helpers import forward_proof, random_sequent
+from helpers import brute_force_splits, forward_proof, oracle_counts, random_formula, random_sequent
 from lambek import (
+    Atom,
     BudgetExceededError,
     CalculusMode,
     Rule,
@@ -16,6 +17,7 @@ from lambek import (
     prove,
     validate_input,
 )
+from lambek import prover
 
 L, SDL, SDLM = CalculusMode.L, CalculusMode.SDL, CalculusMode.SDL_MINUS
 
@@ -182,3 +184,61 @@ def test_stats_dict_shape():
     d = stats.as_dict()
     assert set(d) == {"nodes_expanded", "cache_hits", "pruned_by_count", "max_depth"}
     assert all(isinstance(v, int) for v in d.values())
+
+
+def _random_bag(rng: random.Random, kind: str) -> tuple:
+    """A pending multiset as the search keeps it: distinct formulas, sorted by hash."""
+    entries: dict = {}
+    if kind != "empty":
+        for name in rng.sample("abcd", rng.randint(1, 4)):
+            entries[Atom(name)] = rng.randint(1, 3)
+    if kind == "mixed":
+        while len(entries) < 6 and (not entries or rng.random() < 0.6):
+            f = random_formula(rng, 2)
+            if not isinstance(f, Atom):
+                entries[f] = rng.randint(1, 2)
+    return tuple(sorted(entries.items(), key=lambda kv: hash(kv[0])))
+
+
+def test_float_splits_match_brute_force():
+    rng = random.Random(12)
+    search = prover._Search(SDL)
+    for trial in range(900):
+        kind = ("empty", "atoms", "mixed")[trial % 3]
+        bag = _random_bag(rng, kind)
+        # The need is a random sub-multiset of the bag (so that takes
+        # exist), perturbed at times by the counts of a random formula.
+        terms = [f for f, k in bag for _ in range(rng.randint(0, k))]
+        if rng.random() < 0.4:
+            terms.append(random_formula(rng, 2))
+        need: dict[str, int] = {}
+        for f in terms:
+            for name, n in oracle_counts(f).items():
+                need[name] = need.get(name, 0) + n
+        for f, _ in bag:
+            search._vec(f)
+        packed = sum(map(search._vec, terms))
+        got = list(prover._float_splits(*search._parts(bag), packed))
+        assert got == brute_force_splits(bag, need), (bag, need)
+
+
+def test_left_rules_never_split_an_empty_bag(monkeypatch):
+    calls = []
+    real = prover._float_splits
+
+    def spy(atoms, compounds, need):
+        calls.append(bool(atoms or compounds))
+        return real(atoms, compounds, need)
+
+    monkeypatch.setattr(prover, "_float_splits", spy)
+    rng = random.Random(13)
+    for _ in range(100):
+        prove(forward_proof(rng, SDL).conclusion, SDL)
+    assert calls and all(calls)
+
+
+def test_sequent_too_large_for_count_lanes(monkeypatch):
+    monkeypatch.setattr(prover, "_LANE_HALF", 4)
+    assert prove(parse_sequent("a => a"), SDL)[0] is not None
+    with pytest.raises(ValueError, match="atom occurrences"):
+        prove(parse_sequent("a/b, b => a"), SDL)
