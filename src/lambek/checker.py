@@ -1,33 +1,41 @@
 """Independent replay checker for proof trees.
 
-``check_proof`` validates a tree bottom-up against the rule schemas,
-using only the positional data stored on each node (split for the left
-rules, insert for -oR).  It shares no code with the search, runs in
-time linear in the size of the tree times the size of its sequents,
+``check_proof`` validates every node of a tree against the rule
+schemas, using only the positional data stored on the node (split for
+the left rules, insert for -oR).  The schemas themselves are
+``prooftree.premise_conclusions``, which the proof JSON shares; the
+checker adds the Ax condition and the mode's choice of right rules.  It
+shares no code with the search, walks the tree with an explicit stack
+in time linear in the size of the tree times the size of its sequents,
 and never raises on malformed trees: any mismatch is just False.
 """
 
 from __future__ import annotations
 
-from .prooftree import ProofTree, Rule
+from .prooftree import ProofTree, Rule, premise_conclusions
 from .prover import CalculusMode
-from .syntax import Atom, LinImp, Over, Sequent, Under
+from .syntax import Atom
 
 __all__ = ["check_proof"]
 
 
 def check_proof(t: ProofTree, mode: CalculusMode) -> bool:
     """True iff every node is a correct rule application in ``mode``."""
-    return _check(t, mode)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not _check_node(node, mode):
+            return False
+        stack.extend(reversed(node.premises))
+    return True
 
 
-def _check(t: ProofTree, mode: CalculusMode) -> bool:
+def _check_node(t: ProofTree, mode: CalculusMode) -> bool:
     concl = t.conclusion
-    ant = concl.antecedent
-    succ = concl.succedent
     rule = t.rule
 
     if rule is Rule.AX:
+        ant, succ = concl.antecedent, concl.succedent
         return (
             len(ant) == 1
             and isinstance(succ, Atom)
@@ -35,62 +43,12 @@ def _check(t: ProofTree, mode: CalculusMode) -> bool:
             and t.split is None
             and t.insert is None
         )
+    if rule in (Rule.OVER_R, Rule.UNDER_R) and not mode.has_directional_right:
+        return False
+    if rule is Rule.LINIMP_R and not mode.has_linimp_right:
+        return False
 
-    if rule is Rule.OVER_R:
-        if not (mode.has_directional_right and isinstance(succ, Over)):
-            return False
-        expected = Sequent(ant + (succ.arg,), succ.result)
-        return t.premises[0].conclusion == expected and _check(t.premises[0], mode)
-
-    if rule is Rule.UNDER_R:
-        if not (mode.has_directional_right and isinstance(succ, Under)):
-            return False
-        expected = Sequent((succ.arg,) + ant, succ.result)
-        return t.premises[0].conclusion == expected and _check(t.premises[0], mode)
-
-    if rule is Rule.LINIMP_R:
-        if not (mode.has_linimp_right and isinstance(succ, LinImp)):
-            return False
-        k = t.insert
-        if k is None or not 0 <= k <= len(ant):
-            return False
-        expected = Sequent(ant[:k] + (succ.arg,) + ant[k:], succ.result)
-        return t.premises[0].conclusion == expected and _check(t.premises[0], mode)
-
-    if rule is Rule.OVER_L:
-        if t.split is None:
-            return False
-        u, tlen = t.split
-        if not (0 <= u and 1 <= tlen and u + 1 + tlen <= len(ant)):
-            return False
-        functor = ant[u]
-        if not isinstance(functor, Over):
-            return False
-        left = Sequent(ant[u + 1 : u + 1 + tlen], functor.arg)
-        right = Sequent(ant[:u] + (functor.result,) + ant[u + 1 + tlen :], succ)
-        return (
-            t.premises[0].conclusion == left
-            and t.premises[1].conclusion == right
-            and _check(t.premises[0], mode)
-            and _check(t.premises[1], mode)
-        )
-
-    if rule is Rule.UNDER_L:
-        if t.split is None:
-            return False
-        u, tlen = t.split
-        if not (0 <= u and 1 <= tlen and u + tlen < len(ant)):
-            return False
-        functor = ant[u + tlen]
-        if not isinstance(functor, Under):
-            return False
-        left = Sequent(ant[u : u + tlen], functor.arg)
-        right = Sequent(ant[:u] + (functor.result,) + ant[u + tlen + 1 :], succ)
-        return (
-            t.premises[0].conclusion == left
-            and t.premises[1].conclusion == right
-            and _check(t.premises[0], mode)
-            and _check(t.premises[1], mode)
-        )
-
-    return False
+    expected = premise_conclusions(rule, concl, t.split, t.insert)
+    return expected is not None and all(
+        p.conclusion == e for p, e in zip(t.premises, expected)
+    )

@@ -12,11 +12,22 @@ to replay the rule application:
 * ``insert = k`` for -oR: the premise re-inserts the argument at
   position ``k`` of the conclusion antecedent.
 
-The JSON form mirrors this structure; ``sequent`` is concrete sequent
-text and ``premises`` nests recursively::
+``premise_conclusions`` is this schema written once: the sequents a
+node's premises must have, given its rule, conclusion and rule data.
+The checker and the JSON encoder and decoder all use it.
+
+The JSON form mirrors the tree; ``premises`` nests recursively and
+``sequent`` is concrete sequent text.  The root always carries its
+sequent.  Below the root a node carries one only when its conclusion
+is not the one its parent's rule data imply, so a correct proof stores
+one sequent in all and any tree, correct or not, round-trips exactly::
 
     {"rule": "/L", "sequent": "a/b, b => a", "split": [0, 1],
-     "premises": [...]}
+     "premises": [{"rule": "Ax", "premises": []},
+                  {"rule": "Ax", "premises": []}]}
+
+The decoder takes a node's ``sequent`` when present and derives it
+otherwise, so files with a sequent on every node load as well.
 """
 
 from __future__ import annotations
@@ -26,11 +37,12 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .syntax import Sequent, format_sequent, parse_sequent
+from .syntax import LinImp, Over, Sequent, Under, format_sequent, parse_sequent
 
 __all__ = [
     "Rule",
     "ProofTree",
+    "premise_conclusions",
     "proof_to_json",
     "proof_from_json",
     "proof_to_json_text",
@@ -61,6 +73,11 @@ _ARITY = {
 }
 
 
+def _check_arity(rule: Rule, n: int) -> None:
+    if n != _ARITY[rule]:
+        raise ValueError(f"{rule} takes {_ARITY[rule]} premises, got {n}")
+
+
 @dataclass(frozen=True)
 class ProofTree:
     rule: Rule
@@ -70,55 +87,143 @@ class ProofTree:
     insert: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.premises) != _ARITY[self.rule]:
-            raise ValueError(
-                f"{self.rule} takes {_ARITY[self.rule]} premises, got {len(self.premises)}"
-            )
+        _check_arity(self.rule, len(self.premises))
 
     def nodes(self) -> list[ProofTree]:
         """All nodes in preorder."""
-        out = [self]
-        for p in self.premises:
-            out.extend(p.nodes())
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(reversed(node.premises))
         return out
 
     def rule_count(self, rule: Rule) -> int:
         return sum(1 for n in self.nodes() if n.rule is rule)
 
     def depth(self) -> int:
-        return 1 + max((p.depth() for p in self.premises), default=0)
+        deepest = 0
+        stack = [(self, 1)]
+        while stack:
+            node, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((p, d + 1) for p in node.premises)
+        return deepest
 
 
-def proof_to_json(t: ProofTree) -> dict[str, Any]:
-    node: dict[str, Any] = {
-        "rule": t.rule.value,
-        "sequent": format_sequent(t.conclusion),
-    }
+def premise_conclusions(
+    rule: Rule, conclusion: Sequent, split: tuple[int, int] | None, insert: int | None
+) -> tuple[Sequent, ...] | None:
+    """The conclusions a node's premises must have, in premise order.
+
+    None when the rule data do not apply to ``conclusion``: a missing or
+    out-of-range split or insert, or a succedent or functor of the wrong
+    connective.  Ax gives ``()``; whether its conclusion is an axiom, and
+    whether the mode has the rule at all, are left to the caller.
+    """
+    ant, succ = conclusion.antecedent, conclusion.succedent
+    if rule is Rule.AX:
+        return ()
+    if rule is Rule.OVER_R:
+        if not isinstance(succ, Over):
+            return None
+        return (Sequent(ant + (succ.arg,), succ.result),)
+    if rule is Rule.UNDER_R:
+        if not isinstance(succ, Under):
+            return None
+        return (Sequent((succ.arg,) + ant, succ.result),)
+    if rule is Rule.LINIMP_R:
+        if not (isinstance(succ, LinImp) and insert is not None and 0 <= insert <= len(ant)):
+            return None
+        return (Sequent(ant[:insert] + (succ.arg,) + ant[insert:], succ.result),)
+    if split is None:
+        return None
+    u, t = split
+    if rule is Rule.OVER_L:
+        if not (0 <= u and 1 <= t and u + 1 + t <= len(ant)):
+            return None
+        functor = ant[u]
+        if not isinstance(functor, Over):
+            return None
+        span, rest = ant[u + 1 : u + 1 + t], ant[u + 1 + t :]
+    else:
+        if not (0 <= u and 1 <= t and u + t < len(ant)):
+            return None
+        functor = ant[u + t]
+        if not isinstance(functor, Under):
+            return None
+        span, rest = ant[u : u + t], ant[u + t + 1 :]
+    return Sequent(span, functor.arg), Sequent(ant[:u] + (functor.result,) + rest, succ)
+
+
+def _node_json(t: ProofTree, with_sequent: bool) -> dict[str, Any]:
+    node: dict[str, Any] = {"rule": t.rule.value}
+    if with_sequent:
+        node["sequent"] = format_sequent(t.conclusion)
     if t.split is not None:
         node["split"] = list(t.split)
     if t.insert is not None:
         node["insert"] = t.insert
-    node["premises"] = [proof_to_json(p) for p in t.premises]
+    node["premises"] = []
     return node
 
 
+def proof_to_json(t: ProofTree) -> dict[str, Any]:
+    """The tree as nested dicts, with the sequent on the root only where possible."""
+    root = _node_json(t, True)
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        implied = premise_conclusions(node.rule, node.conclusion, node.split, node.insert)
+        for i, p in enumerate(node.premises):
+            child = _node_json(p, implied is None or implied[i] != p.conclusion)
+            out["premises"].append(child)
+            stack.append((p, child))
+    return root
+
+
 def proof_from_json(node: dict[str, Any]) -> ProofTree:
+    """Inverse of ``proof_to_json``; also loads a sequent on every node.
+
+    Raises ValueError on a malformed node, and on a node without a
+    sequent whose parent's rule data imply none.
+    """
     try:
-        rule = Rule(node["rule"])
-        split = node.get("split")
-        return ProofTree(
-            rule=rule,
-            conclusion=parse_sequent(node["sequent"]),
-            premises=tuple(proof_from_json(p) for p in node.get("premises", [])),
-            split=(split[0], split[1]) if split is not None else None,
-            insert=node.get("insert"),
-        )
+        # Top-down: each node's fields, its conclusion taken from its
+        # own sequent or its parent's rule data.  Then bottom-up, in
+        # reverse preorder, the trees themselves.
+        preorder = []
+        stack: list[tuple[dict[str, Any], Sequent | None]] = [(node, None)]
+        while stack:
+            data, implied = stack.pop()
+            rule = Rule(data["rule"])
+            text = data.get("sequent") if implied is not None else data["sequent"]
+            conclusion = implied if text is None else parse_sequent(text)
+            split = data.get("split")
+            split = (split[0], split[1]) if split is not None else None
+            insert = data.get("insert")
+            kids = data.get("premises", [])
+            _check_arity(rule, len(kids))
+            preorder.append((rule, conclusion, split, insert, len(kids)))
+            if not all("sequent" in kid for kid in kids):
+                expected = premise_conclusions(rule, conclusion, split, insert)
+                if expected is None:
+                    raise ValueError(f"{rule} premises need sequents: its rule data do not apply")
+                stack.extend(zip(reversed(kids), reversed(expected)))
+            else:
+                stack.extend((kid, None) for kid in reversed(kids))
+        built: list[ProofTree] = []
+        for rule, conclusion, split, insert, n in reversed(preorder):
+            premises = tuple(built.pop() for _ in range(n))
+            built.append(ProofTree(rule, conclusion, premises, split=split, insert=insert))
+        return built[0]
     except (KeyError, IndexError, TypeError) as e:
         raise ValueError(f"malformed proof node: {e!r}") from e
 
 
 def proof_to_json_text(t: ProofTree) -> str:
-    return json.dumps(proof_to_json(t), indent=2)
+    return json.dumps(proof_to_json(t), separators=(",", ":"))
 
 
 def proof_from_json_text(text: str) -> ProofTree:

@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .analysis import linimp_polarities, polarity_report
+from .analysis import linimp_polarities
 from .prooftree import ProofTree, Rule
 from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, connective_count, format_formula
 
@@ -120,29 +120,34 @@ def validate_input(s: Sequent, mode: CalculusMode) -> list[InputViolation]:
     In mode l any -o at all is a violation; in the sdl modes a -o in
     negative position is flagged (there is no -o left rule, so such
     sequents are never derivable).  Violations are warnings: the
-    search still runs and simply fails.
+    search still runs and simply fails.  They come in the preorder of
+    ``analysis.polarity_report``: antecedent formulas, then the
+    succedent, each walked through its printed operands left to right.
     """
-    report = polarity_report(s)
     out: list[InputViolation] = []
-    if mode is CalculusMode.L:
-        for o in report.occurrences:
-            if isinstance(o.formula, LinImp):
+    roots = [(f, "antecedent", i, False) for i, f in enumerate(s.antecedent)]
+    roots.append((s.succedent, "succedent", 0, True))
+    for root, side, index, root_positive in roots:
+        stack = [(root, root_positive)]
+        while stack:
+            f, positive = stack.pop()
+            if isinstance(f, Atom):
+                continue
+            where = f"({side} position {index})"
+            if isinstance(f, LinImp) and mode is CalculusMode.L:
+                out.append(InputViolation("linimp-in-l", f"mode l has no rules for {format_formula(f)} {where}"))
+            elif isinstance(f, LinImp) and not positive:
                 out.append(
                     InputViolation(
-                        "linimp-in-l",
-                        f"mode l has no rules for {format_formula(o.formula)} "
-                        f"({o.side} position {o.index})",
+                        "negative-linimp", f"{format_formula(f)} occurs negatively {where} and -o has no left rule"
                     )
                 )
-    else:
-        for o in report.negative_linimp:
-            out.append(
-                InputViolation(
-                    "negative-linimp",
-                    f"{format_formula(o.formula)} occurs negatively "
-                    f"({o.side} position {o.index}) and -o has no left rule",
-                )
-            )
+            # The argument flips polarity.  Push the right operand as
+            # printed first, so that the left one is walked first.
+            if isinstance(f, Over):
+                stack += ((f.arg, not positive), (f.result, positive))
+            else:
+                stack += ((f.result, positive), (f.arg, not positive))
     return out
 
 
@@ -155,7 +160,7 @@ def validate_input(s: Sequent, mode: CalculusMode) -> list[InputViolation]:
 # stands for every interleaving of `pending` into `fixed`.
 # ---------------------------------------------------------------------------
 
-Bag = tuple[tuple[Formula, int], ...]  # sorted by formula hash
+Bag = tuple[tuple[Formula, int], ...]  # in the order of _Search._rank
 State = tuple[tuple[Formula, ...], Bag, Formula]
 
 # A solved state: the proof tree for one concrete interleaving, plus a
@@ -167,14 +172,14 @@ _Recombine = Callable[[list[Result]], Iterator[Result]]
 _Option = tuple[list[State], bool, _Recombine]
 
 
-def _bag_add(bag: Bag, f: Formula) -> Bag:
+def _bag_add(bag: Bag, f: Formula, rank: dict[Formula, int]) -> Bag:
     out = list(bag)
     for idx, (g, k) in enumerate(out):
         if g == f:
             out[idx] = (g, k + 1)
             return tuple(out)
     out.append((f, 1))
-    out.sort(key=lambda kv: hash(kv[0]))
+    out.sort(key=lambda kv: rank[kv[0]])
     return tuple(out)
 
 
@@ -211,8 +216,8 @@ _LANE_BITS = 16
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
 
-_AtomPart = tuple[Atom, int, int]  # pending atom, multiplicity, lane shift
-_CompoundPart = tuple[Formula, int, int]  # pending formula, multiplicity, packed counts
+_AtomPart = tuple[Atom, int, int, int]  # pending atom, multiplicity, lane shift, bag position
+_CompoundPart = tuple[Formula, int, int, int]  # pending formula, multiplicity, packed counts, bag position
 
 
 def _atom_take(atoms: list[_AtomPart], need: int) -> Bag | None:
@@ -224,7 +229,7 @@ def _atom_take(atoms: list[_AtomPart], need: int) -> Bag | None:
     also rules out negative lanes and lanes of primitives not pending.
     """
     take = []
-    for a, k, shift in atoms:
+    for a, k, shift, _ in atoms:
         t = need >> shift & _LANE_MASK
         if t:
             if t > k:
@@ -240,7 +245,8 @@ def _float_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: 
     The bag is given split into its atoms and its compound formulas.
     With atoms only there is at most one take, read off the lanes of
     ``need``; otherwise the compound multiplicities are enumerated in
-    lexicographic order and the atoms close each choice.
+    lexicographic order and the atoms close each choice.  Each take
+    lists its formulas in bag order.
     """
     if not compounds:
         take = _atom_take(atoms, need)
@@ -249,16 +255,17 @@ def _float_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: 
 
 
 def _compound_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: int) -> Iterator[Bag]:
-    for counts in itertools.product(*(range(k + 1) for _, k, _ in compounds)):
+    position = {f: p for f, _, _, p in (*atoms, *compounds)}
+    for counts in itertools.product(*(range(k + 1) for _, k, _, _ in compounds)):
         residual = need
         chosen = []
-        for (f, _, vec), t in zip(compounds, counts):
+        for (f, _, vec, _), t in zip(compounds, counts):
             if t:
                 residual -= t * vec
                 chosen.append((f, t))
         rest = _atom_take(atoms, residual)
         if rest is not None:
-            yield tuple(sorted(chosen + list(rest), key=lambda kv: hash(kv[0])))
+            yield tuple(sorted(chosen + list(rest), key=lambda kv: position[kv[0]]))
 
 
 def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
@@ -285,6 +292,10 @@ class _Search:
         # far; lanes are given to primitives in order of appearance.
         self._packed: dict[Formula, int] = {}
         self._lanes: dict[str, int] = {}
+        # The same subformulas numbered in order of first sight; pending
+        # bags are sorted by it, so the search order does not depend on
+        # the per-process hash of strings.
+        self._rank: dict[Formula, int] = {}
 
     # -- public entry points ------------------------------------------------
 
@@ -350,17 +361,18 @@ class _Search:
             else:
                 v = self._vec(f.result) - self._vec(f.arg)
             self._packed[f] = v
+            self._rank[f] = len(self._rank)
         return v
 
     def _parts(self, bag: Bag) -> tuple[list[_AtomPart], list[_CompoundPart]]:
         """A pending bag as ``_float_splits`` takes it: atoms, then compounds."""
         atoms: list[_AtomPart] = []
         compounds: list[_CompoundPart] = []
-        for f, k in bag:
+        for p, (f, k) in enumerate(bag):
             if isinstance(f, Atom):
-                atoms.append((f, k, self._packed[f].bit_length() - 1))
+                atoms.append((f, k, self._packed[f].bit_length() - 1, p))
             else:
-                compounds.append((f, k, self._packed[f]))
+                compounds.append((f, k, self._packed[f], p))
         return atoms, compounds
 
     # -- core recursion -------------------------------------------------------
@@ -455,7 +467,7 @@ class _Search:
             else:
                 yield from self._materializations(fixed, bag, succ)
         elif isinstance(succ, LinImp) and mode.has_linimp_right:
-            child = (fixed, _bag_add(bag, succ.arg), succ.result)
+            child = (fixed, _bag_add(bag, succ.arg, self._rank), succ.result)
 
             def linimp_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
                 tree, mask = rs[0]

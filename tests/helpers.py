@@ -9,7 +9,9 @@ against itself:
   cross-validate the packaged checker and to filter proof mutants,
 * random formula and sequent generators,
 * ``brute_force_splits``, every way to split a pending multiset by
-  counts, for the prover's split routine.
+  counts, for the prover's split routine,
+* ``reference_violations``, a recursive reading of the -o input
+  checks, for ``validate_input``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from lambek import (
     Rule,
     Sequent,
     Under,
+    format_formula,
+    parse_sequent,
 )
 
 ATOMS = ("a", "b", "c", "d")
@@ -303,3 +307,46 @@ def brute_force_splits(bag, need: dict[str, int]) -> list[tuple]:
             taken = dict(zip(order, picks))
             out.append(tuple((f, taken[i]) for i, (f, _) in enumerate(bag) if taken[i]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Input checks (the oracle for validate_input)
+# ---------------------------------------------------------------------------
+
+
+def reference_violations(s: Sequent, mode: CalculusMode) -> list[tuple[str, str]]:
+    """(kind, message) of every -o occurrence ``mode`` cannot use.
+
+    A recursive walk straight from the definition of polarity: roots of
+    the antecedent are negative, the succedent positive, an argument
+    flips its parent's polarity and a result keeps it.  Occurrences come
+    in preorder over the printed operands, antecedent first.
+    """
+    out: list[tuple[str, str]] = []
+
+    def walk(f: Formula, side: str, index: int, positive: bool) -> None:
+        if isinstance(f, Atom):
+            return
+        where = f"({side} position {index})"
+        if isinstance(f, LinImp) and mode is CalculusMode.L:
+            out.append(("linimp-in-l", f"mode l has no rules for {format_formula(f)} {where}"))
+        elif isinstance(f, LinImp) and not positive:
+            out.append(
+                ("negative-linimp", f"{format_formula(f)} occurs negatively {where} and -o has no left rule")
+            )
+        if isinstance(f, Over):
+            walk(f.result, side, index, positive)
+            walk(f.arg, side, index, not positive)
+        else:
+            walk(f.arg, side, index, not positive)
+            walk(f.result, side, index, positive)
+
+    for i, f in enumerate(s.antecedent):
+        walk(f, "antecedent", i, False)
+    walk(s.succedent, "succedent", 0, True)
+    return out
+
+
+def chain_sequent(n: int) -> Sequent:
+    """``b/a/.../a => a -o ... -o b`` with n of each: its proof has depth 2n + 1."""
+    return parse_sequent("b" + "/a" * n + " => " + "a -o " * n + "b")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import forward_proof, mutate_proof, naive_check
+from helpers import chain_sequent, forward_proof, mutate_proof, naive_check
 from lambek import (
     Atom,
     CalculusMode,
@@ -15,6 +15,7 @@ from lambek import (
     Sequent,
     Under,
     check_proof,
+    format_sequent,
     parse_sequent,
     proof_from_json,
     proof_from_json_text,
@@ -170,3 +171,100 @@ def test_nodes_and_counts():
     assert rules.count(Rule.AX) == 3
     assert tree.rule_count(Rule.OVER_L) == 2
     assert tree.depth() == 3
+
+
+def _json_with_every_sequent(t: ProofTree) -> dict:
+    """The JSON form with ``sequent`` written on every node."""
+    node = {"rule": t.rule.value, "sequent": format_sequent(t.conclusion)}
+    if t.split is not None:
+        node["split"] = list(t.split)
+    if t.insert is not None:
+        node["insert"] = t.insert
+    node["premises"] = [_json_with_every_sequent(p) for p in t.premises]
+    return node
+
+
+def _sequent_count(data: dict) -> int:
+    return ("sequent" in data) + sum(_sequent_count(p) for p in data["premises"])
+
+
+def test_json_of_a_correct_proof_has_one_sequent():
+    rng = random.Random(24)
+    for _ in range(200):
+        t = forward_proof(rng, SDL)
+        assert _sequent_count(proof_to_json(t)) == 1
+
+
+def test_json_round_trips_rule_inconsistent_trees():
+    rng = random.Random(25)
+    mutants = 0
+    for _ in range(400):
+        m = mutate_proof(rng, forward_proof(rng, SDL))
+        if m is None:
+            continue
+        mutants += 1
+        data = proof_to_json(m)
+        assert proof_from_json(data) == m
+        assert proof_from_json_text(proof_to_json_text(m)) == m
+        if not naive_check(m, SDL):
+            assert _sequent_count(data) > 1
+    assert mutants > 100
+
+
+def test_json_loads_a_sequent_on_every_node():
+    rng = random.Random(26)
+    for _ in range(200):
+        t = forward_proof(rng, SDL)
+        assert proof_from_json(_json_with_every_sequent(t)) == t
+        m = mutate_proof(rng, t)
+        if m is not None:
+            assert proof_from_json(_json_with_every_sequent(m)) == m
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rule": "Ax", "premises": []},
+        # /L with an out-of-range split implies no premises
+        {
+            "rule": "/L",
+            "sequent": "a/b, b => a",
+            "split": [1, 1],
+            "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "premises": []}],
+        },
+        # -oR on a succedent that is not a -o
+        {"rule": "-oR", "sequent": "a => a", "insert": 0, "premises": [{"rule": "Ax", "premises": []}]},
+        # /L whose split does not land on a /
+        {
+            "rule": "/L",
+            "sequent": "b, b\\a => a",
+            "split": [0, 1],
+            "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "sequent": "a => a", "premises": []}],
+        },
+    ],
+)
+def test_json_rejects_missing_sequents(data):
+    with pytest.raises(ValueError):
+        proof_from_json(data)
+
+
+def test_chain_proof_json_is_linear():
+    tree, _ = prove(chain_sequent(200), SDL)
+    text = proof_to_json_text(tree)
+    assert len(text) < 100 * len(tree.nodes())
+    assert proof_from_json_text(text) == tree
+
+    tree, _ = prove(chain_sequent(1000), SDL)
+    back = proof_from_json_text(proof_to_json_text(tree))
+    assert back == tree
+    assert check_proof(back, SDL)
+
+
+def test_deep_proof_walks():
+    tree, _ = prove(chain_sequent(3000), SDL)
+    assert tree.depth() == 6001
+    assert tree.rule_count(Rule.LINIMP_R) == 3000
+    assert tree.rule_count(Rule.OVER_L) == 3000
+    assert tree.rule_count(Rule.AX) == 3001
+    assert len(tree.nodes()) == 9001
+    assert check_proof(tree, SDL)

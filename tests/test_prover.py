@@ -1,15 +1,29 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from helpers import brute_force_splits, forward_proof, oracle_counts, random_formula, random_sequent
+from helpers import (
+    brute_force_splits,
+    chain_sequent,
+    forward_proof,
+    oracle_counts,
+    random_formula,
+    random_sequent,
+    reference_violations,
+)
 from lambek import (
     Atom,
     BudgetExceededError,
     CalculusMode,
     Rule,
+    Sequent,
     check_proof,
     connective_count,
     enumerate_proofs,
@@ -121,6 +135,54 @@ def test_validate_input():
     kinds = [v.kind for v in validate_input(neg, SDL)]
     assert kinds == ["negative-linimp"]
     assert all(v.message for v in validate_input(neg, SDL))
+
+
+def test_validate_input_matches_reference():
+    rng = random.Random(14)
+    seen = {mode: set() for mode in (L, SDL, SDLM)}
+    for _ in range(600):
+        ant = tuple(random_formula(rng, 3) for _ in range(rng.randint(1, 4)))
+        s = Sequent(ant, random_formula(rng, 3))
+        for mode in (L, SDL, SDLM):
+            got = [(v.kind, v.message) for v in validate_input(s, mode)]
+            assert got == reference_violations(s, mode), (s, mode)
+            seen[mode].update((kind, "antecedent" in msg) for kind, msg in got)
+    # Both kinds, on both sides of the arrow.
+    assert seen[L] == {("linimp-in-l", True), ("linimp-in-l", False)}
+    assert seen[SDL] == seen[SDLM] == {("negative-linimp", True), ("negative-linimp", False)}
+
+
+def test_validate_input_memory_is_linear():
+    s = chain_sequent(6000)
+    tracemalloc.start()
+    try:
+        assert validate_input(s, SDL) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
+_HASH_SEED_SCRIPT = """
+from lambek import CalculusMode, parse_sequent, proof_to_json_text, prove
+s = parse_sequent(r"a/a, a, a/a, a, (a\\b -o b\\a -o a)\\a\\b => b\\a -o a")
+tree, stats = prove(s, CalculusMode.SDL_MINUS)
+print(stats.nodes_expanded)
+print(proof_to_json_text(tree))
+"""
+
+
+def test_search_order_ignores_hash_seed():
+    src = str(Path(prover.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_enumerate_proofs():
