@@ -23,7 +23,9 @@ from .grammar import (
 )
 from .prooftree import proof_to_json, render_proof
 from .prover import DEFAULT_BUDGET, BudgetExceededError, CalculusMode, prove, validate_input
-from .reduction import build_reduction, instance_from_json, solve_3partition, validate_instance
+from .reduction import (
+    ThreePartitionInstance, build_reduction, instance_from_json, solve_3partition, validate_instance
+)
 from .syntax import FormulaSyntaxError, format_formula, format_sequent, parse_sequent
 
 __all__ = ["main", "entry"]
@@ -106,6 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(verdict: bool | None) -> int:
+    """The exit code of a verdict: True for yes, False for no, None for unknown."""
+    return EXIT_UNKNOWN if verdict is None else EXIT_YES if verdict else EXIT_NO
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     try:
         sequent = parse_sequent(" ".join(args.sequent))
@@ -119,37 +126,27 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
     try:
         tree, stats = prove(sequent, mode, budget=args.budget)
+        verdict = tree is not None
     except BudgetExceededError as e:
-        if args.output == "json":
-            print(json.dumps({
-                "sequent": format_sequent(sequent),
-                "mode": mode.value,
-                "derivable": None,
-                "budget_exhausted": True,
-                "stats": e.stats.as_dict(),
-                "warnings": [w.message for w in warnings],
-            }))
-        else:
-            print("unknown (budget exhausted)")
-        return EXIT_UNKNOWN
+        tree, stats, verdict = None, e.stats, None
 
     if args.output == "json":
         payload = {
             "sequent": format_sequent(sequent),
             "mode": mode.value,
-            "derivable": tree is not None,
-            "budget_exhausted": False,
+            "derivable": verdict,
+            "budget_exhausted": verdict is None,
             "stats": stats.as_dict(),
             "warnings": [w.message for w in warnings],
         }
-        if args.proof:
+        if args.proof and verdict is not None:
             payload["proof"] = proof_to_json(tree) if tree is not None else None
         print(json.dumps(payload))
     else:
-        print("derivable" if tree is not None else "not derivable")
+        print({True: "derivable", False: "not derivable", None: "unknown (budget exhausted)"}[verdict])
         if args.proof and tree is not None:
             print(render_proof(tree))
-    return EXIT_YES if tree is not None else EXIT_NO
+    return _exit_code(verdict)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -168,12 +165,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    verdict = None if result.budget_exhausted else result.member
 
     if args.output == "json":
         payload = {
             "word": word,
             "mode": mode.value,
-            "member": None if result.budget_exhausted else result.member,
+            "member": verdict,
             "budget_exhausted": result.budget_exhausted,
             "assignment": (
                 [format_formula(f) for f in result.assignment] if result.assignment else None
@@ -184,38 +182,31 @@ def cmd_parse(args: argparse.Namespace) -> int:
             payload["proof"] = proof_to_json(result.proof) if result.proof else None
         print(json.dumps(payload))
     else:
-        if result.member:
-            print("member")
+        print({True: "member", False: "not a member", None: "unknown (search gave up)"}[verdict])
+        if verdict:
             width = max(len(t) for t in word)
             for token, formula in zip(word, result.assignment):
                 print(f"  {token:<{width}}  {format_formula(formula)}")
             if args.proof:
                 print(render_proof(result.proof))
-        elif result.budget_exhausted:
-            print("unknown (search gave up)")
-        else:
-            print("not a member")
-    if result.member:
-        return EXIT_YES
-    return EXIT_UNKNOWN if result.budget_exhausted else EXIT_NO
+    return _exit_code(verdict)
 
 
-def _load_instance(path: str) -> tuple:
-    text = _read_text(path)
-    inst = instance_from_json(text)
-    problems = validate_instance(inst)
-    return inst, problems
+def _load_instance(path: str) -> ThreePartitionInstance | None:
+    """The instance in ``path``, or None after printing why it is unusable."""
+    try:
+        inst = instance_from_json(_read_text(path))
+        problems = validate_instance(inst)
+    except (OSError, ValueError) as e:
+        problems = [str(e)]
+    for msg in problems:
+        print(f"error: {msg}", file=sys.stderr)
+    return None if problems else inst
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        inst, problems = _load_instance(args.instance)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    if problems:
-        for msg in problems:
-            print(f"error: {msg}", file=sys.stderr)
+    inst = _load_instance(args.instance)
+    if inst is None:
         return EXIT_INPUT
     grammar, word = build_reduction(inst)
     text = grammar_to_text(grammar)
@@ -233,14 +224,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_solve3p(args: argparse.Namespace) -> int:
-    try:
-        inst, problems = _load_instance(args.instance)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    if problems:
-        for msg in problems:
-            print(f"error: {msg}", file=sys.stderr)
+    inst = _load_instance(args.instance)
+    if inst is None:
         return EXIT_INPUT
     partition = solve_3partition(inst)
     # Printed positions are 1-based; Partition itself stores 0-based indices.
@@ -259,7 +244,7 @@ def cmd_solve3p(args: argparse.Namespace) -> int:
             positions = " ".join(str(i + 1) for i in triple)
             sizes = " ".join(str(inst.sizes[i]) for i in triple)
             print(f"  triple {k}: positions {positions} (sizes {sizes})")
-    return EXIT_YES if partition is not None else EXIT_NO
+    return _exit_code(partition is not None)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -42,7 +42,8 @@ import enum
 import functools
 import itertools
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .analysis import linimp_polarities
@@ -92,12 +93,7 @@ class SearchStats:
     max_depth: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "cache_hits": self.cache_hits,
-            "pruned_by_count": self.pruned_by_count,
-            "max_depth": self.max_depth,
-        }
+        return asdict(self)
 
 
 class BudgetExceededError(RuntimeError):
@@ -183,17 +179,6 @@ def _bag_add(bag: Bag, f: Formula, rank: dict[Formula, int]) -> Bag:
     return tuple(out)
 
 
-def _bag_remove_one(bag: Bag, f: Formula) -> Bag:
-    out = []
-    for g, k in bag:
-        if g == f:
-            if k > 1:
-                out.append((g, k - 1))
-        else:
-            out.append((g, k))
-    return tuple(out)
-
-
 def _bag_sub(bag: Bag, take: Bag) -> Bag:
     taken = dict(take)
     out = []
@@ -202,10 +187,6 @@ def _bag_sub(bag: Bag, take: Bag) -> Bag:
         if rest:
             out.append((g, rest))
     return tuple(out)
-
-
-def _bag_total(bag: Bag) -> int:
-    return sum(k for _, k in bag)
 
 
 # Count vectors are packed into one int with a lane of _LANE_BITS bits
@@ -280,14 +261,15 @@ def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
 
 
 class _Search:
-    """One proof search query: memo table, stats and budget window."""
+    """One proof search query: memo, stats, budget window and a ``time.monotonic()`` deadline."""
 
-    def __init__(self, mode: CalculusMode, budget: int = DEFAULT_BUDGET):
+    def __init__(self, mode: CalculusMode, budget: int = DEFAULT_BUDGET, deadline: float | None = None):
         self.mode = mode
         self.budget = budget
+        self.deadline = deadline
         self.stats = SearchStats()
         self.memo: dict[State, Result | None] = {}
-        self._baseline = 0
+        self.new_budget_window()
         # Packed count vector of every subformula of the goals seen so
         # far; lanes are given to primitives in order of appearance.
         self._packed: dict[Formula, int] = {}
@@ -313,11 +295,13 @@ class _Search:
         if limit <= 0 or not self._admissible(s):
             return []
         out: list[ProofTree] = []
-        seen: set[ProofTree] = set()
+        # With the root fixed, rule data fix every conclusion; hashing a tree would recurse.
+        seen: set[tuple] = set()
         for tree, mask in self._enum(tuple(s.antecedent), (), s.succedent, 1):
             assert not any(mask)
-            if tree not in seen:
-                seen.add(tree)
+            key = tuple((t.rule, t.split, t.insert) for t in tree.nodes())
+            if key not in seen:
+                seen.add(key)
                 out.append(tree)
                 if len(out) >= limit:
                     break
@@ -326,6 +310,8 @@ class _Search:
     def new_budget_window(self) -> None:
         """Reset the budget while keeping the memo (one query, many goals)."""
         self._baseline = self.stats.nodes_expanded
+        # _expand checks the limits from this node count on: every node under a deadline.
+        self._check_at = self._baseline + self.budget if self.deadline is None else 0
 
     # -- admissibility of a root goal ----------------------------------------
 
@@ -377,19 +363,27 @@ class _Search:
 
     # -- core recursion -------------------------------------------------------
 
+    def _expand(self, depth: int) -> None:
+        """Count a node expanded at ``depth``, or raise once a limit is hit."""
+        stats = self.stats
+        if stats.nodes_expanded >= self._check_at and (
+            stats.nodes_expanded - self._baseline >= self.budget or time.monotonic() > self.deadline
+        ):
+            raise BudgetExceededError(stats)
+        stats.nodes_expanded += 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+
     def _solve(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, depth: int) -> Result | None:
         key = (fixed, bag, succ)
         memo = self.memo
-        if key in memo:
+        result = memo.get(key, memo)  # the memo itself marks a miss
+        if result is not memo:
             self.stats.cache_hits += 1
-            return memo[key]
-        if self.stats.nodes_expanded - self._baseline >= self.budget:
-            raise BudgetExceededError(self.stats)
-        self.stats.nodes_expanded += 1
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
+            return result
+        self._expand(depth)
 
-        result: Result | None = None
+        result = None
         for children, is_rule, recombine in self._options(fixed, bag, succ):
             child_depth = depth + 1 if is_rule else depth
             solved: list[Result] = []
@@ -406,9 +400,7 @@ class _Search:
         return result
 
     def _enum(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, depth: int) -> Iterator[Result]:
-        if self.stats.nodes_expanded - self._baseline >= self.budget:
-            raise BudgetExceededError(self.stats)
-        self.stats.nodes_expanded += 1
+        self._expand(depth)
         for children, is_rule, recombine in self._options(fixed, bag, succ):
             child_depth = depth + 1 if is_rule else depth
             if not children:
@@ -430,7 +422,7 @@ class _Search:
 
     def _options(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         mode = self.mode
-        total = len(fixed) + _bag_total(bag)
+        total = len(fixed) + sum(k for _, k in bag)
         assert total >= 1
 
         if total == 1:
@@ -442,30 +434,22 @@ class _Search:
 
                 yield [], True, ax
 
-        if isinstance(succ, Over) and mode.has_directional_right:
-            if not bag:
-                child = (fixed + (succ.arg,), (), succ.result)
-
-                def over_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
-                    tree, mask = rs[0]
-                    concl = Sequent(tree.conclusion.antecedent[:-1], succ)
-                    yield ProofTree(Rule.OVER_R, concl, (tree,)), mask[:-1]
-
-                yield [child], True, over_r
-            else:
+        if isinstance(succ, (Over, Under)) and mode.has_directional_right:
+            if bag:
                 yield from self._materializations(fixed, bag, succ)
-        elif isinstance(succ, Under) and mode.has_directional_right:
-            if not bag:
-                child = ((succ.arg,) + fixed, (), succ.result)
-
-                def under_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
-                    tree, mask = rs[0]
-                    concl = Sequent(tree.conclusion.antecedent[1:], succ)
-                    yield ProofTree(Rule.UNDER_R, concl, (tree,)), mask[1:]
-
-                yield [child], True, under_r
             else:
-                yield from self._materializations(fixed, bag, succ)
+                # The argument joins the antecedent at the end the slash faces.
+                over = isinstance(succ, Over)
+                child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, (), succ.result)
+                rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
+
+                def directional_r(
+                    rs: list[Result], succ: Formula = succ, rule: Rule = rule, rest: slice = rest
+                ) -> Iterator[Result]:
+                    tree, mask = rs[0]
+                    yield ProofTree(rule, Sequent(tree.conclusion.antecedent[rest], succ), (tree,)), mask[rest]
+
+                yield [child], True, directional_r
         elif isinstance(succ, LinImp) and mode.has_linimp_right:
             child = (fixed, _bag_add(bag, succ.arg, self._rank), succ.result)
 
@@ -497,7 +481,7 @@ class _Search:
         of the antecedent and therefore need the interleaving settled.
         """
         for f, _ in bag:
-            rest = _bag_remove_one(bag, f)
+            rest = _bag_sub(bag, ((f, 1),))
             for p in range(len(fixed) + 1):
                 child = (fixed[:p] + (f,) + fixed[p:], rest, succ)
 
@@ -523,7 +507,7 @@ class _Search:
         over = isinstance(functor, Over)
         pending = i is None
         if pending:
-            bag = _bag_remove_one(bag, functor)
+            bag = _bag_sub(bag, ((functor, 1),))
         packed = self._packed
         atoms, compounds = self._parts(bag)
         arg, res = functor.arg, functor.result

@@ -21,7 +21,8 @@ consumes a ``b`` to its left; ``b -o a`` consumes a ``b`` anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from types import FunctionType
 from typing import Iterator, Union
 
 __all__ = [
@@ -51,104 +52,89 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Atom:
-    """A primitive type, named by a lowercase identifier."""
+class _Node:
+    """A formula node, hashed once at construction from its children's stored hashes.
 
-    name: str
-    _hash: int = field(init=False, repr=False)
+    Copies and pickles go through the constructor, which recomputes the
+    hash that the dataclass state would lose.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("atom", self.name)))
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __str__(self) -> str:
+        return format_formula(self)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __init_subclass__(cls) -> None:
+        # CPython specializes each attribute lookup for one class, so every class gets
+        # its own copy of the shared code; one that defines __eq__ gets __hash__ back.
+        for name in ("__hash__", "__eq__", "__post_init__"):
+            f = getattr(cls, name, None) or getattr(_Node, name, None)
+            if isinstance(f, FunctionType):
+                setattr(cls, name, FunctionType(f.__code__.replace(), f.__globals__, name))
+
+
+class _Connective(_Node):
+    """A connective node: ``result`` and ``arg`` operands, and a class-level ``_tag``."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self._tag, self.result._hash, self.arg._hash)))
+
+    def __eq__(self, other: object) -> bool:
+        # The type comes first: Under(a, b) and LinImp(a, b) have the same fields.
+        return self is other or (
+            type(other) is type(self) and self._hash == other._hash
+            and self.result == other.result and self.arg == other.arg
+        )
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Atom(_Node):
+    """A primitive type, named by a lowercase identifier."""
+
+    name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(("atom", self.name)))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
             type(other) is Atom and self._hash == other._hash and self.name == other.name
         )
 
-    def __str__(self) -> str:
-        return format_formula(self)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Over:
+class Over(_Connective):
     """``result/arg``: a functor looking for ``arg`` on its right."""
 
+    _tag = "over"
     result: Formula
     arg: Formula
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("over", self.result, self.arg)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Over
-            and self._hash == other._hash
-            and self.result == other.result
-            and self.arg == other.arg
-        )
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Under:
+class Under(_Connective):
     """``arg\\result``: a functor looking for ``arg`` on its left."""
 
+    _tag = "under"
     arg: Formula
     result: Formula
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("under", self.arg, self.result)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Under
-            and self._hash == other._hash
-            and self.arg == other.arg
-            and self.result == other.result
-        )
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class LinImp:
+class LinImp(_Connective):
     """``arg -o result``: consumes ``arg`` anywhere in the antecedent."""
 
+    _tag = "linimp"
     arg: Formula
     result: Formula
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("linimp", self.arg, self.result)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is LinImp
-            and self._hash == other._hash
-            and self.arg == other.arg
-            and self.result == other.result
-        )
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 Formula = Union[Atom, Over, Under, LinImp]
@@ -302,16 +288,11 @@ def parse_sequent(text: str) -> Sequent:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_text(f: Formula) -> str:
+def _operand(f: Formula, bare: tuple[type, ...]) -> str:
+    """``f`` printed bare when it is an atom or one of the classes ``bare``, else in parentheses."""
     if isinstance(f, Atom):
         return f.name
-    return f"({format_formula(f)})"
-
-
-def _slash_text(f: Formula) -> str:
-    if isinstance(f, (Atom, Over, Under)):
-        return format_formula(f)
-    return f"({format_formula(f)})"
+    return format_formula(f) if isinstance(f, bare) else f"({format_formula(f)})"
 
 
 def format_formula(f: Formula) -> str:
@@ -320,14 +301,12 @@ def format_formula(f: Formula) -> str:
         return f.name
     if isinstance(f, Over):
         # "/" chains through its left operand.
-        left = format_formula(f.result) if isinstance(f.result, (Atom, Over)) else f"({format_formula(f.result)})"
-        return f"{left}/{_atomic_text(f.arg)}"
+        return f"{_operand(f.result, (Over,))}/{_operand(f.arg, ())}"
     if isinstance(f, Under):
         # "\" chains through its right operand.
-        right = format_formula(f.result) if isinstance(f.result, (Atom, Under)) else f"({format_formula(f.result)})"
-        return f"{_atomic_text(f.arg)}\\{right}"
+        return f"{_operand(f.arg, ())}\\{_operand(f.result, (Under,))}"
     if isinstance(f, LinImp):
-        return f"{_slash_text(f.arg)} -o {format_formula(f.result)}"
+        return f"{_operand(f.arg, (Over, Under))} -o {format_formula(f.result)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -354,37 +333,18 @@ def subformulas(x: Formula | Sequent) -> set[Formula]:
         if f in out:
             continue
         out.add(f)
-        if isinstance(f, Over):
-            stack.append(f.result)
-            stack.append(f.arg)
-        elif isinstance(f, (Under, LinImp)):
-            stack.append(f.arg)
-            stack.append(f.result)
+        if not isinstance(f, Atom):
+            stack += (f.result, f.arg)
     return out
 
 
 def connective_count(x: Formula | Sequent) -> int:
     """Number of connective occurrences (/, \\, -o)."""
-    if isinstance(x, Sequent):
-        return sum(connective_count(f) for f in x.antecedent) + connective_count(
-            x.succedent
-        )
-    if isinstance(x, Atom):
-        return 0
-    return 1 + connective_count(_left_child(x)) + connective_count(_right_child(x))
-
-
-def _left_child(f: Formula) -> Formula:
-    if isinstance(f, Over):
-        return f.result
-    if isinstance(f, (Under, LinImp)):
-        return f.arg
-    raise TypeError(f"no children: {f!r}")
-
-
-def _right_child(f: Formula) -> Formula:
-    if isinstance(f, Over):
-        return f.arg
-    if isinstance(f, (Under, LinImp)):
-        return f.result
-    raise TypeError(f"no children: {f!r}")
+    stack = [*x.antecedent, x.succedent] if isinstance(x, Sequent) else [x]
+    n = 0
+    while stack:
+        f = stack.pop()
+        if not isinstance(f, Atom):
+            n += 1
+            stack += (f.result, f.arg)
+    return n

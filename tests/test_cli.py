@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +246,81 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+ANBNCN_WORDS = ("a b c", "a c b")
+TOY_GRAMMAR = "start: s\nthe: np/n\ncat: n\nsleeps: np\\s\n"
+
+# (argv, stdin) for every subcommand and outcome: yes, no, unknown and
+# input error, in text and JSON output, with and without --proof.
+TRANSCRIPT_CALLS: list[tuple[list[str], str]] = [
+    *(
+        (["prove", seq, *opts], "")
+        for seq in ("a/b, b => a", "a => b", "s/c, b\\c => b -o s", "b\\c\\x => b -o c\\x", "x/c/b => b -o (x/c)")
+        for opts in ([], ["--proof"], ["--output", "json"], ["--output", "json", "--proof"])
+    ),
+    *(
+        (["prove", "a/b, b => a", "--budget", "1", *opts], "")
+        for opts in ([], ["--proof"], ["--output", "json"], ["--output", "json", "--proof"])
+    ),
+    (["prove", "s/c, b\\c => b -o s", "--mode", "l"], ""),
+    (["prove", "s/c, b\\c => b -o s", "--mode", "l", "--output", "json"], ""),
+    (["prove", "a/b => a/b", "--mode", "sdl-", "--output", "json"], ""),
+    (["prove", "a//b => a"], ""),
+    (["prove", "a//b => a", "--output", "json"], ""),
+    *(
+        (["parse", "--builtin", "anbncn", word, *opts], "")
+        for word in ANBNCN_WORDS
+        for opts in ([], ["--proof"], ["--output", "json"], ["--output", "json", "--proof"])
+    ),
+    (["parse", "--builtin", "anbncn", "a", "b", "c", "--budget", "1"], ""),
+    (["parse", "--builtin", "anbncn", "a", "b", "c", "--budget", "1", "--output", "json", "--proof"], ""),
+    (["parse", "--builtin", "anbncn", "a", "q"], ""),
+    (["parse", "--grammar", "-", "--mode", "l", "the cat sleeps", "--proof"], TOY_GRAMMAR),
+    (["parse", "--grammar", "-", "--mode", "l", "cat the sleeps", "--output", "json"], TOY_GRAMMAR),
+    (["parse", "--grammar", "-", "the"], "the: np/n\n"),
+    (["parse", "--grammar", "missing.grammar", "the"], ""),
+    (["reduce", "-"], GOOD_INSTANCE),
+    (["reduce", "-", "--output", "json"], GOOD_INSTANCE),
+    (["reduce", "-", "enc"], GOOD_INSTANCE),
+    (["reduce", "-"], ILL_FORMED),
+    (["reduce", "-", "--output", "json"], "{"),
+    (["reduce", "missing.json"], ""),
+    *(
+        (["solve3p", "-", *opts], inst)
+        for inst in (GOOD_INSTANCE, UNSOLVABLE, ILL_FORMED, "[1]")
+        for opts in ([], ["--output", "json"])
+    ),
+]
+TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
+
+
+def transcript() -> list[dict]:
+    """Exit code, stdout and stderr of ``main`` on each of ``TRANSCRIPT_CALLS``.
+
+    ``cli_transcript.json`` holds the expected list.  It is rewritten
+    only for an intended change of output, by running this function in
+    an empty directory and dumping the result with ``json.dump(...,
+    indent=1)``.
+    """
+    out = []
+    for argv, stdin in TRANSCRIPT_CALLS:
+        stdout, stderr, saved = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            sys.stdin = saved
+        out.append({"argv": argv, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()})
+    return out
+
+
+def test_cli_transcript(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(TRANSCRIPT.read_text())
+    got = transcript()
+    assert [e["argv"] for e in got] == [e["argv"] for e in expected]
+    for g, e in zip(got, expected):
+        assert g == e, g["argv"]
+    assert {e["code"] for e in got} == {0, 1, 2, 3}

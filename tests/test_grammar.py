@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import time
 
 import pytest
 
@@ -239,3 +240,30 @@ def test_membership_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert freed < 1_000
+
+
+# One assignment of a^8 b^8 c^8 in the anbncn grammar, as a grammar with
+# one type per terminal: the count filter passes it, and the search
+# takes about 1,500 nodes and half a second to refute it.
+HARD_ASSIGNMENT = """
+start: x
+a: x/(c -o b -o x)
+a_last: x/(c -o b -o y)
+b: y/b/y
+b_last: y/b/z
+c: z/c/z
+c_last: z/c
+"""
+HARD_WORD = ["a"] * 7 + ["a_last"] + ["b"] * 7 + ["b_last", "c", "c_last"] + ["c"] * 6
+
+
+def test_deadline_is_enforced_inside_the_search():
+    g = grammar_from_text(HARD_ASSIGNMENT)
+    assert len(list(assignments(g, HARD_WORD))) == 1
+    t0 = time.perf_counter()
+    r = recognize(g, HARD_WORD, SDL, deadline=0.02)
+    assert time.perf_counter() - t0 < 0.2
+    assert r.budget_exhausted and not r.member
+    r = recognize(g, HARD_WORD, SDL)
+    assert not r.member and not r.budget_exhausted
+    assert r.stats.nodes_expanded > 1000

@@ -100,6 +100,17 @@ def test_linimp_right_edges():
     assert not derivable("a => a -o a", SDL)
 
 
+def test_under_right_after_linimp_right():
+    # the mirror image of the /R case above: the stripped b must be
+    # committed to the left end before \R can take it
+    s = parse_sequent("b\\c\\x => b -o c\\x")
+    tree, _ = prove(s, SDL)
+    assert tree is not None and check_proof(tree, SDL)
+    assert [t.rule for t in tree.nodes()][:2] == [Rule.LINIMP_R, Rule.UNDER_R]
+    assert not derivable("b\\c\\x => b -o c\\x", L)
+    assert not derivable("b\\c\\x => b -o c\\x", SDLM)
+
+
 def test_sdl_minus_drops_directional_right_rules():
     assert derivable("a/b => a/b", L)
     assert not derivable("a/b => a/b", SDLM)
@@ -198,6 +209,16 @@ def test_enumerate_proofs():
     assert len(enumerate_proofs(s, L, limit=1)) == 1
 
 
+def test_enumerate_proofs_of_a_deep_chain():
+    # hashing a proof tree this deep recurses past the limit, so the
+    # enumeration must tell proofs apart without it
+    s = chain_sequent(2500)
+    trees = enumerate_proofs(s, SDL, limit=1)
+    assert len(trees) == 1
+    assert trees[0].conclusion == s and trees[0].depth() == 5001
+    assert check_proof(trees[0], SDL)
+
+
 def test_budget_exhaustion():
     s = parse_sequent("a/b, b => a")
     with pytest.raises(BudgetExceededError) as e:
@@ -249,7 +270,7 @@ def test_stats_dict_shape():
 
 
 def _random_bag(rng: random.Random, kind: str) -> tuple:
-    """A pending multiset as the search keeps it: distinct formulas, sorted by hash."""
+    """A pending multiset: distinct formulas in a fixed order (the search sorts them by rank)."""
     entries: dict = {}
     if kind != "empty":
         for name in rng.sample("abcd", rng.randint(1, 4)):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
 
 import pytest
@@ -155,3 +159,50 @@ def test_equality_is_structural():
     assert parse_formula("a/(b -o c)") == parse_formula("a / (b -o c)")
     assert parse_formula("a/b") != parse_formula("b/a")
     assert hash(parse_formula("a\\b")) == hash(Under(a, b))
+
+
+CONNECTIVES = (Over, Under, LinImp)
+
+
+def test_equality_needs_the_same_class():
+    for x, y in itertools.product((a, b, Over(a, b)), repeat=2):
+        for k1, k2 in itertools.product(CONNECTIVES, repeat=2):
+            assert (k1(x, y) == k2(x, y)) == (k1 is k2)
+            assert (k1(x, y) != k2(x, y)) == (k1 is not k2)
+        assert (Atom("a") == x) == (x is a)
+        assert Atom("a") != "a"
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(a) == "Atom(name='a')"
+    assert repr(Over(a, b)) == "Over(result=Atom(name='a'), arg=Atom(name='b'))"
+    assert repr(Under(a, b)) == "Under(arg=Atom(name='a'), result=Atom(name='b'))"
+    assert repr(LinImp(a, Over(b, c))) == (
+        "LinImp(arg=Atom(name='a'), result=Over(result=Atom(name='b'), arg=Atom(name='c')))"
+    )
+
+
+def test_formulas_are_frozen():
+    for f in (a, *(k(a, b) for k in CONNECTIVES)):
+        for field in dataclasses.fields(f):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, field.name, c)
+        assert c not in [getattr(f, field.name) for field in dataclasses.fields(f)]
+
+
+def test_copies_are_equal_with_equal_hashes():
+    rng = random.Random(8)
+    formulas = [a, *(k(a, b) for k in CONNECTIVES), *(random_formula(rng, 4) for _ in range(50))]
+    for f in formulas:
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert type(g) is type(f)
+            assert g == f and hash(g) == hash(f)
+            assert repr(g) == repr(f)
+
+
+def test_connective_count_of_a_deep_formula():
+    f = a
+    for i in range(20_000):
+        f = CONNECTIVES[i % 3](f, b)
+    assert connective_count(f) == 20_000
+    assert connective_count(Sequent((f, f), a)) == 40_000
