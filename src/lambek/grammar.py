@@ -118,11 +118,14 @@ def _vkey(vec: dict[str, int]) -> tuple[tuple[str, int], ...]:
 _SUFFIX_CAP = 50_000
 
 
-def _balanced_assignments(entries, target, skipped):
+def _balanced_assignments(entries, target, skipped, stop=None):
     """Yield assignments whose total count vector equals ``target``.
 
     ``skipped`` is a one-element list accumulating how many assignments
-    were discarded.  Enumeration order matches ``assignments``.
+    were discarded.  Enumeration order matches ``assignments``.  Raises
+    TimeoutError once ``time.monotonic()`` passes ``stop``; the clock is
+    read only when ``stop`` is given, once per lexicon entry of a table
+    and once per finished prefix.
     """
     n = len(entries)
     sizes = [math.prod(len(e) for e in entries[i:]) for i in range(n + 1)]
@@ -135,6 +138,8 @@ def _balanced_assignments(entries, target, skipped):
             break
         acc: set = set()
         for f in entries[i]:
+            if stop is not None and time.monotonic() > stop:
+                raise TimeoutError
             vec = formula_counts(f)
             for key in prev:
                 merged = dict(key)
@@ -174,6 +179,8 @@ def _balanced_assignments(entries, target, skipped):
     while choices:
         f = next(choices[-1], None)
         if f is None:
+            if stop is not None and time.monotonic() > stop:
+                raise TimeoutError
             choices.pop()
             residuals.pop()
             if prefix:
@@ -210,31 +217,35 @@ def recognize(
     ``budget`` caps search nodes per assignment; ``deadline`` (seconds)
     caps the whole query.  When either trips without a witness the
     result has ``member=False`` and ``budget_exhausted=True``, meaning
-    "unknown" rather than "no".
+    "unknown" rather than "no".  The deadline covers the count filter as
+    well as the search.  A NaN deadline, which would never trip, is a
+    ValueError.
     """
+    if deadline is not None and math.isnan(deadline):
+        raise ValueError("the deadline is not a number")
     entries = _entries(g, word)
     target = {g.start: 1}
     goal = Atom(g.start)
-    # The search checks the deadline at every node, the loop for the filter.
+    # The search checks the deadline at every node, the filter in its own loops.
     stop = None if deadline is None else time.monotonic() + deadline
     search = _Search(mode, budget, stop)
     exhausted = False
     skipped = [0]
     witness: tuple[Formula, ...] | None = None
     proof: ProofTree | None = None
-    for assignment in _balanced_assignments(entries, target, skipped):
-        if stop is not None and time.monotonic() > stop:
-            exhausted = True
-            break
-        search.new_budget_window()
-        try:
-            tree = search.run(Sequent(assignment, goal))
-        except BudgetExceededError:
-            exhausted = True
-            continue
-        if tree is not None:
-            witness, proof = assignment, tree
-            break
+    try:
+        for assignment in _balanced_assignments(entries, target, skipped, stop):
+            search.new_budget_window()
+            try:
+                tree = search.run(Sequent(assignment, goal))
+            except BudgetExceededError:
+                exhausted = True
+                continue
+            if tree is not None:
+                witness, proof = assignment, tree
+                break
+    except TimeoutError:
+        exhausted = True
     stats = search.stats
     stats.pruned_by_count += skipped[0]
     if witness is not None:

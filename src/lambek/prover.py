@@ -19,6 +19,23 @@ The search is depth-first and backward, with two refutation filters
 usable in positive positions) plus a per-query memo table over search
 states.
 
+Right rules come first, and alone.  /R, \\R and -oR are invertible: if
+``G => A/B`` has a proof ending in a left rule, that rule's right
+premise ``U, D, V => A/B`` (``G`` is ``U, D/C, T, V`` or ``U, T, C\\D, V``)
+has a smaller proof, so by induction ``U, D, V, B => A`` is derivable,
+and the same left rule with the same left premise ``T => C`` gives
+``G, B => A``, hence ``G => A/B`` by /R.  \\R is the mirror image.  For
+-oR the induction gives ``U, D, V`` with ``B`` inserted at some
+position; ``B`` then lies in ``U`` or ``V``, or next to ``D``, never
+inside ``T``, so the left rule applies again and -oR, whose
+hypothesis may be inserted at any position, finishes.  Hence when the
+succedent's right rule exists in the mode, the search tries only that
+rule (with the materializations /R and \\R need first, below) and no
+left rule; left rules are tried for atomic succedents and for those
+whose right rule the mode lacks.  The right-rule option always came
+first, so the first proof found is the same as with the left options
+tried after it; ``enumerate_proofs`` finds right-first proofs only.
+
 -oR is the one rule whose backward reading branches over positions.
 To keep it tractable the searcher does not commit to an insertion
 position when it strips ``B -o A``: stripped arguments live in a
@@ -27,13 +44,15 @@ position.  Left rules then split the pending multiset between their
 premises, and the count invariant pins the split down.  Count vectors
 are packed into ints, one lane per primitive, so the counts the pending
 part of a premise ``T => B`` must supply (those of ``B`` less those of
-T's committed span) cost one subtraction per span position.  An empty
-multiset then splits only when that need is zero; a multiset of atoms
-has at most one split, read off the lanes of the need; only compound
-pending formulas are enumerated.  Returned proof trees are fully
-positional regardless: every -oR node records its insertion index and
-every left node its split, so ``lambek.checker.check_proof`` can
-replay them.
+T's committed span) are one subtraction off prefix sums of the
+committed counts, built once per state.  An empty multiset then splits
+only when that need is zero; a multiset of atoms has at most one split,
+and only when every lane of the need lies between zero and its atom's
+multiplicity, which lane arithmetic tests before the split is read off
+the lanes; only compound pending formulas are enumerated.  Returned
+proof trees are fully positional regardless: every -oR node records its
+insertion index and every left node its split, so
+``lambek.checker.check_proof`` can replay them.
 """
 
 from __future__ import annotations
@@ -274,6 +293,7 @@ class _Search:
         # far; lanes are given to primitives in order of appearance.
         self._packed: dict[Formula, int] = {}
         self._lanes: dict[str, int] = {}
+        self._high = 0  # the top bit of every lane given out
         # The same subformulas numbered in order of first sight; pending
         # bags are sorted by it, so the search order does not depend on
         # the per-process hash of strings.
@@ -343,7 +363,11 @@ class _Search:
         v = self._packed.get(f)
         if v is None:
             if isinstance(f, Atom):
-                v = 1 << self._lanes.setdefault(f.name, _LANE_BITS * len(self._lanes))
+                shift = self._lanes.get(f.name)
+                if shift is None:
+                    shift = self._lanes[f.name] = _LANE_BITS * len(self._lanes)
+                    self._high |= _LANE_HALF << shift
+                v = 1 << shift
             else:
                 v = self._vec(f.result) - self._vec(f.arg)
             self._packed[f] = v
@@ -434,23 +458,26 @@ class _Search:
 
                 yield [], True, ax
 
+        # The succedent's right rule is invertible (module docstring), so
+        # when it applies, no left option at this state is needed.
         if isinstance(succ, (Over, Under)) and mode.has_directional_right:
             if bag:
                 yield from self._materializations(fixed, bag, succ)
-            else:
-                # The argument joins the antecedent at the end the slash faces.
-                over = isinstance(succ, Over)
-                child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, (), succ.result)
-                rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
+                return
+            # The argument joins the antecedent at the end the slash faces.
+            over = isinstance(succ, Over)
+            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, (), succ.result)
+            rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
 
-                def directional_r(
-                    rs: list[Result], succ: Formula = succ, rule: Rule = rule, rest: slice = rest
-                ) -> Iterator[Result]:
-                    tree, mask = rs[0]
-                    yield ProofTree(rule, Sequent(tree.conclusion.antecedent[rest], succ), (tree,)), mask[rest]
+            def directional_r(
+                rs: list[Result], succ: Formula = succ, rule: Rule = rule, rest: slice = rest
+            ) -> Iterator[Result]:
+                tree, mask = rs[0]
+                yield ProofTree(rule, Sequent(tree.conclusion.antecedent[rest], succ), (tree,)), mask[rest]
 
-                yield [child], True, directional_r
-        elif isinstance(succ, LinImp) and mode.has_linimp_right:
+            yield [child], True, directional_r
+            return
+        if isinstance(succ, LinImp) and mode.has_linimp_right:
             child = (fixed, _bag_add(bag, succ.arg, self._rank), succ.result)
 
             def linimp_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
@@ -465,14 +492,9 @@ class _Search:
                         )
 
             yield [child], True, linimp_r
+            return
 
-        for i, f in enumerate(fixed):
-            if isinstance(f, (Over, Under)):
-                yield from self._left(fixed, bag, succ, f, i)
-
-        for g, _ in bag:
-            if isinstance(g, (Over, Under)):
-                yield from self._left(fixed, bag, succ, g)
+        yield from self._left(fixed, bag, succ)
 
     def _materializations(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """Commit one pending formula to a concrete position.
@@ -492,68 +514,91 @@ class _Search:
 
                 yield [child], False, fix_mask
 
-    def _left(
-        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functor: Formula, i: int | None = None
-    ) -> Iterator[_Option]:
-        """/L or \\L on ``functor``: ``fixed[i]``, or a pending copy when ``i`` is None.
+    def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
+        """/L and \\L on each functor: the fixed ones in order, then the pending ones.
 
         The left premise ``T => functor.arg`` takes a span ``fixed[lo:hi]``
         next to the functor, plus the pending formulas whose counts make
-        up the rest of the argument's.  A fixed functor's span grows away
-        from it; a pending functor may land at any ``lo``, its span then
-        growing rightwards.
+        up the rest of the argument's: the span's need.  A fixed
+        functor's span grows away from it; a pending functor may land at
+        any ``lo``, its span then growing rightwards.  The bag's parts and
+        prefix sums of the fixed counts are built once per state, so a
+        need is one subtraction; with no compound pending, a need no take
+        can meet is rejected by lane arithmetic before any call.
         """
-        assert isinstance(functor, (Over, Under))
-        over = isinstance(functor, Over)
-        pending = i is None
-        if pending:
-            bag = _bag_sub(bag, ((functor, 1),))
-        packed = self._packed
         atoms, compounds = self._parts(bag)
-        arg, res = functor.arg, functor.result
-        rule = Rule.OVER_L if over else Rule.UNDER_L
+        functors = [(f, i) for i, f in enumerate(fixed) if isinstance(f, (Over, Under))]
+        if compounds:
+            functors += [(g, None) for g, _, _, _ in compounds if isinstance(g, (Over, Under))]
+        if not functors:
+            return
+        packed = self._packed
         n = len(fixed)
-        rightward = pending or over
-        starts = range(n + 1) if pending else (i + 1,) if over else (i,)
-
-        def recombine(rs: list[Result], a: int) -> Iterator[Result]:
-            (t1, m1), (t2, m2) = rs
-            q = _nth_fixed_index(m2, a)
-            ant1, ant2 = t1.conclusion.antecedent, t2.conclusion.antecedent
-            if over:
-                ant = ant2[:q] + (functor,) + ant1 + ant2[q + 1 :]
-                mask = m2[:q] + (pending,) + m1 + m2[q + 1 :]
+        sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
+        # An atoms-only take for ``need`` exists iff every lane of ``need``
+        # and of ``full - need`` lies in [0, _LANE_HALF), where lane by lane
+        # ``full`` holds the pending atoms' multiplicities.  All lanes stay
+        # below _LANE_HALF in magnitude (_admissible), so that holds iff
+        # neither int has a lane's top bit set: a negative int sets the
+        # top bit of its highest lane.
+        full = sum([k << shift for _, k, shift, _ in atoms])
+        high = self._high
+        stats = self.stats
+        pruned = 0
+        for functor, i in functors:
+            pending = i is None
+            rest, parts = bag, compounds
+            if pending:
+                # The functor's own copy is not in its premises' bag.
+                rest = _bag_sub(bag, ((functor, 1),))
+                parts = [(g, k - (g is functor), v, p) for g, k, v, p in compounds if g is not functor or k > 1]
+                spans = ((lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1))
+            elif isinstance(functor, Over):
+                spans = zip(itertools.repeat(i + 1), range(i + 1, n + 1))
             else:
-                ant = ant2[:q] + ant1 + (functor,) + ant2[q + 1 :]
-                mask = m2[:q] + m1 + (pending,) + m2[q + 1 :]
-            yield ProofTree(rule, Sequent(ant, succ), (t1, t2), split=(q, len(m1))), mask
-
-        for start in starts:
-            lo = hi = start
-            need = packed[arg]
-            while True:
-                found = False
-                for take in _float_splits(atoms, compounds, need) if bag else ((),) if need == 0 else ():
-                    if lo == hi and not take:
+                spans = zip(range(i, -1, -1), itertools.repeat(i))
+            arg, res = functor.arg, functor.result
+            want = packed[arg]
+            for lo, hi in spans:
+                need = want - sums[hi] + sums[lo]
+                if parts or not (need | (full - need)) & high:
+                    found = False
+                    for take in _float_splits(atoms, parts, need) if atoms or parts else ((),):
+                        if lo == hi and not take:
+                            continue
+                        found = True
+                        # p2 replaces the functor and its span by the result.
+                        a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
+                        p1 = (fixed[lo:hi], take, arg)
+                        p2 = (fixed[:a] + (res,) + fixed[b:], _bag_sub(rest, take) if take else rest, succ)
+                        # The search may stop at this yield: count the spans scanned so far.
+                        stats.pruned_by_count += pruned
+                        pruned = 0
+                        yield [p1, p2], True, functools.partial(_left_conclusion, functor, pending, succ, a)
+                    if found:
                         continue
-                    found = True
-                    # p2 replaces the functor and its span by the result.
-                    a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
-                    p1 = (fixed[lo:hi], take, arg)
-                    p2 = (fixed[:a] + (res,) + fixed[b:], _bag_sub(bag, take), succ)
-                    yield [p1, p2], True, functools.partial(recombine, a=a)
-                if not found:
-                    self.stats.pruned_by_count += 1
-                if rightward:
-                    if hi == n:
-                        break
-                    need -= packed[fixed[hi]]
-                    hi += 1
-                else:
-                    if lo == 0:
-                        break
-                    lo -= 1
-                    need -= packed[fixed[lo]]
+                pruned += 1
+        stats.pruned_by_count += pruned
+
+
+def _left_conclusion(functor: Formula, pending: bool, succ: Formula, a: int, rs: list[Result]) -> Iterator[Result]:
+    """/L or \\L on ``functor`` from its premises' results.
+
+    ``a`` is the fixed ordinal of the functor's result in the right
+    premise; ``pending`` tells whether the functor came from the bag.
+    """
+    (t1, m1), (t2, m2) = rs
+    q = _nth_fixed_index(m2, a)
+    ant1, ant2 = t1.conclusion.antecedent, t2.conclusion.antecedent
+    if isinstance(functor, Over):
+        rule = Rule.OVER_L
+        ant = ant2[:q] + (functor,) + ant1 + ant2[q + 1 :]
+        mask = m2[:q] + (pending,) + m1 + m2[q + 1 :]
+    else:
+        rule = Rule.UNDER_L
+        ant = ant2[:q] + ant1 + (functor,) + ant2[q + 1 :]
+        mask = m2[:q] + m1 + (pending,) + m2[q + 1 :]
+    yield ProofTree(rule, Sequent(ant, succ), (t1, t2), split=(q, len(m1))), mask
 
 
 def prove(
@@ -582,6 +627,13 @@ def enumerate_proofs(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ProofTree]:
-    """Up to ``limit`` distinct proofs of ``s`` in canonical search order."""
+    """Up to ``limit`` distinct proofs of ``s`` in canonical search order.
+
+    Only right-first proofs are enumerated: no left rule concludes a
+    sequent whose succedent's right rule exists in ``mode``.  Every
+    derivable sequent has such a proof (module docstring), but proofs
+    that differ from one only by a left rule below a right rule are not
+    returned.
+    """
     search = _Search(mode, budget)
     return search.enumerate(s, limit)

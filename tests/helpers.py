@@ -11,11 +11,15 @@ against itself:
 * ``brute_force_splits``, every way to split a pending multiset by
   counts, for the prover's split routine,
 * ``reference_violations``, a recursive reading of the -o input
-  checks, for ``validate_input``.
+  checks, for ``validate_input``,
+* ``naive_derivable``, a plain positional sequent search, for the
+  prover's verdicts, with ``shuffled_sequent`` to feed it sequents
+  whose counts balance but that are often underivable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -350,3 +354,95 @@ def reference_violations(s: Sequent, mode: CalculusMode) -> list[tuple[str, str]
 def chain_sequent(n: int) -> Sequent:
     """``b/a/.../a => a -o ... -o b`` with n of each: its proof has depth 2n + 1."""
     return parse_sequent("b" + "/a" * n + " => " + "a -o " * n + "b")
+
+
+# ---------------------------------------------------------------------------
+# Derivability by plain positional search (the oracle for prove's verdicts)
+# ---------------------------------------------------------------------------
+
+
+def naive_derivable(s: Sequent, mode: CalculusMode) -> bool:
+    """Whether ``s`` is derivable in ``mode``, by trying every rule instance.
+
+    Backward search over concrete antecedents: Ax, /R and \\R unless the
+    mode is sdl-, -oR with its hypothesis at every position unless the
+    mode is l, and /L and \\L on every functor with every nonempty span
+    next to it.  Every premise has fewer connectives than its
+    conclusion, so the search ends.  There are no pending bags, count
+    lanes or rule orderings: it shares none of the prover's machinery.
+    """
+    directional = mode is not CalculusMode.SDL_MINUS
+    linear = mode is not CalculusMode.L
+
+    @functools.cache
+    def derivable(ant: tuple[Formula, ...], succ: Formula) -> bool:
+        if isinstance(succ, Atom) and ant == (succ,):
+            return True
+        if directional and isinstance(succ, Over) and derivable(ant + (succ.arg,), succ.result):
+            return True
+        if directional and isinstance(succ, Under) and derivable((succ.arg,) + ant, succ.result):
+            return True
+        if linear and isinstance(succ, LinImp):
+            for k in range(len(ant) + 1):
+                if derivable(ant[:k] + (succ.arg,) + ant[k:], succ.result):
+                    return True
+        for i, f in enumerate(ant):
+            if isinstance(f, Over):
+                spans = [(i + 1, j) for j in range(i + 2, len(ant) + 1)]
+            elif isinstance(f, Under):
+                spans = [(j, i) for j in range(i)]
+            else:
+                continue
+            for lo, hi in spans:
+                rest = ant[: min(lo, i)] + (f.result,) + ant[max(hi, i + 1) :]
+                if derivable(ant[lo:hi], f.arg) and derivable(rest, succ):
+                    return True
+        return False
+
+    return derivable(tuple(s.antecedent), s.succedent)
+
+
+def _flip_slashes(rng: random.Random, f: Formula) -> Formula:
+    """``f`` with one random slash subformula turned round (A/B <-> B\\A); counts stay."""
+    slashes = [path for path, g in _subformula_paths(f) if isinstance(g, (Over, Under))]
+    if not slashes:
+        return f
+    return _rebuild(f, rng.choice(slashes))
+
+
+def _subformula_paths(f: Formula, path: tuple[str, ...] = ()):
+    yield path, f
+    if not isinstance(f, Atom):
+        yield from _subformula_paths(f.result, path + ("result",))
+        yield from _subformula_paths(f.arg, path + ("arg",))
+
+
+def _rebuild(f: Formula, path: tuple[str, ...]) -> Formula:
+    if not path:
+        flipped = Under if isinstance(f, Over) else Over
+        return flipped(result=f.result, arg=f.arg)
+    parts = {"result": f.result, "arg": f.arg}
+    parts[path[0]] = _rebuild(parts[path[0]], path[1:])
+    return type(f)(**parts)
+
+
+def shuffled_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
+    """A count-balanced sequent: a forward-generated one, usually mutated.
+
+    Three in four are mutated, each by swapping two antecedent formulas
+    or by turning one slash round somewhere.  Neither edit changes any
+    primitive's count, so the count filter alone cannot refute the result.
+    """
+    s = forward_proof(rng, mode).conclusion
+    ant, succ = list(s.antecedent), s.succedent
+    if rng.random() < 0.75:
+        if len(ant) >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(len(ant)), 2)
+            ant[i], ant[j] = ant[j], ant[i]
+        else:
+            k = rng.randrange(len(ant) + 1)
+            if k == len(ant):
+                succ = _flip_slashes(rng, succ)
+            else:
+                ant[k] = _flip_slashes(rng, ant[k])
+    return Sequent(tuple(ant), succ)

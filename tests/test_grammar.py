@@ -19,6 +19,8 @@ from lambek import (
     balanced,
     Atom,
     Sequent,
+    ThreePartitionInstance,
+    build_reduction,
     cfg_to_grammar,
     check_proof,
     grammar_from_text,
@@ -267,3 +269,19 @@ def test_deadline_is_enforced_inside_the_search():
     r = recognize(g, HARD_WORD, SDL)
     assert not r.member and not r.budget_exhausted
     assert r.stats.nodes_expanded > 1000
+
+
+def test_deadline_is_enforced_inside_the_count_filter():
+    # Without a deadline the filter alone runs for seconds on this
+    # instance before the first assignment reaches the search.
+    inst = ThreePartitionInstance(5, 16, (7, 5, 5, 5, 5, 6, 5, 6, 6, 5, 5, 5, 5, 5, 5))
+    red = build_reduction(inst)
+    t0 = time.perf_counter()
+    r = recognize(red.grammar, red.word, SDL, deadline=0.1)
+    assert time.perf_counter() - t0 < 1.0
+    assert r.budget_exhausted and not r.member
+
+
+def test_nan_deadline_is_rejected():
+    with pytest.raises(ValueError, match="deadline"):
+        recognize(anbncn_grammar(), ["a", "b", "c"], SDL, deadline=float("nan"))

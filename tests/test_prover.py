@@ -13,17 +13,22 @@ from helpers import (
     brute_force_splits,
     chain_sequent,
     forward_proof,
+    naive_derivable,
     oracle_counts,
     random_formula,
     random_sequent,
     reference_violations,
+    shuffled_sequent,
 )
 from lambek import (
     Atom,
     BudgetExceededError,
     CalculusMode,
+    LinImp,
+    Over,
     Rule,
     Sequent,
+    Under,
     check_proof,
     connective_count,
     enumerate_proofs,
@@ -209,6 +214,23 @@ def test_enumerate_proofs():
     assert len(enumerate_proofs(s, L, limit=1)) == 1
 
 
+def test_enumerated_proofs_are_right_first():
+    # Once the succedent's right rule applies, no left rule is tried, so
+    # no left node concludes a sequent whose succedent could be decomposed.
+    rng = random.Random(17)
+    left_nodes = 0
+    for mode in CalculusMode:
+        for _ in range(300):
+            for tree in enumerate_proofs(forward_proof(rng, mode).conclusion, mode, limit=10):
+                for node in tree.nodes():
+                    if node.rule in (Rule.OVER_L, Rule.UNDER_L):
+                        left_nodes += 1
+                        succ = node.conclusion.succedent
+                        assert not (isinstance(succ, (Over, Under)) and mode.has_directional_right), tree
+                        assert not (isinstance(succ, LinImp) and mode.has_linimp_right), tree
+    assert left_nodes > 1000
+
+
 def test_enumerate_proofs_of_a_deep_chain():
     # hashing a proof tree this deep recurses past the limit, so the
     # enumeration must tell proofs apart without it
@@ -249,6 +271,21 @@ def test_prover_agrees_with_forward_generation():
         assert tree is not None, gen.conclusion
         assert check_proof(tree, SDL)
         assert tree.conclusion == gen.conclusion
+
+
+def test_prove_agrees_with_naive_search():
+    # Count-balanced sequents, so refutations come from the search and
+    # not from the root count check; about half are underivable.
+    rng = random.Random(21)
+    verdicts = []
+    for mode in CalculusMode:
+        for _ in range(1000):
+            s = shuffled_sequent(rng, mode)
+            tree, _ = prove(s, mode)
+            expected = naive_derivable(s, mode)
+            assert (tree is not None) == expected, (mode, str(s))
+            verdicts.append(expected)
+    assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000
 
 
 def test_mode_monotonicity_spot():
