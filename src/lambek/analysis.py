@@ -11,17 +11,20 @@ every primitive, which makes the count vector a cheap refutation test.
 
 Polarity assigns + to the succedent root and - to every antecedent
 root; the result side of a connective keeps its parent's polarity and
-the argument side flips it.  Linear implication is only usable in
+the argument side flips it.  That rule is written once, in the
+iterative walk ``_occurrences`` (with ``_roots`` for the roots), and
+nothing caches its answers.  Linear implication is only usable in
 positive positions (there is no left rule for it), so negative
-occurrences are reported by ``polarity_report`` and flagged by the
-prover's input validation.
+occurrences are reported by ``polarity_report``, flagged by the
+prover's input validation and refuted by its root check, all three
+read off that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Atom, Formula, LinImp, Over, Sequent, Under
+from .syntax import Atom, Formula, LinImp, Over, Sequent
 
 __all__ = [
     "CountVector",
@@ -37,7 +40,6 @@ __all__ = [
 CountVector = dict[str, int]
 
 _counts_cache: dict[Formula, CountVector] = {}
-_linimp_cache: dict[Formula, tuple[bool, bool]] = {}
 
 
 def formula_counts(f: Formula) -> CountVector:
@@ -81,29 +83,6 @@ def balanced(s: Sequent) -> bool:
     return lhs == rhs
 
 
-def linimp_polarities(f: Formula) -> tuple[bool, bool]:
-    """(has -o at a positive position, has -o at a negative position).
-
-    Positions are relative to ``f`` itself with the root counted
-    positive.
-    """
-    cached = _linimp_cache.get(f)
-    if cached is not None:
-        return cached
-    if isinstance(f, Atom):
-        res = (False, False)
-    else:
-        rpos, rneg = linimp_polarities(f.result)
-        apos, aneg = linimp_polarities(f.arg)
-        pos = rpos or aneg
-        neg = rneg or apos
-        if isinstance(f, LinImp):
-            pos = True
-        res = (pos, neg)
-    _linimp_cache[f] = res
-    return res
-
-
 @dataclass(frozen=True)
 class Occurrence:
     """One subformula occurrence inside a sequent.
@@ -134,36 +113,43 @@ class PolarityReport:
         )
 
 
-def _printed_children(f: Formula) -> tuple[tuple[Formula, bool], tuple[Formula, bool]]:
-    """((left child, flips), (right child, flips)) in printed order."""
-    if isinstance(f, Over):
-        return (f.result, False), (f.arg, True)
-    # Under and LinImp print the argument on the left.
-    return (f.arg, True), (f.result, False)
+def _roots(s: Sequent) -> list[tuple[Formula, str, int, bool]]:
+    """(formula, side, index, positive) of each root of ``s``, antecedent first."""
+    roots = [(f, "antecedent", i, False) for i, f in enumerate(s.antecedent)]
+    roots.append((s.succedent, "succedent", 0, True))
+    return roots
 
 
-def _walk(
-    f: Formula,
-    side: str,
-    index: int,
-    path: tuple[int, ...],
-    positive: bool,
-    out: list[Occurrence],
-) -> None:
-    out.append(
-        Occurrence(f, side, index, path, "positive" if positive else "negative")
-    )
-    if isinstance(f, Atom):
-        return
-    (left, lflip), (right, rflip) = _printed_children(f)
-    _walk(left, side, index, path + (0,), positive ^ lflip, out)
-    _walk(right, side, index, path + (1,), positive ^ rflip, out)
+def _occurrences(f: Formula, positive: bool) -> list[tuple[Formula, bool]]:
+    """(subformula, positive) of each occurrence in ``f``, whose root is ``positive``.
+
+    Occurrences come in preorder over the printed operands, left to
+    right.  The walk keeps an explicit stack of pending operands, so its
+    time and memory are linear in the size of ``f``.
+    """
+    out = []
+    stack = [(f, positive)]
+    while stack:
+        out.append(stack.pop())
+        f, positive = out[-1]
+        if not isinstance(f, Atom):
+            # The argument flips polarity.  Push the right operand as
+            # printed first, so that the left one is walked first.
+            if isinstance(f, Over):
+                stack += ((f.arg, not positive), (f.result, positive))
+            else:
+                stack += ((f.result, positive), (f.arg, not positive))
+    return out
 
 
 def polarity_report(s: Sequent) -> PolarityReport:
     """Every subformula occurrence of ``s`` with its polarity."""
     out: list[Occurrence] = []
-    for i, f in enumerate(s.antecedent):
-        _walk(f, "antecedent", i, (), False, out)
-    _walk(s.succedent, "succedent", 0, (), True, out)
+    for root, side, index, root_positive in _roots(s):
+        pending: list[tuple[int, ...]] = [()]  # paths of the occurrences to come, the next one last
+        for f, positive in _occurrences(root, root_positive):
+            path = pending.pop()
+            if not isinstance(f, Atom):
+                pending += (path + (1,), path + (0,))
+            out.append(Occurrence(f, side, index, path, "positive" if positive else "negative"))
     return PolarityReport(tuple(out))

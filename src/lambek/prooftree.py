@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .syntax import LinImp, Over, Sequent, Under, format_sequent, parse_sequent
 
@@ -78,8 +78,11 @@ def _check_arity(rule: Rule, n: int) -> None:
         raise ValueError(f"{rule} takes {_ARITY[rule]} premises, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofTree:
+    """A proof node.  Trees are equal when their nodes have the same rule,
+    conclusion, split and insert and their premises are equal in order."""
+
     rule: Rule
     conclusion: Sequent
     premises: tuple[ProofTree, ...] = ()
@@ -88,6 +91,16 @@ class ProofTree:
 
     def __post_init__(self) -> None:
         _check_arity(self.rule, len(self.premises))
+
+    def _key(self) -> list[tuple]:
+        # Rule data and every conclusion that is not implied; the rest follows.
+        return [(n.rule, n.split, n.insert, None if implied else n.conclusion) for n, implied in _preorder(self)]
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, ProofTree) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._key()))
 
     def nodes(self) -> list[ProofTree]:
         """All nodes in preorder."""
@@ -157,6 +170,22 @@ def premise_conclusions(
     return Sequent(span, functor.arg), Sequent(ant[:u] + (functor.result,) + rest, succ)
 
 
+def _preorder(t: ProofTree) -> Iterator[tuple[ProofTree, bool]]:
+    """Each node of ``t`` in preorder, with whether its conclusion is implied:
+    the one its parent's rule data give (never true of the root).
+
+    Proof JSON stores the conclusions that are not implied, equality and
+    hashing compare them, and a correct proof implies all but the root's.
+    """
+    stack = [(t, False)]
+    while stack:
+        node, implied = stack.pop()
+        yield node, implied
+        if node.premises:
+            given = premise_conclusions(node.rule, node.conclusion, node.split, node.insert)
+            stack += reversed([(p, given is not None and given[i] == p.conclusion) for i, p in enumerate(node.premises)])
+
+
 def _node_json(t: ProofTree, with_sequent: bool) -> dict[str, Any]:
     node: dict[str, Any] = {"rule": t.rule.value}
     if with_sequent:
@@ -165,22 +194,18 @@ def _node_json(t: ProofTree, with_sequent: bool) -> dict[str, Any]:
         node["split"] = list(t.split)
     if t.insert is not None:
         node["insert"] = t.insert
-    node["premises"] = []
     return node
 
 
 def proof_to_json(t: ProofTree) -> dict[str, Any]:
     """The tree as nested dicts, with the sequent on the root only where possible."""
-    root = _node_json(t, True)
-    stack = [(t, root)]
-    while stack:
-        node, out = stack.pop()
-        implied = premise_conclusions(node.rule, node.conclusion, node.split, node.insert)
-        for i, p in enumerate(node.premises):
-            child = _node_json(p, implied is None or implied[i] != p.conclusion)
-            out["premises"].append(child)
-            stack.append((p, child))
-    return root
+    # Bottom-up in reverse preorder: a node's premises are the last ones built.
+    built: list[dict[str, Any]] = []
+    for node, implied in reversed(list(_preorder(t))):
+        out = _node_json(node, not implied)
+        out["premises"] = [built.pop() for _ in node.premises]
+        built.append(out)
+    return built[0]
 
 
 def proof_from_json(node: dict[str, Any]) -> ProofTree:

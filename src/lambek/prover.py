@@ -16,8 +16,8 @@ not a rule; everything here is cut-free.
 
 The search is depth-first and backward, with two refutation filters
 (the primitive count invariant, and the discipline that -o is only
-usable in positive positions) plus a per-query memo table over search
-states.
+usable in positive positions, read off ``analysis._occurrences``, the
+one polarity walk) plus a per-query memo table over search states.
 
 Right rules come first, and alone.  /R, \\R and -oR are invertible: if
 ``G => A/B`` has a proof ending in a left rule, that rule's right
@@ -65,9 +65,9 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
-from .analysis import linimp_polarities
+from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule
-from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, connective_count, format_formula
+from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, format_formula
 
 __all__ = [
     "CalculusMode",
@@ -140,30 +140,21 @@ def validate_input(s: Sequent, mode: CalculusMode) -> list[InputViolation]:
     succedent, each walked through its printed operands left to right.
     """
     out: list[InputViolation] = []
-    roots = [(f, "antecedent", i, False) for i, f in enumerate(s.antecedent)]
-    roots.append((s.succedent, "succedent", 0, True))
-    for root, side, index, root_positive in roots:
-        stack = [(root, root_positive)]
-        while stack:
-            f, positive = stack.pop()
-            if isinstance(f, Atom):
-                continue
-            where = f"({side} position {index})"
-            if isinstance(f, LinImp) and mode is CalculusMode.L:
-                out.append(InputViolation("linimp-in-l", f"mode l has no rules for {format_formula(f)} {where}"))
-            elif isinstance(f, LinImp) and not positive:
-                out.append(
-                    InputViolation(
-                        "negative-linimp", f"{format_formula(f)} occurs negatively {where} and -o has no left rule"
-                    )
-                )
-            # The argument flips polarity.  Push the right operand as
-            # printed first, so that the left one is walked first.
-            if isinstance(f, Over):
-                stack += ((f.arg, not positive), (f.result, positive))
-            else:
-                stack += ((f.result, positive), (f.arg, not positive))
+    for root, side, index, root_positive in _roots(s):
+        for f, positive in _occurrences(root, root_positive):
+            if _unusable(f, positive, mode):
+                where = f"({side} position {index})"
+                if mode is CalculusMode.L:
+                    out.append(InputViolation("linimp-in-l", f"mode l has no rules for {format_formula(f)} {where}"))
+                else:
+                    message = f"{format_formula(f)} occurs negatively {where} and -o has no left rule"
+                    out.append(InputViolation("negative-linimp", message))
     return out
+
+
+def _unusable(f: Formula, positive: bool, mode: CalculusMode) -> bool:
+    """Whether ``f``, at that polarity, is a -o that ``mode`` has no rule for."""
+    return isinstance(f, LinImp) and (mode is CalculusMode.L or not positive)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +289,7 @@ class _Search:
         # bags are sorted by it, so the search order does not depend on
         # the per-process hash of strings.
         self._rank: dict[Formula, int] = {}
+        self._root_table: dict[tuple[Formula, bool], tuple[int, bool]] = {}  # see _root
 
     # -- public entry points ------------------------------------------------
 
@@ -315,13 +307,11 @@ class _Search:
         if limit <= 0 or not self._admissible(s):
             return []
         out: list[ProofTree] = []
-        # With the root fixed, rule data fix every conclusion; hashing a tree would recurse.
-        seen: set[tuple] = set()
+        seen: set[ProofTree] = set()
         for tree, mask in self._enum(tuple(s.antecedent), (), s.succedent, 1):
             assert not any(mask)
-            key = tuple((t.rule, t.split, t.insert) for t in tree.nodes())
-            if key not in seen:
-                seen.add(key)
+            if tree not in seen:
+                seen.add(tree)
                 out.append(tree)
                 if len(out) >= limit:
                     break
@@ -336,27 +326,31 @@ class _Search:
     # -- admissibility of a root goal ----------------------------------------
 
     def _admissible(self, s: Sequent) -> bool:
+        roots = [self._root(f, positive) for f, _, _, positive in _roots(s)]
         # Every lane of every count vector in the search is a sum over
-        # distinct atom occurrences of the root, so the root's total
-        # (one more atom than connectives per formula) bounds them all.
-        if connective_count(s) + len(s.antecedent) + 1 >= _LANE_HALF:
+        # distinct atom occurrences of the root, so their total bounds
+        # them all.
+        if sum(atoms for atoms, _ in roots) >= _LANE_HALF:
             raise ValueError(f"sequents with {_LANE_HALF} or more atom occurrences are not supported")
         vec = self._vec
         if sum(map(vec, s.antecedent)) != vec(s.succedent):
             self.stats.pruned_by_count += 1
             return False
-        # -o is only usable in positive positions; in mode l not at all.
-        # Subgoals inherit cleanliness, so the root check suffices.
-        if self.mode is CalculusMode.L:
-            for f in (*s.antecedent, s.succedent):
-                if any(linimp_polarities(f)):
-                    return False
-        else:
-            if any(linimp_polarities(f)[0] for f in s.antecedent):
-                return False
-            if linimp_polarities(s.succedent)[1]:
-                return False
-        return True
+        # Subgoals inherit usable -o's, so the root check suffices.
+        return all(usable for _, usable in roots)
+
+    def _root(self, f: Formula, positive: bool) -> tuple[int, bool]:
+        """(atom occurrences, whether every -o is usable) of a root ``f`` of that polarity."""
+        entry = self._root_table.get((f, positive))
+        if entry is None:
+            atoms, usable = 0, True
+            for g, g_positive in _occurrences(f, positive):
+                if isinstance(g, Atom):
+                    atoms += 1
+                elif _unusable(g, g_positive, self.mode):
+                    usable = False
+            entry = self._root_table[f, positive] = (atoms, usable)
+        return entry
 
     def _vec(self, f: Formula) -> int:
         """Packed count vector of ``f``, cached with all its subformulas'."""

@@ -20,6 +20,7 @@ consumes a ``b`` to its left; ``b -o a`` consumes a ``b`` anywhere.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields
 from types import FunctionType
@@ -193,6 +194,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.i = 0
+        self.atom = functools.cache(Atom)  # one object per primitive of the text
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -250,7 +252,7 @@ class _Parser:
     def atomic(self) -> Formula:
         kind, text, pos = self.next()
         if kind == "ident":
-            return Atom(text)
+            return self.atom(text)
         if kind == "lpar":
             inner = self.formula()
             self.expect("rpar")

@@ -14,7 +14,9 @@ against itself:
   checks, for ``validate_input``,
 * ``naive_derivable``, a plain positional sequent search, for the
   prover's verdicts, with ``shuffled_sequent`` to feed it sequents
-  whose counts balance but that are often underivable.
+  whose counts balance but that are often underivable, and
+  ``zero_linimp_sequent`` for balanced sequents with -o in either
+  polarity.
 """
 
 from __future__ import annotations
@@ -404,10 +406,12 @@ def naive_derivable(s: Sequent, mode: CalculusMode) -> bool:
 
 def _flip_slashes(rng: random.Random, f: Formula) -> Formula:
     """``f`` with one random slash subformula turned round (A/B <-> B\\A); counts stay."""
-    slashes = [path for path, g in _subformula_paths(f) if isinstance(g, (Over, Under))]
+    slashes = [(path, g) for path, g in _subformula_paths(f) if isinstance(g, (Over, Under))]
     if not slashes:
         return f
-    return _rebuild(f, rng.choice(slashes))
+    path, g = rng.choice(slashes)
+    flipped = Under if isinstance(g, Over) else Over
+    return _replace(f, path, flipped(result=g.result, arg=g.arg))
 
 
 def _subformula_paths(f: Formula, path: tuple[str, ...] = ()):
@@ -417,12 +421,12 @@ def _subformula_paths(f: Formula, path: tuple[str, ...] = ()):
         yield from _subformula_paths(f.arg, path + ("arg",))
 
 
-def _rebuild(f: Formula, path: tuple[str, ...]) -> Formula:
+def _replace(f: Formula, path: tuple[str, ...], new: Formula) -> Formula:
+    """``f`` with its subformula at ``path`` replaced by ``new``."""
     if not path:
-        flipped = Under if isinstance(f, Over) else Over
-        return flipped(result=f.result, arg=f.arg)
+        return new
     parts = {"result": f.result, "arg": f.arg}
-    parts[path[0]] = _rebuild(parts[path[0]], path[1:])
+    parts[path[0]] = _replace(parts[path[0]], path[1:], new)
     return type(f)(**parts)
 
 
@@ -446,3 +450,28 @@ def shuffled_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
             else:
                 ant[k] = _flip_slashes(rng, ant[k])
     return Sequent(tuple(ant), succ)
+
+
+ZERO_LINIMP = LinImp(Atom("p"), Atom("p"))
+
+
+def zero_linimp_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
+    """A forward-generated sequent with ``p -o p`` put in one to three times.
+
+    ``p -o p`` counts zero for every primitive, so the counts still
+    balance.  Each insertion adds it as an antecedent formula, where it
+    is negative, or wraps a random subformula ``X`` of a random formula
+    as ``X/(p -o p)`` or ``(p -o p)\\X``, where its polarity is the
+    opposite of X's.  So -o lands in both polarities on both sides.
+    """
+    s = forward_proof(rng, mode).conclusion
+    formulas = [*s.antecedent, s.succedent]
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(formulas) + 1)
+        if k == len(formulas):
+            formulas.insert(rng.randrange(len(formulas)), ZERO_LINIMP)
+            continue
+        path, x = rng.choice(list(_subformula_paths(formulas[k])))
+        wrapped = Over(x, ZERO_LINIMP) if rng.random() < 0.5 else Under(ZERO_LINIMP, x)
+        formulas[k] = _replace(formulas[k], path, wrapped)
+    return Sequent(tuple(formulas[:-1]), formulas[-1])

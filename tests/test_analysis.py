@@ -14,7 +14,6 @@ from lambek import (
     polarity_report,
     sequent_counts,
 )
-from lambek.analysis import linimp_polarities
 
 
 def test_count_base_cases():
@@ -75,16 +74,6 @@ def test_sequent_counts_and_balance():
     assert not balanced(parse_sequent("a/b => a"))
     assert not balanced(parse_sequent("x => y"))
     assert balanced(parse_sequent("s/c, b\\c => b -o s"))
-
-
-def test_linimp_polarities():
-    assert linimp_polarities(parse_formula("a")) == (False, False)
-    assert linimp_polarities(parse_formula("a -o b")) == (True, False)
-    # the argument of a slash flips
-    assert linimp_polarities(parse_formula("x/(a -o b)")) == (False, True)
-    assert linimp_polarities(parse_formula("x/(c -o (b -o x))")) == (False, True)
-    assert linimp_polarities(parse_formula("(a -o b)\\x")) == (False, True)
-    assert linimp_polarities(parse_formula("x/((a -o b) -o c)")) == (True, True)
 
 
 def test_polarity_report_roots():

@@ -268,3 +268,12 @@ def test_deep_proof_walks():
     assert tree.rule_count(Rule.AX) == 3001
     assert len(tree.nodes()) == 9001
     assert check_proof(tree, SDL)
+    # Equality and hashing walk the tree without recursion.
+    data = proof_to_json(tree)
+    copy = proof_from_json(data)
+    assert copy is not tree and copy == tree and hash(copy) == hash(tree)
+    leaf = data
+    while leaf["premises"]:
+        leaf = leaf["premises"][-1]
+    leaf["sequent"] = "c => c"
+    assert proof_from_json(data) != tree

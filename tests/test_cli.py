@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambek import grammar_from_text, proof_from_json
 from lambek.cli import EXIT_INTERNAL, main
@@ -330,3 +332,53 @@ def test_cli_transcript(tmp_path, monkeypatch):
     for g, e in zip(got, expected):
         assert g == e, g["argv"]
     assert {e["code"] for e in got} == {0, 1, 2, 3}
+
+
+def _fuzz_call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main``, argparse's ``SystemExit`` included."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2, argv
+            code = 2
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+_FUZZ = settings(max_examples=300, deadline=None, database=None)
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "/", "\\", "(", ")", "-o", "=>", ","]), max_size=14).map(" ".join)
+# Random tokens rarely parse, so half the inputs are sequents over the same tokens.
+_FORMULA = st.recursive(
+    st.sampled_from(["a", "b", "c"]),
+    lambda inner: st.tuples(inner, st.sampled_from(["/", "\\", "-o"]), inner).map(lambda t: f"({' '.join(t)})"),
+    max_leaves=6,
+)
+_SEQUENT = st.tuples(st.lists(_FORMULA, min_size=1, max_size=4), _FORMULA).map(lambda t: f"{', '.join(t[0])} => {t[1]}")
+
+
+@_FUZZ
+@given(st.one_of(_TOKENS, _SEQUENT), st.sampled_from(["l", "sdl", "sdl-"]), st.sampled_from(["text", "json"]))
+def test_cli_prove_fuzz(text, mode, output):
+    argv = ["prove", text, "--mode", mode, "--budget", "3000", "--proof", "--output", output]
+    code, out, err = _fuzz_call(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in out + err, argv
+    if output == "json" and code != 2:
+        json.loads(out)
+
+
+@_FUZZ
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=9),
+    st.one_of(st.none(), st.sampled_from(["nan", "-1", "0", "inf"]), st.floats(0, 0.05).map(repr)),
+)
+def test_cli_parse_fuzz(word, deadline):
+    argv = ["parse", "--builtin", "anbncn", *word, "--budget", "3000"]
+    if deadline is not None:
+        argv += ["--deadline", deadline]
+    code, out, err = _fuzz_call(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in out + err, argv

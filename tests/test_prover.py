@@ -19,6 +19,7 @@ from helpers import (
     random_sequent,
     reference_violations,
     shuffled_sequent,
+    zero_linimp_sequent,
 )
 from lambek import (
     Atom,
@@ -32,7 +33,10 @@ from lambek import (
     check_proof,
     connective_count,
     enumerate_proofs,
+    format_formula,
+    parse_formula,
     parse_sequent,
+    polarity_report,
     prove,
     validate_input,
 )
@@ -163,9 +167,81 @@ def test_validate_input_matches_reference():
             got = [(v.kind, v.message) for v in validate_input(s, mode)]
             assert got == reference_violations(s, mode), (s, mode)
             seen[mode].update((kind, "antecedent" in msg) for kind, msg in got)
+        # polarity_report flags the same -o occurrences, in the same order.
+        reported = [
+            f"{format_formula(o.formula)} occurs negatively ({o.side} position {o.index}) and -o has no left rule"
+            for o in polarity_report(s).negative_linimp
+        ]
+        assert reported == [msg for _, msg in reference_violations(s, SDL)], s
     # Both kinds, on both sides of the arrow.
     assert seen[L] == {("linimp-in-l", True), ("linimp-in-l", False)}
     assert seen[SDL] == seen[SDLM] == {("negative-linimp", True), ("negative-linimp", False)}
+
+
+def _refused_at_root(s: Sequent, mode: CalculusMode) -> bool:
+    """Whether ``prove`` gave up on ``s`` before any node and not for its counts."""
+    try:
+        _, stats = prove(s, mode, budget=3000)
+    except BudgetExceededError as e:
+        stats = e.stats
+    return stats.nodes_expanded == 0 and stats.pruned_by_count == 0
+
+
+def _counts_balance(s: Sequent) -> bool:
+    lhs: dict[str, int] = {}
+    for f in s.antecedent:
+        for name, n in oracle_counts(f).items():
+            lhs[name] = lhs.get(name, 0) + n
+    return {name: n for name, n in lhs.items() if n} == oracle_counts(s.succedent)
+
+
+def _without_linimp(f):
+    """``f`` with every ``B -o A`` written ``B\\A``: the same counts, no -o."""
+    if isinstance(f, Atom):
+        return f
+    kind = Under if isinstance(f, LinImp) else type(f)
+    return kind(result=_without_linimp(f.result), arg=_without_linimp(f.arg))
+
+
+# (has -o at a positive, at a negative position), the root counted positive.
+_LINIMP_POLARITIES = {
+    "a": (False, False),
+    "a -o b": (True, False),
+    # the argument of a slash flips
+    "x/(a -o b)": (False, True),
+    "x/(c -o (b -o x))": (False, True),
+    "(a -o b)\\x": (False, True),
+    "x/((a -o b) -o c)": (True, True),
+}
+
+
+@pytest.mark.parametrize("text", _LINIMP_POLARITIES)
+def test_root_check_on_linimp_polarities(text):
+    f = parse_formula(text)
+    positive, negative = _LINIMP_POLARITIES[text]
+    plain = _without_linimp(f)
+    # As succedent, a -o is refused where it is negative in f; as
+    # antecedent, where it is positive; in mode l, anywhere.
+    for s, refused in ((Sequent((plain,), f), negative), (Sequent((f,), plain), positive)):
+        for mode, expect in ((SDL, refused), (SDLM, refused), (L, positive or negative)):
+            assert bool(reference_violations(s, mode)) == expect, (s, mode)
+            assert _refused_at_root(s, mode) == expect, (s, mode)
+
+
+def test_root_check_matches_reference():
+    # prove stops before the first node, without a count refutation,
+    # exactly when the counts balance and the -o check finds a violation.
+    rng = random.Random(15)
+    outcomes = {mode: set() for mode in (L, SDL, SDLM)}
+    for i in range(400):
+        made_in = (L, SDL, SDLM)[i % 3]
+        for s in (random_sequent(rng), zero_linimp_sequent(rng, made_in)):
+            for mode in (L, SDL, SDLM):
+                balanced, violated = _counts_balance(s), bool(reference_violations(s, mode))
+                assert _refused_at_root(s, mode) == (balanced and violated), (s, mode)
+                outcomes[mode].add((balanced, violated))
+    # Every combination occurs, in every mode.
+    assert all(len(seen) == 4 for seen in outcomes.values()), outcomes
 
 
 def test_validate_input_memory_is_linear():
