@@ -45,14 +45,20 @@ premises, and the count invariant pins the split down.  Count vectors
 are packed into ints, one lane per primitive, so the counts the pending
 part of a premise ``T => B`` must supply (those of ``B`` less those of
 T's committed span) are one subtraction off prefix sums of the
-committed counts, built once per state.  An empty multiset then splits
-only when that need is zero; a multiset of atoms has at most one split,
-and only when every lane of the need lies between zero and its atom's
-multiplicity, which lane arithmetic tests before the split is read off
-the lanes; only compound pending formulas are enumerated.  Returned
-proof trees are fully positional regardless: every -oR node records its
-insertion index and every left node its split, so
-``lambek.checker.check_proof`` can replay them.
+committed counts, built once per state.  Atoms have unit count vectors,
+so the pending atoms are kept as their packed count vector, whose lane
+for a primitive holds that atom's multiplicity; like every lane it is
+bounded by the atom-occurrence guard of ``_Search._admissible``.  Only
+compound pending formulas are listed.  A split chooses how many copies
+of each compound formula to take, and the atoms must supply the
+residual need: they can exactly when every lane of the residual lies
+between zero and the pending multiplicity, one lane test, and the
+residual is then the atoms' take.  So an empty multiset splits only
+when the need is zero, a multiset of atoms at most once, and only the
+compound formulas are enumerated.  Returned proof trees are fully
+positional regardless: every -oR node records its insertion index and
+every left node its split, so ``lambek.checker.check_proof`` can
+replay them.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ import itertools
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule
@@ -163,10 +169,14 @@ def _unusable(f: Formula, positive: bool, mode: CalculusMode) -> bool:
 # A state is (fixed, pending, succedent): `fixed` is the positionally
 # committed part of the antecedent, `pending` a multiset of formulas
 # stripped by -oR whose position is not yet committed.  The state
-# stands for every interleaving of `pending` into `fixed`.
+# stands for every interleaving of `pending` into `fixed`.  A pending
+# multiset is a Bag: the packed count vector of its atoms (below), one
+# lane per primitive holding that atom's multiplicity and bounded like
+# every lane, and its compound formulas with their multiplicities.
 # ---------------------------------------------------------------------------
 
-Bag = tuple[tuple[Formula, int], ...]  # in the order of _Search._rank
+Compounds = tuple[tuple[Formula, int], ...]  # in the order of _Search._rank
+Bag = tuple[int, Compounds]
 State = tuple[tuple[Formula, ...], Bag, Formula]
 
 # A solved state: the proof tree for one concrete interleaving, plus a
@@ -178,8 +188,8 @@ _Recombine = Callable[[list[Result]], Iterator[Result]]
 _Option = tuple[list[State], bool, _Recombine]
 
 
-def _bag_add(bag: Bag, f: Formula, rank: dict[Formula, int]) -> Bag:
-    out = list(bag)
+def _compounds_add(compounds: Compounds, f: Formula, rank: dict[Formula, int]) -> Compounds:
+    out = list(compounds)
     for idx, (g, k) in enumerate(out):
         if g == f:
             out[idx] = (g, k + 1)
@@ -189,10 +199,10 @@ def _bag_add(bag: Bag, f: Formula, rank: dict[Formula, int]) -> Bag:
     return tuple(out)
 
 
-def _bag_sub(bag: Bag, take: Bag) -> Bag:
+def _compounds_sub(compounds: Compounds, take: Compounds) -> Compounds:
     taken = dict(take)
     out = []
-    for g, k in bag:
+    for g, k in compounds:
         rest = k - taken.get(g, 0)
         if rest:
             out.append((g, rest))
@@ -201,62 +211,15 @@ def _bag_sub(bag: Bag, take: Bag) -> Bag:
 
 # Count vectors are packed into one int with a lane of _LANE_BITS bits
 # per primitive, so adding or subtracting two ints adds or subtracts
-# the vectors lane by lane.  That holds while every lane stays below
-# _LANE_HALF in magnitude, which _Search._admissible makes sure of.
+# the vectors lane by lane; the pending atoms of a Bag are such a
+# vector.  That holds while every lane stays below _LANE_HALF in
+# magnitude.  Every lane, pending multiplicities included, is a sum
+# over distinct atom occurrences of a root formula, so the guard on
+# their number in _Search._admissible makes sure of it
+# (test_sequent_too_large_for_count_lanes).
 _LANE_BITS = 16
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
-
-_AtomPart = tuple[Atom, int, int, int]  # pending atom, multiplicity, lane shift, bag position
-_CompoundPart = tuple[Formula, int, int, int]  # pending formula, multiplicity, packed counts, bag position
-
-
-def _atom_take(atoms: list[_AtomPart], need: int) -> Bag | None:
-    """The one sub-multiset of pending ``atoms`` whose counts are ``need``.
-
-    Atoms have unit vectors, so each lane of ``need`` is the number of
-    copies of its atom to take.  The take is valid when every lane read
-    is at most the atom's multiplicity and nothing is left over, which
-    also rules out negative lanes and lanes of primitives not pending.
-    """
-    take = []
-    for a, k, shift, _ in atoms:
-        t = need >> shift & _LANE_MASK
-        if t:
-            if t > k:
-                return None
-            take.append((a, t))
-            need -= t << shift
-    return tuple(take) if need == 0 else None
-
-
-def _float_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: int) -> Iterable[Bag]:
-    """Sub-multisets of a pending bag whose summed counts equal ``need``.
-
-    The bag is given split into its atoms and its compound formulas.
-    With atoms only there is at most one take, read off the lanes of
-    ``need``; otherwise the compound multiplicities are enumerated in
-    lexicographic order and the atoms close each choice.  Each take
-    lists its formulas in bag order.
-    """
-    if not compounds:
-        take = _atom_take(atoms, need)
-        return () if take is None else (take,)
-    return _compound_splits(atoms, compounds, need)
-
-
-def _compound_splits(atoms: list[_AtomPart], compounds: list[_CompoundPart], need: int) -> Iterator[Bag]:
-    position = {f: p for f, _, _, p in (*atoms, *compounds)}
-    for counts in itertools.product(*(range(k + 1) for _, k, _, _ in compounds)):
-        residual = need
-        chosen = []
-        for (f, _, vec, _), t in zip(compounds, counts):
-            if t:
-                residual -= t * vec
-                chosen.append((f, t))
-        rest = _atom_take(atoms, residual)
-        if rest is not None:
-            yield tuple(sorted(chosen + list(rest), key=lambda kv: position[kv[0]]))
 
 
 def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
@@ -283,7 +246,7 @@ class _Search:
         # Packed count vector of every subformula of the goals seen so
         # far; lanes are given to primitives in order of appearance.
         self._packed: dict[Formula, int] = {}
-        self._lanes: dict[str, int] = {}
+        self._lane_atoms: list[Atom] = []  # the atom of each lane, in lane order
         self._high = 0  # the top bit of every lane given out
         # The same subformulas numbered in order of first sight; pending
         # bags are sorted by it, so the search order does not depend on
@@ -296,7 +259,7 @@ class _Search:
     def run(self, s: Sequent) -> ProofTree | None:
         if not self._admissible(s):
             return None
-        result = self._solve(tuple(s.antecedent), (), s.succedent, 1)
+        result = self._solve(tuple(s.antecedent), (0, ()), s.succedent, 1)
         if result is None:
             return None
         tree, mask = result
@@ -308,7 +271,7 @@ class _Search:
             return []
         out: list[ProofTree] = []
         seen: set[ProofTree] = set()
-        for tree, mask in self._enum(tuple(s.antecedent), (), s.succedent, 1):
+        for tree, mask in self._enum(tuple(s.antecedent), (0, ()), s.succedent, 1):
             assert not any(mask)
             if tree not in seen:
                 seen.add(tree)
@@ -357,27 +320,17 @@ class _Search:
         v = self._packed.get(f)
         if v is None:
             if isinstance(f, Atom):
-                shift = self._lanes.get(f.name)
-                if shift is None:
-                    shift = self._lanes[f.name] = _LANE_BITS * len(self._lanes)
-                    self._high |= _LANE_HALF << shift
+                # Atoms are equal exactly when their names are, so this is
+                # the first sight of the primitive: it gets the next lane.
+                shift = _LANE_BITS * len(self._lane_atoms)
+                self._lane_atoms.append(f)
+                self._high |= _LANE_HALF << shift
                 v = 1 << shift
             else:
                 v = self._vec(f.result) - self._vec(f.arg)
             self._packed[f] = v
             self._rank[f] = len(self._rank)
         return v
-
-    def _parts(self, bag: Bag) -> tuple[list[_AtomPart], list[_CompoundPart]]:
-        """A pending bag as ``_float_splits`` takes it: atoms, then compounds."""
-        atoms: list[_AtomPart] = []
-        compounds: list[_CompoundPart] = []
-        for p, (f, k) in enumerate(bag):
-            if isinstance(f, Atom):
-                atoms.append((f, k, self._packed[f].bit_length() - 1, p))
-            else:
-                compounds.append((f, k, self._packed[f], p))
-        return atoms, compounds
 
     # -- core recursion -------------------------------------------------------
 
@@ -440,27 +393,25 @@ class _Search:
 
     def _options(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         mode = self.mode
-        total = len(fixed) + sum(k for _, k in bag)
-        assert total >= 1
+        # Ax: the antecedent is the succedent's atom alone, committed or pending.
+        if isinstance(succ, Atom) and (
+            fixed == (succ,) and bag == (0, ()) or not fixed and bag == (self._packed[succ], ())
+        ):
 
-        if total == 1:
-            f, pending = (fixed[0], False) if fixed else (bag[0][0], True)
-            if isinstance(f, Atom) and f == succ:
+            def ax(_: list[Result], f: Formula = succ, pending: bool = not fixed) -> Iterator[Result]:
+                yield ProofTree(Rule.AX, Sequent((f,), f)), (pending,)
 
-                def ax(_: list[Result], f: Formula = f, pending: bool = pending) -> Iterator[Result]:
-                    yield ProofTree(Rule.AX, Sequent((f,), f)), (pending,)
-
-                yield [], True, ax
+            yield [], True, ax
 
         # The succedent's right rule is invertible (module docstring), so
         # when it applies, no left option at this state is needed.
         if isinstance(succ, (Over, Under)) and mode.has_directional_right:
-            if bag:
+            if bag != (0, ()):
                 yield from self._materializations(fixed, bag, succ)
                 return
             # The argument joins the antecedent at the end the slash faces.
             over = isinstance(succ, Over)
-            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, (), succ.result)
+            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, (0, ()), succ.result)
             rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
 
             def directional_r(
@@ -472,7 +423,12 @@ class _Search:
             yield [child], True, directional_r
             return
         if isinstance(succ, LinImp) and mode.has_linimp_right:
-            child = (fixed, _bag_add(bag, succ.arg, self._rank), succ.result)
+            arg = succ.arg
+            atoms, compounds = bag
+            if isinstance(arg, Atom):
+                bag = (atoms + self._packed[arg], compounds)
+            else:
+                bag = (atoms, _compounds_add(compounds, arg, self._rank))
 
             def linimp_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
                 tree, mask = rs[0]
@@ -485,7 +441,7 @@ class _Search:
                             mask[:k] + mask[k + 1 :],
                         )
 
-            yield [child], True, linimp_r
+            yield [(fixed, bag, succ.result)], True, linimp_r
             return
 
         yield from self._left(fixed, bag, succ)
@@ -495,9 +451,18 @@ class _Search:
 
         Only needed ahead of /R and \\R, which pin a formula to an end
         of the antecedent and therefore need the interleaving settled.
+        The pending atoms are read off their lanes, and all pending
+        formulas are tried in the order of ``_rank``.
         """
-        for f, _ in bag:
-            rest = _bag_sub(bag, ((f, 1),))
+        atoms, compounds = bag
+        pending = [a for lane, a in enumerate(self._lane_atoms) if atoms >> _LANE_BITS * lane & _LANE_MASK]
+        pending += [g for g, _ in compounds]
+        pending.sort(key=self._rank.__getitem__)
+        for f in pending:
+            if isinstance(f, Atom):
+                rest = (atoms - self._packed[f], compounds)
+            else:
+                rest = (atoms, _compounds_sub(compounds, ((f, 1),)))
             for p in range(len(fixed) + 1):
                 child = (fixed[:p] + (f,) + fixed[p:], rest, succ)
 
@@ -508,6 +473,22 @@ class _Search:
 
                 yield [child], False, fix_mask
 
+    def _float_splits(self, full: int, compounds: Compounds, need: int) -> Iterator[Bag]:
+        """Sub-multisets of the pending bag ``(full, compounds)`` whose summed counts equal ``need``.
+
+        The compound multiplicities are enumerated in lexicographic
+        order, and the pending atoms close each choice: their take is
+        the residual need, when the lane test (see ``_left``) accepts
+        it.  Each take is a Bag.
+        """
+        packed, high = self._packed, self._high
+        for counts in itertools.product(*(range(k + 1) for _, k in compounds)):
+            residual = need
+            for (g, _), t in zip(compounds, counts):
+                residual -= t * packed[g]
+            if not (residual | (full - residual)) & high:
+                yield residual, tuple((g, t) for (g, _), t in zip(compounds, counts) if t)
+
     def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """/L and \\L on each functor: the fixed ones in order, then the pending ones.
 
@@ -515,37 +496,34 @@ class _Search:
         next to the functor, plus the pending formulas whose counts make
         up the rest of the argument's: the span's need.  A fixed
         functor's span grows away from it; a pending functor may land at
-        any ``lo``, its span then growing rightwards.  The bag's parts and
-        prefix sums of the fixed counts are built once per state, so a
-        need is one subtraction; with no compound pending, a need no take
-        can meet is rejected by lane arithmetic before any call.
+        any ``lo``, its span then growing rightwards.  Prefix sums of the
+        fixed counts are built once per state, so a need is one
+        subtraction; with no compound pending, the lane test alone
+        decides the one take, the need itself.
         """
-        atoms, compounds = self._parts(bag)
+        atoms, compounds = bag
         functors = [(f, i) for i, f in enumerate(fixed) if isinstance(f, (Over, Under))]
         if compounds:
-            functors += [(g, None) for g, _, _, _ in compounds if isinstance(g, (Over, Under))]
+            functors += [(g, None) for g, _ in compounds if isinstance(g, (Over, Under))]
         if not functors:
             return
         packed = self._packed
         n = len(fixed)
         sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
-        # An atoms-only take for ``need`` exists iff every lane of ``need``
-        # and of ``full - need`` lies in [0, _LANE_HALF), where lane by lane
-        # ``full`` holds the pending atoms' multiplicities.  All lanes stay
-        # below _LANE_HALF in magnitude (_admissible), so that holds iff
+        # The atoms can supply ``need`` iff every lane of ``need`` and of
+        # ``atoms - need`` lies in [0, _LANE_HALF).  All lanes stay below
+        # _LANE_HALF in magnitude (_admissible), so that holds iff
         # neither int has a lane's top bit set: a negative int sets the
         # top bit of its highest lane.
-        full = sum([k << shift for _, k, shift, _ in atoms])
         high = self._high
         stats = self.stats
         pruned = 0
         for functor, i in functors:
             pending = i is None
-            rest, parts = bag, compounds
+            parts = compounds
             if pending:
                 # The functor's own copy is not in its premises' bag.
-                rest = _bag_sub(bag, ((functor, 1),))
-                parts = [(g, k - (g is functor), v, p) for g, k, v, p in compounds if g is not functor or k > 1]
+                parts = _compounds_sub(compounds, ((functor, 1),))
                 spans = ((lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1))
             elif isinstance(functor, Over):
                 spans = zip(itertools.repeat(i + 1), range(i + 1, n + 1))
@@ -555,16 +533,18 @@ class _Search:
             want = packed[arg]
             for lo, hi in spans:
                 need = want - sums[hi] + sums[lo]
-                if parts or not (need | (full - need)) & high:
+                if parts or not (need | (atoms - need)) & high:
                     found = False
-                    for take in _float_splits(atoms, parts, need) if atoms or parts else ((),):
-                        if lo == hi and not take:
+                    for take in self._float_splits(atoms, parts, need) if parts else ((need, ()),):
+                        if lo == hi and take == (0, ()):
                             continue
                         found = True
                         # p2 replaces the functor and its span by the result.
                         a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
+                        taken, chosen = take
                         p1 = (fixed[lo:hi], take, arg)
-                        p2 = (fixed[:a] + (res,) + fixed[b:], _bag_sub(rest, take) if take else rest, succ)
+                        rest = (atoms - taken, _compounds_sub(parts, chosen) if chosen else parts)
+                        p2 = (fixed[:a] + (res,) + fixed[b:], rest, succ)
                         # The search may stop at this yield: count the spans scanned so far.
                         stats.pruned_by_count += pruned
                         pruned = 0

@@ -65,6 +65,29 @@ class _Node:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # Identity first, then the type (Under(a, b) and LinImp(a, b) have
+        # the same fields) and the stored hash, for this pair and for each
+        # pair of operands below it.  The pairs that pass are walked with
+        # an explicit stack, so that no depth runs into the recursion limit.
+        if self is other:
+            return True
+        if type(other) is not type(self) or self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if type(x) is Atom:
+                if x.name != y.name:
+                    return False
+                continue
+            for u, v in ((x.arg, y.arg), (x.result, y.result)):
+                if u is not v:
+                    if type(v) is not type(u) or u._hash != v._hash:
+                        return False
+                    stack.append((u, v))
+        return True
+
     def __str__(self) -> str:
         return format_formula(self)
 
@@ -88,13 +111,6 @@ class _Connective(_Node):
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self._tag, self.result._hash, self.arg._hash)))
 
-    def __eq__(self, other: object) -> bool:
-        # The type comes first: Under(a, b) and LinImp(a, b) have the same fields.
-        return self is other or (
-            type(other) is type(self) and self._hash == other._hash
-            and self.result == other.result and self.arg == other.arg
-        )
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Atom(_Node):
@@ -104,11 +120,6 @@ class Atom(_Node):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(("atom", self.name)))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Atom and self._hash == other._hash and self.name == other.name
-        )
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -303,11 +303,12 @@ def brute_force_splits(bag, need: dict[str, int]) -> list[tuple]:
     order = [i for i, (f, _) in enumerate(bag) if not isinstance(f, Atom)]
     order += [i for i, (f, _) in enumerate(bag) if isinstance(f, Atom)]
     want = {name: n for name, n in need.items() if n}
+    counts = [oracle_counts(f) for f, _ in bag]
     out = []
     for picks in itertools.product(*(range(bag[i][1] + 1) for i in order)):
         total: dict[str, int] = {}
         for i, t in zip(order, picks):
-            for name, n in oracle_counts(bag[i][0]).items():
+            for name, n in counts[i].items():
                 total[name] = total.get(name, 0) + t * n
         if {name: n for name, n in total.items() if n} == want:
             taken = dict(zip(order, picks))

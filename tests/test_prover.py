@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -37,6 +39,7 @@ from lambek import (
     parse_formula,
     parse_sequent,
     polarity_report,
+    proof_to_json_text,
     prove,
     validate_input,
 )
@@ -277,6 +280,64 @@ def test_search_order_ignores_hash_seed():
     assert len(outputs) == 1
 
 
+def _pending_bag_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
+    """A forward-generated sequent closed by /R or \\R and then two -oR steps.
+
+    Half of those with two or more antecedent formulas left have two of
+    them swapped, which keeps the counts and often the derivability too.
+    """
+    while True:
+        s = forward_proof(rng, mode).conclusion
+        if len(s.antecedent) >= 4:
+            break
+    ant, succ = list(s.antecedent), s.succedent
+    succ = Over(succ, ant.pop()) if rng.random() < 0.5 else Under(ant.pop(0), succ)
+    for _ in range(2):
+        succ = LinImp(ant.pop(rng.randrange(len(ant))), succ)
+    if len(ant) > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(len(ant)), 2)
+        ant[i], ant[j] = ant[j], ant[i]
+    return Sequent(tuple(ant), succ)
+
+
+def test_search_order_with_pending_bags_is_pinned(monkeypatch):
+    # The order in which pending formulas are materialized ahead of /R
+    # and \R decides which proof is found first and how many nodes it
+    # takes.  The digest was recorded from the search that kept pending
+    # atoms as (atom, multiplicity) pairs, on the first 200 sequents whose
+    # sdl search materializes two or more distinct pending formulas.  Each
+    # is proved in sdl- as well, where left rules split the same bags.
+    materialized = set()
+    real = prover._Search._materializations
+
+    def spy(self, fixed, bag, succ):
+        for option in real(self, fixed, bag, succ):
+            (child,), _, _ = option
+            # The first place where the child's antecedent departs from
+            # ``fixed`` holds a copy of the materialized formula.
+            materialized.add(next(g for g, h in zip(child[0], fixed + (None,)) if g != h))
+            yield option
+
+    monkeypatch.setattr(prover._Search, "_materializations", spy)
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    picked = tried = 0
+    while picked < 200:
+        s = _pending_bag_sequent(rng, (SDL, SDLM)[tried % 2])
+        tried += 1
+        materialized.clear()
+        results = [prove(s, SDL)]
+        if len(materialized) < 2:
+            continue
+        picked += 1
+        results.append(prove(s, SDLM))
+        for mode, (tree, stats) in zip((SDL, SDLM), results):
+            line = [str(s), str(mode), stats.as_dict(), tree and proof_to_json_text(tree)]
+            digest.update(json.dumps(line).encode() + b"\n")
+    assert tried < 300
+    assert digest.hexdigest() == "7f7bf6c9f8b313c88b54230a1fda612e16ae6c496309a6bd663d7e124e7dcbaf"
+
+
 def test_enumerate_proofs():
     s = parse_sequent("a/a, a/a, a => a")
     trees = enumerate_proofs(s, L, limit=10)
@@ -383,11 +444,16 @@ def test_stats_dict_shape():
 
 
 def _random_bag(rng: random.Random, kind: str) -> tuple:
-    """A pending multiset: distinct formulas in a fixed order (the search sorts them by rank)."""
+    """A pending multiset: distinct formulas in a fixed order (the search sorts them by rank).
+
+    One atom of a non-empty bag is pending 10-16 times, as many as the
+    reduction's sizes put in one lane.
+    """
     entries: dict = {}
     if kind != "empty":
         for name in rng.sample("abcd", rng.randint(1, 4)):
             entries[Atom(name)] = rng.randint(1, 3)
+        entries[rng.choice(list(entries))] = rng.randint(10, 16)
     if kind == "mixed":
         while len(entries) < 6 and (not entries or rng.random() < 0.6):
             f = random_formula(rng, 2)
@@ -414,19 +480,25 @@ def test_float_splits_match_brute_force():
         for f, _ in bag:
             search._vec(f)
         packed = sum(map(search._vec, terms))
-        got = list(prover._float_splits(*search._parts(bag), packed))
-        assert got == brute_force_splits(bag, need), (bag, need)
+        got = list(search._float_splits(*_as_bag(search, bag), packed))
+        assert got == [_as_bag(search, take) for take in brute_force_splits(bag, need)], (bag, need)
+
+
+def _as_bag(search: prover._Search, pairs: tuple) -> tuple:
+    """(formula, multiplicity) pairs as a pending bag: the atoms' packed counts, then the compounds."""
+    atoms = sum(k * search._vec(f) for f, k in pairs if isinstance(f, Atom))
+    return atoms, tuple((f, k) for f, k in pairs if not isinstance(f, Atom))
 
 
 def test_left_rules_never_split_an_empty_bag(monkeypatch):
     calls = []
-    real = prover._float_splits
+    real = prover._Search._float_splits
 
-    def spy(atoms, compounds, need):
-        calls.append(bool(atoms or compounds))
-        return real(atoms, compounds, need)
+    def spy(self, full, compounds, need):
+        calls.append(bool(full or compounds))
+        return real(self, full, compounds, need)
 
-    monkeypatch.setattr(prover, "_float_splits", spy)
+    monkeypatch.setattr(prover._Search, "_float_splits", spy)
     rng = random.Random(13)
     for _ in range(100):
         prove(forward_proof(rng, SDL).conclusion, SDL)

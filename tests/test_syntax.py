@@ -11,6 +11,7 @@ import pytest
 from helpers import random_formula
 from lambek import (
     Atom,
+    Formula,
     FormulaSyntaxError,
     LinImp,
     Over,
@@ -198,6 +199,33 @@ def test_copies_are_equal_with_equal_hashes():
             assert type(g) is type(f)
             assert g == f and hash(g) == hash(f)
             assert repr(g) == repr(f)
+
+
+def _deep_formula(depth: int, leaf: Atom) -> Formula:
+    """``leaf`` under ``depth`` connectives, nested through results and arguments alike."""
+    f = leaf
+    for i in range(depth):
+        f = CONNECTIVES[i % 3](f, b)
+    return f
+
+
+def test_deep_equality_needs_no_recursion():
+    f, g = _deep_formula(20_000, a), _deep_formula(20_000, a)
+    assert f is not g
+    assert f == g and not f != g
+    assert {f: 1}[g] == 1
+    # A copy with one other leaf differs in hash at every level; with the
+    # stored hashes made to agree, the walk must reach the leaves.
+    h = _deep_formula(20_000, c)
+    assert f != h
+    x, y = f, h
+    while True:
+        object.__setattr__(y, "_hash", x._hash)
+        if isinstance(x, Atom):
+            break
+        x, y = (x.result, y.result) if isinstance(x, Over) else (x.arg, y.arg)
+    assert hash(f) == hash(h)
+    assert f != h and not f == h
 
 
 def test_connective_count_of_a_deep_formula():
