@@ -212,8 +212,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     text = grammar_to_text(grammar)
     word_line = " ".join(word)
     if args.prefix:
-        Path(args.prefix + ".grammar").write_text(text)
-        Path(args.prefix + ".word").write_text(word_line + "\n")
+        try:
+            Path(args.prefix + ".grammar").write_text(text)
+            Path(args.prefix + ".word").write_text(word_line + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
     if args.output == "json":
         print(json.dumps({"grammar": text, "word": list(word)}))
     else:

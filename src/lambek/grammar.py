@@ -115,6 +115,14 @@ def _vkey(vec: dict[str, int]) -> tuple[tuple[str, int], ...]:
 # N = 16, the tables from position 0 hold 188,825, 188,825, 47,775, 35,035,
 # 25,025, ... residuals, so the cap drops exactly the first two: the filter
 # then peaks at 135 MiB under tracemalloc instead of 375 MiB, in half the time.
+#
+# On the reduction's grammars count balance alone decides the instance:
+# some assignment survives this filter exactly when a partition exists
+# (test_count_filter_decides_small_instances).  That does not make the
+# filter a pseudo-polynomial 3-partition decider.  Its residual tables
+# grow with m, as the table sizes above show, and 3-partition is
+# NP-complete in the strong sense, so no decider polynomial in m and in
+# the unary sizes exists unless P = NP.
 _SUFFIX_CAP = 50_000
 
 

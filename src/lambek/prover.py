@@ -45,12 +45,13 @@ premises, and the count invariant pins the split down.  Count vectors
 are packed into ints, one lane per primitive, so the counts the pending
 part of a premise ``T => B`` must supply (those of ``B`` less those of
 T's committed span) are one subtraction off prefix sums of the
-committed counts, built once per state.  Atoms have unit count vectors,
-so the pending atoms are kept as their packed count vector, whose lane
-for a primitive holds that atom's multiplicity; like every lane it is
-bounded by the atom-occurrence guard of ``_Search._admissible``.  Only
-compound pending formulas are listed.  A split chooses how many copies
-of each compound formula to take, and the atoms must supply the
+committed counts, built once per state.  The pending multiset is one
+such int too, with a multiplicity lane per pending formula: an atom's
+lane is its primitive's count lane, so the pending atoms are their
+packed count vector, and a compound formula gets a lane of its own
+when it first pends.  Stripping, taking and materializing are then int
+additions and subtractions.  A split chooses how many copies of each
+pending compound formula to take, and the atoms must supply the
 residual need: they can exactly when every lane of the residual lies
 between zero and the pending multiplicity, one lane test, and the
 residual is then the atoms' take.  So an empty multiset splits only
@@ -170,13 +171,12 @@ def _unusable(f: Formula, positive: bool, mode: CalculusMode) -> bool:
 # committed part of the antecedent, `pending` a multiset of formulas
 # stripped by -oR whose position is not yet committed.  The state
 # stands for every interleaving of `pending` into `fixed`.  A pending
-# multiset is a Bag: the packed count vector of its atoms (below), one
-# lane per primitive holding that atom's multiplicity and bounded like
-# every lane, and its compound formulas with their multiplicities.
+# multiset is a Bag: one int holding each pending formula's multiplicity
+# in that formula's lane (_Search._unit), so the empty bag is 0.  Count
+# vectors are zero on the lanes of compound formulas.
 # ---------------------------------------------------------------------------
 
-Compounds = tuple[tuple[Formula, int], ...]  # in the order of _Search._rank
-Bag = tuple[int, Compounds]
+Bag = int
 State = tuple[tuple[Formula, ...], Bag, Formula]
 
 # A solved state: the proof tree for one concrete interleaving, plus a
@@ -188,34 +188,15 @@ _Recombine = Callable[[list[Result]], Iterator[Result]]
 _Option = tuple[list[State], bool, _Recombine]
 
 
-def _compounds_add(compounds: Compounds, f: Formula, rank: dict[Formula, int]) -> Compounds:
-    out = list(compounds)
-    for idx, (g, k) in enumerate(out):
-        if g == f:
-            out[idx] = (g, k + 1)
-            return tuple(out)
-    out.append((f, 1))
-    out.sort(key=lambda kv: rank[kv[0]])
-    return tuple(out)
-
-
-def _compounds_sub(compounds: Compounds, take: Compounds) -> Compounds:
-    taken = dict(take)
-    out = []
-    for g, k in compounds:
-        rest = k - taken.get(g, 0)
-        if rest:
-            out.append((g, rest))
-    return tuple(out)
-
-
 # Count vectors are packed into one int with a lane of _LANE_BITS bits
 # per primitive, so adding or subtracting two ints adds or subtracts
-# the vectors lane by lane; the pending atoms of a Bag are such a
-# vector.  That holds while every lane stays below _LANE_HALF in
-# magnitude.  Every lane, pending multiplicities included, is a sum
-# over distinct atom occurrences of a root formula, so the guard on
-# their number in _Search._admissible makes sure of it
+# the vectors lane by lane; a Bag adds a lane per pending compound
+# formula.  That holds while every lane stays below _LANE_HALF in
+# magnitude.  Every count lane, pending atoms' multiplicities included,
+# is a sum over distinct atom occurrences of a root formula, and so is
+# a compound formula's multiplicity: each copy is the argument of a
+# distinct -o occurrence and holds at least two atom occurrences.  So
+# the guard on their number in _Search._admissible makes sure of it
 # (test_sequent_too_large_for_count_lanes).
 _LANE_BITS = 16
 _LANE_MASK = (1 << _LANE_BITS) - 1
@@ -243,14 +224,17 @@ class _Search:
         self.stats = SearchStats()
         self.memo: dict[State, Result | None] = {}
         self.new_budget_window()
-        # Packed count vector of every subformula of the goals seen so
-        # far; lanes are given to primitives in order of appearance.
+        # Packed count vector of every subformula of the goals seen so far.
         self._packed: dict[Formula, int] = {}
-        self._lane_atoms: list[Atom] = []  # the atom of each lane, in lane order
+        # The bag unit of every formula with a lane, in order of its lane
+        # (see _unit), and the compound ones among them, in _rank order.
+        self._units: dict[Formula, int] = {}
+        self._compounds: list[tuple[Formula, int]] = []
+        self._compound_bits = 0  # every bit of the compound lanes
         self._high = 0  # the top bit of every lane given out
         # The same subformulas numbered in order of first sight; pending
-        # bags are sorted by it, so the search order does not depend on
-        # the per-process hash of strings.
+        # formulas are read off a bag in this order, so the search order
+        # does not depend on the per-process hash of strings.
         self._rank: dict[Formula, int] = {}
         self._root_table: dict[tuple[Formula, bool], tuple[int, bool]] = {}  # see _root
 
@@ -259,7 +243,7 @@ class _Search:
     def run(self, s: Sequent) -> ProofTree | None:
         if not self._admissible(s):
             return None
-        result = self._solve(tuple(s.antecedent), (0, ()), s.succedent, 1)
+        result = self._solve(tuple(s.antecedent), 0, s.succedent, 1)
         if result is None:
             return None
         tree, mask = result
@@ -271,7 +255,7 @@ class _Search:
             return []
         out: list[ProofTree] = []
         seen: set[ProofTree] = set()
-        for tree, mask in self._enum(tuple(s.antecedent), (0, ()), s.succedent, 1):
+        for tree, mask in self._enum(tuple(s.antecedent), 0, s.succedent, 1):
             assert not any(mask)
             if tree not in seen:
                 seen.add(tree)
@@ -322,15 +306,28 @@ class _Search:
             if isinstance(f, Atom):
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
-                shift = _LANE_BITS * len(self._lane_atoms)
-                self._lane_atoms.append(f)
-                self._high |= _LANE_HALF << shift
-                v = 1 << shift
+                v = self._unit(f)
             else:
                 v = self._vec(f.result) - self._vec(f.arg)
             self._packed[f] = v
             self._rank[f] = len(self._rank)
         return v
+
+    def _unit(self, f: Formula) -> int:
+        """The bag holding one ``f``: a one in the lane of ``f``, given out on first use.
+
+        An atom's lane is its primitive's count lane, so its unit is its
+        packed count vector; a compound formula gets a lane of its own
+        when it first pends.
+        """
+        u = self._units.get(f)
+        if u is None:
+            u = self._units[f] = 1 << _LANE_BITS * len(self._units)
+            self._high |= _LANE_HALF * u
+            if not isinstance(f, Atom):
+                self._compounds = sorted([*self._compounds, (f, u)], key=lambda gu: self._rank[gu[0]])
+                self._compound_bits |= _LANE_MASK * u
+        return u
 
     # -- core recursion -------------------------------------------------------
 
@@ -394,9 +391,7 @@ class _Search:
     def _options(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         mode = self.mode
         # Ax: the antecedent is the succedent's atom alone, committed or pending.
-        if isinstance(succ, Atom) and (
-            fixed == (succ,) and bag == (0, ()) or not fixed and bag == (self._packed[succ], ())
-        ):
+        if isinstance(succ, Atom) and (fixed == (succ,) and not bag or not fixed and bag == self._packed[succ]):
 
             def ax(_: list[Result], f: Formula = succ, pending: bool = not fixed) -> Iterator[Result]:
                 yield ProofTree(Rule.AX, Sequent((f,), f)), (pending,)
@@ -406,12 +401,12 @@ class _Search:
         # The succedent's right rule is invertible (module docstring), so
         # when it applies, no left option at this state is needed.
         if isinstance(succ, (Over, Under)) and mode.has_directional_right:
-            if bag != (0, ()):
+            if bag:
                 yield from self._materializations(fixed, bag, succ)
                 return
             # The argument joins the antecedent at the end the slash faces.
             over = isinstance(succ, Over)
-            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, (0, ()), succ.result)
+            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, 0, succ.result)
             rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
 
             def directional_r(
@@ -423,12 +418,7 @@ class _Search:
             yield [child], True, directional_r
             return
         if isinstance(succ, LinImp) and mode.has_linimp_right:
-            arg = succ.arg
-            atoms, compounds = bag
-            if isinstance(arg, Atom):
-                bag = (atoms + self._packed[arg], compounds)
-            else:
-                bag = (atoms, _compounds_add(compounds, arg, self._rank))
+            bag += self._unit(succ.arg)
 
             def linimp_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
                 tree, mask = rs[0]
@@ -451,18 +441,12 @@ class _Search:
 
         Only needed ahead of /R and \\R, which pin a formula to an end
         of the antecedent and therefore need the interleaving settled.
-        The pending atoms are read off their lanes, and all pending
-        formulas are tried in the order of ``_rank``.
+        The pending formulas are read off their lanes and tried in the
+        order of ``_rank``.
         """
-        atoms, compounds = bag
-        pending = [a for lane, a in enumerate(self._lane_atoms) if atoms >> _LANE_BITS * lane & _LANE_MASK]
-        pending += [g for g, _ in compounds]
-        pending.sort(key=self._rank.__getitem__)
-        for f in pending:
-            if isinstance(f, Atom):
-                rest = (atoms - self._packed[f], compounds)
-            else:
-                rest = (atoms, _compounds_sub(compounds, ((f, 1),)))
+        units = self._units
+        for f in sorted((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__):
+            rest = bag - units[f]
             for p in range(len(fixed) + 1):
                 child = (fixed[:p] + (f,) + fixed[p:], rest, succ)
 
@@ -473,21 +457,24 @@ class _Search:
 
                 yield [child], False, fix_mask
 
-    def _float_splits(self, full: int, compounds: Compounds, need: int) -> Iterator[Bag]:
-        """Sub-multisets of the pending bag ``(full, compounds)`` whose summed counts equal ``need``.
+    def _float_splits(self, full: Bag, need: int) -> Iterator[Bag]:
+        """Sub-multisets of the pending bag ``full`` whose summed counts equal ``need``.
 
-        The compound multiplicities are enumerated in lexicographic
-        order, and the pending atoms close each choice: their take is
-        the residual need, when the lane test (see ``_left``) accepts
-        it.  Each take is a Bag.
+        The multiplicities of the compound formulas, read off their
+        lanes, are enumerated in lexicographic order in the order of
+        ``_rank``, and the pending atoms close each choice: their take
+        is the residual need, when the lane test (see ``_left``) accepts
+        it.
         """
         packed, high = self._packed, self._high
-        for counts in itertools.product(*(range(k + 1) for _, k in compounds)):
-            residual = need
-            for (g, _), t in zip(compounds, counts):
-                residual -= t * packed[g]
+        compounds = [(u, packed[g], full // u & _LANE_MASK) for g, u in self._compounds if full & _LANE_MASK * u]
+        for counts in itertools.product(*(range(k + 1) for _, _, k in compounds)):
+            residual, take = need, 0
+            for (u, v, _), t in zip(compounds, counts):
+                residual -= t * v
+                take += t * u
             if not (residual | (full - residual)) & high:
-                yield residual, tuple((g, t) for (g, _), t in zip(compounds, counts) if t)
+                yield residual + take
 
     def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """/L and \\L on each functor: the fixed ones in order, then the pending ones.
@@ -501,50 +488,51 @@ class _Search:
         subtraction; with no compound pending, the lane test alone
         decides the one take, the need itself.
         """
-        atoms, compounds = bag
         functors = [(f, i) for i, f in enumerate(fixed) if isinstance(f, (Over, Under))]
-        if compounds:
-            functors += [(g, None) for g, _ in compounds if isinstance(g, (Over, Under))]
+        if bag & self._compound_bits:
+            functors += [
+                (g, None) for g, u in self._compounds if isinstance(g, (Over, Under)) and bag & _LANE_MASK * u
+            ]
         if not functors:
             return
         packed = self._packed
         n = len(fixed)
         sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
         # The atoms can supply ``need`` iff every lane of ``need`` and of
-        # ``atoms - need`` lies in [0, _LANE_HALF).  All lanes stay below
+        # ``full - need`` lies in [0, _LANE_HALF).  All lanes stay below
         # _LANE_HALF in magnitude (_admissible), so that holds iff
         # neither int has a lane's top bit set: a negative int sets the
-        # top bit of its highest lane.
+        # top bit of its highest negative lane.  Count vectors are zero
+        # on the compound lanes, where ``full`` is never negative.
         high = self._high
         stats = self.stats
         pruned = 0
         for functor, i in functors:
             pending = i is None
-            parts = compounds
+            full = bag
             if pending:
                 # The functor's own copy is not in its premises' bag.
-                parts = _compounds_sub(compounds, ((functor, 1),))
+                full -= self._units[functor]
                 spans = ((lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1))
             elif isinstance(functor, Over):
                 spans = zip(itertools.repeat(i + 1), range(i + 1, n + 1))
             else:
                 spans = zip(range(i, -1, -1), itertools.repeat(i))
+            split = full & self._compound_bits
             arg, res = functor.arg, functor.result
             want = packed[arg]
             for lo, hi in spans:
                 need = want - sums[hi] + sums[lo]
-                if parts or not (need | (atoms - need)) & high:
+                if split or not (need | (full - need)) & high:
                     found = False
-                    for take in self._float_splits(atoms, parts, need) if parts else ((need, ()),):
-                        if lo == hi and take == (0, ()):
+                    for take in self._float_splits(full, need) if split else (need,):
+                        if lo == hi and not take:
                             continue
                         found = True
                         # p2 replaces the functor and its span by the result.
                         a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
-                        taken, chosen = take
                         p1 = (fixed[lo:hi], take, arg)
-                        rest = (atoms - taken, _compounds_sub(parts, chosen) if chosen else parts)
-                        p2 = (fixed[:a] + (res,) + fixed[b:], rest, succ)
+                        p2 = (fixed[:a] + (res,) + fixed[b:], full - take, succ)
                         # The search may stop at this yield: count the spans scanned so far.
                         stats.pruned_by_count += pruned
                         pruned = 0

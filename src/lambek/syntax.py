@@ -301,26 +301,41 @@ def parse_sequent(text: str) -> Sequent:
 # ---------------------------------------------------------------------------
 
 
-def _operand(f: Formula, bare: tuple[type, ...]) -> str:
-    """``f`` printed bare when it is an atom or one of the classes ``bare``, else in parentheses."""
-    if isinstance(f, Atom):
-        return f.name
-    return format_formula(f) if isinstance(f, bare) else f"({format_formula(f)})"
-
-
 def format_formula(f: Formula) -> str:
-    """Render a formula with the minimum parentheses that reparse to it."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Over):
-        # "/" chains through its left operand.
-        return f"{_operand(f.result, (Over,))}/{_operand(f.arg, ())}"
-    if isinstance(f, Under):
-        # "\" chains through its right operand.
-        return f"{_operand(f.arg, ())}\\{_operand(f.result, (Under,))}"
-    if isinstance(f, LinImp):
-        return f"{_operand(f.arg, (Over, Under))} -o {format_formula(f.result)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Render a formula with the minimum parentheses that reparse to it.
+
+    The formulas and text still to print are kept on an explicit stack,
+    so that no depth runs into the recursion limit.
+    """
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is str:
+            out.append(x)
+            continue
+        if t is Atom:
+            out.append(x.name)
+            continue
+        # The operands in printed order, and whether each needs parentheses.
+        if t is Over:
+            # "/" chains through its left operand.
+            left, sep, right = x.result, "/", x.arg
+            wrap_left, wrap_right = type(left) in (Under, LinImp), type(right) is not Atom
+        elif t is Under:
+            # "\\" chains through its right operand.
+            left, sep, right = x.arg, "\\", x.result
+            wrap_left, wrap_right = type(left) is not Atom, type(right) in (Over, LinImp)
+        elif t is LinImp:
+            left, sep, right = x.arg, " -o ", x.result
+            wrap_left, wrap_right = type(left) is LinImp, False
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+        stack += (")", right, "(") if wrap_right else (right,)
+        stack.append(sep)
+        stack += (")", left, "(") if wrap_left else (left,)
+    return "".join(out)
 
 
 def format_sequent(s: Sequent) -> str:

@@ -16,7 +16,8 @@ against itself:
   prover's verdicts, with ``shuffled_sequent`` to feed it sequents
   whose counts balance but that are often underivable, and
   ``zero_linimp_sequent`` for balanced sequents with -o in either
-  polarity.
+  polarity,
+* ``all_valid_instances``, every small 3-partition instance.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from lambek import (
     ProofTree,
     Rule,
     Sequent,
+    ThreePartitionInstance,
     Under,
     format_formula,
     parse_sequent,
@@ -476,3 +478,14 @@ def zero_linimp_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
         wrapped = Over(x, ZERO_LINIMP) if rng.random() < 0.5 else Under(ZERO_LINIMP, x)
         formulas[k] = _replace(formulas[k], path, wrapped)
     return Sequent(tuple(formulas[:-1]), formulas[-1])
+
+
+def all_valid_instances(max_m: int, max_target: int):
+    """Every valid 3-partition instance with m <= ``max_m`` and N <= ``max_target``."""
+    for m in range(1, max_m + 1):
+        for target in range(1, max_target + 1):
+            low = target // 4 + 1
+            high = (target - 1) // 2
+            for sizes in itertools.product(range(low, high + 1), repeat=3 * m):
+                if sum(sizes) == m * target:
+                    yield ThreePartitionInstance(m, target, sizes)

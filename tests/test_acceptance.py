@@ -13,13 +13,12 @@ import time
 
 import pytest
 
-from helpers import forward_proof, mutate_proof, naive_check, random_sequent
+from helpers import all_valid_instances, forward_proof, mutate_proof, naive_check, random_sequent
 from lambek import (
     Atom,
     CalculusMode,
     Rule,
     Sequent,
-    ThreePartitionInstance,
     anbncn_grammar,
     assignment_to_partition,
     balanced,
@@ -87,16 +86,6 @@ def anbncn_sweep():
             if r.member:
                 proofs.append(r.proof)
     return results, proofs, time.monotonic() - t0
-
-
-def all_valid_instances(max_m: int, max_target: int):
-    for m in range(1, max_m + 1):
-        for target in range(1, max_target + 1):
-            low = target // 4 + 1
-            high = (target - 1) // 2
-            for sizes in itertools.product(range(low, high + 1), repeat=3 * m):
-                if sum(sizes) == m * target:
-                    yield ThreePartitionInstance(m, target, sizes)
 
 
 @pytest.fixture(scope="module")

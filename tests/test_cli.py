@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambek import grammar_from_text, proof_from_json
+from lambek import grammar_from_text, parse_sequent, proof_from_json
 from lambek.cli import EXIT_INTERNAL, main
 
 GOOD_INSTANCE = '{"m": 1, "N": 12, "sizes": [4, 4, 4]}'
@@ -81,6 +81,14 @@ def test_prove_budget_exhausted(capsys):
     code, out, _ = run(capsys, "prove", "a/b, b => a", "--budget", "1")
     assert code == 3
     assert "unknown" in out
+
+
+def test_prove_json_deep_formula(capsys):
+    # Printing the sequent must not recurse per level of the formula.
+    text = "b" + "/a" * 6000 + " => c"
+    code, out, _ = run(capsys, "prove", text, "--output", "json")
+    assert code == 1
+    assert parse_sequent(json.loads(out)["sequent"]) == parse_sequent(text)
 
 
 def test_prove_budget_exhausted_json(capsys):
@@ -206,6 +214,15 @@ def test_reduce_missing_file(capsys):
     code, _, err = run(capsys, "reduce", "/nonexistent/inst.json")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_reduce_unwritable_prefix(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(GOOD_INSTANCE)
+    code, out, err = run(capsys, "reduce", str(path), str(tmp_path / "missing" / "enc"))
+    assert code == 2
+    assert err.startswith("error:") and "enc.grammar" in err
+    assert out == ""
 
 
 def test_solve3p(tmp_path, capsys):

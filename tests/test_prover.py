@@ -443,8 +443,8 @@ def test_stats_dict_shape():
     assert all(isinstance(v, int) for v in d.values())
 
 
-def _random_bag(rng: random.Random, kind: str) -> tuple:
-    """A pending multiset: distinct formulas in a fixed order (the search sorts them by rank).
+def _random_bag(rng: random.Random, kind: str, search: prover._Search) -> tuple:
+    """A pending multiset: distinct formulas in the order of ``search._rank``, as the search reads them.
 
     One atom of a non-empty bag is pending 10-16 times, as many as the
     reduction's sizes put in one lane.
@@ -459,7 +459,9 @@ def _random_bag(rng: random.Random, kind: str) -> tuple:
             f = random_formula(rng, 2)
             if not isinstance(f, Atom):
                 entries[f] = rng.randint(1, 2)
-    return tuple(sorted(entries.items(), key=lambda kv: hash(kv[0])))
+    for f in entries:
+        search._vec(f)
+    return tuple(sorted(entries.items(), key=lambda kv: search._rank[kv[0]]))
 
 
 def test_float_splits_match_brute_force():
@@ -467,7 +469,7 @@ def test_float_splits_match_brute_force():
     search = prover._Search(SDL)
     for trial in range(900):
         kind = ("empty", "atoms", "mixed")[trial % 3]
-        bag = _random_bag(rng, kind)
+        bag = _random_bag(rng, kind, search)
         # The need is a random sub-multiset of the bag (so that takes
         # exist), perturbed at times by the counts of a random formula.
         terms = [f for f, k in bag for _ in range(rng.randint(0, k))]
@@ -477,26 +479,23 @@ def test_float_splits_match_brute_force():
         for f in terms:
             for name, n in oracle_counts(f).items():
                 need[name] = need.get(name, 0) + n
-        for f, _ in bag:
-            search._vec(f)
         packed = sum(map(search._vec, terms))
-        got = list(search._float_splits(*_as_bag(search, bag), packed))
+        got = list(search._float_splits(_as_bag(search, bag), packed))
         assert got == [_as_bag(search, take) for take in brute_force_splits(bag, need)], (bag, need)
 
 
-def _as_bag(search: prover._Search, pairs: tuple) -> tuple:
-    """(formula, multiplicity) pairs as a pending bag: the atoms' packed counts, then the compounds."""
-    atoms = sum(k * search._vec(f) for f, k in pairs if isinstance(f, Atom))
-    return atoms, tuple((f, k) for f, k in pairs if not isinstance(f, Atom))
+def _as_bag(search: prover._Search, pairs: tuple) -> int:
+    """(formula, multiplicity) pairs as a pending bag: each multiplicity in its formula's lane."""
+    return sum(k * search._unit(f) for f, k in pairs)
 
 
 def test_left_rules_never_split_an_empty_bag(monkeypatch):
     calls = []
     real = prover._Search._float_splits
 
-    def spy(self, full, compounds, need):
-        calls.append(bool(full or compounds))
-        return real(self, full, compounds, need)
+    def spy(self, full, need):
+        calls.append(bool(full))
+        return real(self, full, need)
 
     monkeypatch.setattr(prover._Search, "_float_splits", spy)
     rng = random.Random(13)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import all_valid_instances
 from lambek import (
     AssignmentDecodeError,
     Atom,
@@ -23,6 +24,7 @@ from lambek import (
     solve_3partition,
     validate_instance,
 )
+from lambek.grammar import _balanced_assignments, _entries
 
 GOOD = ThreePartitionInstance(1, 12, (4, 4, 4))
 TWO = ThreePartitionInstance(2, 16, (5, 5, 6, 5, 6, 5))
@@ -144,6 +146,20 @@ def test_membership_matches_solvability():
         assert (solve_3partition(inst) is not None) is solvable
         if solvable:
             assert assignment_to_partition(inst, r.assignment)
+
+
+def test_count_filter_decides_small_instances():
+    # On the reduction, count balance alone decides the instance: some
+    # assignment survives the count filter exactly when a partition exists.
+    instances = solvable = 0
+    for inst in all_valid_instances(2, 16):
+        grammar, word = build_reduction(inst)
+        survivors = _balanced_assignments(_entries(grammar, word), {grammar.start: 1}, [0])
+        survives = next(survivors, None) is not None
+        assert survives is (solve_3partition(inst) is not None), inst
+        instances += 1
+        solvable += survives
+    assert (instances, solvable) == (630, 598)
 
 
 def test_unsolvable_instances_cost_no_search():
