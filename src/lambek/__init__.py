@@ -8,143 +8,24 @@ sit categorial grammars with a membership test, and an encoding of
 3-partition instances as grammar membership questions.
 """
 
-from .analysis import (
-    Occurrence,
-    PolarityReport,
-    balanced,
-    count,
-    formula_counts,
-    polarity_report,
-    sequent_counts,
-)
-from .checker import check_proof
-from .grammar import (
-    Cfg,
-    GnfError,
-    GnfProduction,
-    Grammar,
-    GrammarFormatError,
-    ParseResult,
-    UnknownTerminalError,
-    anbncn_grammar,
-    assignments,
-    cfg_to_grammar,
-    grammar_from_text,
-    grammar_to_text,
-    recognize,
-)
-from .prooftree import (
-    ProofTree,
-    Rule,
-    proof_from_json,
-    proof_from_json_text,
-    proof_to_json,
-    proof_to_json_text,
-    render_proof,
-)
-from .prover import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    CalculusMode,
-    InputViolation,
-    SearchStats,
-    enumerate_proofs,
-    prove,
-    validate_input,
-)
-from .reduction import (
-    AssignmentDecodeError,
-    Partition,
-    ReductionOutput,
-    ThreePartitionInstance,
-    assignment_to_partition,
-    build_reduction,
-    canonical_partition,
-    instance_from_json,
-    instance_to_json,
-    partition_to_assignment,
-    solve_3partition,
-    validate_instance,
-)
-from .syntax import (
-    Atom,
-    Formula,
-    FormulaSyntaxError,
-    LinImp,
-    Over,
-    Sequent,
-    Under,
-    connective_count,
-    format_formula,
-    format_sequent,
-    parse_formula,
-    parse_sequent,
-    subformulas,
-)
+from . import analysis, checker, grammar, prooftree, prover, reduction, syntax
+from .analysis import *
+from .checker import *
+from .grammar import *
+from .prooftree import *
+from .prover import *
+from .reduction import *
+from .syntax import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
-    "Over",
-    "Under",
-    "LinImp",
-    "Formula",
-    "Sequent",
-    "FormulaSyntaxError",
-    "parse_formula",
-    "parse_sequent",
-    "format_formula",
-    "format_sequent",
-    "subformulas",
-    "connective_count",
-    "count",
-    "formula_counts",
-    "sequent_counts",
-    "balanced",
-    "Occurrence",
-    "PolarityReport",
-    "polarity_report",
-    "Rule",
-    "ProofTree",
-    "proof_to_json",
-    "proof_from_json",
-    "proof_to_json_text",
-    "proof_from_json_text",
-    "render_proof",
-    "CalculusMode",
-    "SearchStats",
-    "BudgetExceededError",
-    "InputViolation",
-    "validate_input",
-    "prove",
-    "enumerate_proofs",
-    "DEFAULT_BUDGET",
-    "check_proof",
-    "Grammar",
-    "ParseResult",
-    "UnknownTerminalError",
-    "GrammarFormatError",
-    "assignments",
-    "recognize",
-    "anbncn_grammar",
-    "grammar_from_text",
-    "grammar_to_text",
-    "GnfProduction",
-    "Cfg",
-    "GnfError",
-    "cfg_to_grammar",
-    "ThreePartitionInstance",
-    "Partition",
-    "ReductionOutput",
-    "AssignmentDecodeError",
-    "validate_instance",
-    "canonical_partition",
-    "solve_3partition",
-    "build_reduction",
-    "partition_to_assignment",
-    "assignment_to_partition",
-    "instance_from_json",
-    "instance_to_json",
+    *syntax.__all__,
+    *analysis.__all__,
+    *prooftree.__all__,
+    *prover.__all__,
+    *checker.__all__,
+    *grammar.__all__,
+    *reduction.__all__,
     "__version__",
 ]

@@ -129,6 +129,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
         verdict = tree is not None
     except BudgetExceededError as e:
         tree, stats, verdict = None, e.stats, None
+    except ValueError as e:  # a sequent too large for the search
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
     if args.output == "json":
         payload = {
@@ -268,3 +271,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

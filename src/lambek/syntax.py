@@ -16,14 +16,22 @@ have at least one antecedent formula.
 
 ``a/b`` consumes a ``b`` to its right and yields an ``a``; ``b\\a``
 consumes a ``b`` to its left; ``b -o a`` consumes a ``b`` anywhere.
+
+Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): the constructors return the one live node with
+the given class and operands, so two formulas are equal exactly when
+they are the same object, and ``==`` and ``hash`` are ``object``'s.
+Construction is thread-safe, and an unpickled or copied formula is the
+live node.  The intern table holds its nodes weakly.
 """
 
 from __future__ import annotations
 
-import functools
 import re
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
-from types import FunctionType
 from typing import Iterator, Union
 
 __all__ = [
@@ -53,40 +61,58 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class _Node:
-    """A formula node, hashed once at construction from its children's stored hashes.
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that carries the node's key."""
 
-    Copies and pickles go through the constructor, which recomputes the
-    hash that the dataclass state would lose.
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    # Runs when the node dies, possibly inside the locked code below, so it
+    # takes no lock: it deletes the entry only while that holds a dead
+    # reference, not one to a newer node with the same key.
+    _remove_dead_weakref(_nodes, ref.key)
+
+
+_nodes: dict[tuple, _Ref] = {}  # (class, *operands) -> the one live node
+_lock = threading.Lock()  # makes a miss's check and insert one step
+
+
+class _Node:
+    """A hash-consed formula node: equal formulas are one object.
+
+    The operands of a new node are set here, once; a node found in the
+    table is returned as it is.  Copies and pickles go through the
+    constructor, so they come back as the live node.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # Identity first, then the type (Under(a, b) and LinImp(a, b) have
-        # the same fields) and the stored hash, for this pair and for each
-        # pair of operands below it.  The pairs that pass are walked with
-        # an explicit stack, so that no depth runs into the recursion limit.
-        if self is other:
-            return True
-        if type(other) is not type(self) or self._hash != other._hash:
-            return False
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if type(x) is Atom:
-                if x.name != y.name:
-                    return False
-                continue
-            for u, v in ((x.arg, y.arg), (x.result, y.result)):
-                if u is not v:
-                    if type(v) is not type(u) or u._hash != v._hash:
-                        return False
-                    stack.append((u, v))
-        return True
+    def __new__(cls, *args, **kwargs):
+        if kwargs:  # the keyword operands, in field order after the positional ones
+            names = cls.__match_args__[len(args):]
+            if set(kwargs) != set(names):
+                raise TypeError(f"{cls.__name__}() takes the operands {cls.__match_args__}")
+            args = (*args, *[kwargs[n] for n in names])
+        key = (cls, *args)
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        names = cls.__match_args__
+        if len(args) != len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} operands, got {len(args)}")
+        with _lock:
+            ref = _nodes.get(key)
+            node = None if ref is None else ref()
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(names, args):
+                    object.__setattr__(node, name, value)
+                ref = _nodes[key] = _Ref(node, _forget)
+                ref.key = key
+        return node
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -94,57 +120,34 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    def __init_subclass__(cls) -> None:
-        # CPython specializes each attribute lookup for one class, so every class gets
-        # its own copy of the shared code; one that defines __eq__ gets __hash__ back.
-        for name in ("__hash__", "__eq__", "__post_init__"):
-            f = getattr(cls, name, None) or getattr(_Node, name, None)
-            if isinstance(f, FunctionType):
-                setattr(cls, name, FunctionType(f.__code__.replace(), f.__globals__, name))
 
-
-class _Connective(_Node):
-    """A connective node: ``result`` and ``arg`` operands, and a class-level ``_tag``."""
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self._tag, self.result._hash, self.arg._hash)))
-
-
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Atom(_Node):
     """A primitive type, named by a lowercase identifier."""
 
     name: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("atom", self.name)))
 
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Over(_Connective):
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class Over(_Node):
     """``result/arg``: a functor looking for ``arg`` on its right."""
 
-    _tag = "over"
     result: Formula
     arg: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Under(_Connective):
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class Under(_Node):
     """``arg\\result``: a functor looking for ``arg`` on its left."""
 
-    _tag = "under"
     arg: Formula
     result: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class LinImp(_Connective):
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class LinImp(_Node):
     """``arg -o result``: consumes ``arg`` anywhere in the antecedent."""
 
-    _tag = "linimp"
     arg: Formula
     result: Formula
 
@@ -205,7 +208,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.i = 0
-        self.atom = functools.cache(Atom)  # one object per primitive of the text
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -263,7 +265,7 @@ class _Parser:
     def atomic(self) -> Formula:
         kind, text, pos = self.next()
         if kind == "ident":
-            return self.atom(text)
+            return Atom(text)
         if kind == "lpar":
             inner = self.formula()
             self.expect("rpar")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,6 +91,24 @@ def test_prove_json_deep_formula(capsys):
     code, out, _ = run(capsys, "prove", text, "--output", "json")
     assert code == 1
     assert parse_sequent(json.loads(out)["sequent"]) == parse_sequent(text)
+
+
+def test_prove_too_many_atoms_is_an_input_error(capsys):
+    text = ", ".join(["a"] * 32_767) + " => a"
+    code, out, err = run(capsys, "prove", text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sequents with 32768 or more atom occurrences are not supported\n"
+
+
+@pytest.mark.parametrize("module", ["lambek", "lambek.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "prove", "a => b"], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "not derivable\n", "")
 
 
 def test_prove_budget_exhausted_json(capsys):

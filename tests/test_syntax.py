@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,6 +27,7 @@ from lambek import (
     parse_sequent,
     subformulas,
 )
+from lambek.syntax import _nodes
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -211,21 +215,54 @@ def _deep_formula(depth: int, leaf: Atom) -> Formula:
 
 def test_deep_equality_needs_no_recursion():
     f, g = _deep_formula(20_000, a), _deep_formula(20_000, a)
-    assert f is not g
     assert f == g and not f != g
     assert {f: 1}[g] == 1
-    # A copy with one other leaf differs in hash at every level; with the
-    # stored hashes made to agree, the walk must reach the leaves.
     h = _deep_formula(20_000, c)
-    assert f != h
-    x, y = f, h
-    while True:
-        object.__setattr__(y, "_hash", x._hash)
-        if isinstance(x, Atom):
-            break
-        x, y = (x.result, y.result) if isinstance(x, Over) else (x.arg, y.arg)
-    assert hash(f) == hash(h)
     assert f != h and not f == h
+    assert h not in {f: 1}
+
+
+def test_parsed_and_constructed_formulas_are_one_object():
+    f = parse_formula("a/(b -o c)")
+    assert f is Over(a, LinImp(b, c))
+    assert f is Over(result=a, arg=LinImp(arg=b, result=c))
+    assert f is Over(a, arg=LinImp(b, result=c))
+    assert f is Over(Atom(name="a"), LinImp(Atom("b"), Atom("c")))
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert g is f
+
+
+def test_constructors_check_their_operands():
+    for bad in (lambda: Over(a), lambda: Over(a, b, c), lambda: Over(a, b, arg=c), lambda: Under(a, res=b)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_construction_from_many_threads_gives_one_object():
+    # Texts of formulas no longer alive, so that each thread's parse races to insert them.
+    texts = [format_formula(random_formula(random.Random(i), depth=6)) for i in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            runs = [pool.submit(lambda: [parse_formula(t) for t in texts]) for _ in range(6)]
+            results = [r.result(timeout=60) for r in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for formulas in results[1:]:
+        assert all(f is g for f, g in zip(formulas, results[0]))
+
+
+def test_dropped_formulas_leave_the_table():
+    gc.collect()
+    size = len(_nodes)
+    f = _deep_formula(20_000, Atom("leaf"))
+    n = 6_000
+    chain = parse_sequent("b" + "/a" * n + " => " + "a -o " * n + "b")
+    assert len(_nodes) > size + 20_000
+    del f, chain
+    gc.collect()
+    assert len(_nodes) == size
 
 
 def test_connective_count_of_a_deep_formula():
