@@ -39,26 +39,26 @@ __all__ = [
 
 CountVector = dict[str, int]
 
-_counts_cache: dict[Formula, CountVector] = {}
-
 
 def formula_counts(f: Formula) -> CountVector:
-    """Count vector of ``f``; primitives with count zero are omitted."""
-    cached = _counts_cache.get(f)
-    if cached is not None:
-        return cached
-    if isinstance(f, Atom):
-        vec = {f.name: 1}
-    else:
-        vec = dict(formula_counts(f.result))
-        for name, n in formula_counts(f.arg).items():
-            new = vec.get(name, 0) - n
-            if new:
-                vec[name] = new
+    """Count vector of ``f``; primitives with count zero are omitted.
+
+    By the recurrence, each atom occurrence counts +1, or -1 when it lies
+    inside an odd number of arguments.
+    """
+    vec: CountVector = {}
+    stack = [(f, 1)]
+    while stack:
+        g, sign = stack.pop()
+        # Down the result side: an atomic argument counts at once, others wait.
+        while type(g) is not Atom:
+            if type(g.arg) is Atom:
+                vec[g.arg.name] = vec.get(g.arg.name, 0) - sign
             else:
-                vec.pop(name, None)
-    _counts_cache[f] = vec
-    return vec
+                stack.append((g.arg, -sign))
+            g = g.result
+        vec[g.name] = vec.get(g.name, 0) + sign
+    return {name: n for name, n in vec.items() if n}
 
 
 def count(f: Formula, primitive: str) -> int:

@@ -137,6 +137,7 @@ def _balanced_assignments(entries, target, skipped, stop=None):
     """
     n = len(entries)
     sizes = [math.prod(len(e) for e in entries[i:]) for i in range(n + 1)]
+    counts = {f: formula_counts(f) for f in set(itertools.chain(*entries))}
 
     suffix: list[set | None] = [None] * (n + 1)
     suffix[n] = {_vkey({})}
@@ -148,7 +149,7 @@ def _balanced_assignments(entries, target, skipped, stop=None):
         for f in entries[i]:
             if stop is not None and time.monotonic() > stop:
                 raise TimeoutError
-            vec = formula_counts(f)
+            vec = counts[f]
             for key in prev:
                 merged = dict(key)
                 for name, k in vec.items():
@@ -195,7 +196,7 @@ def _balanced_assignments(entries, target, skipped, stop=None):
                 prefix.pop()
             continue
         residual = dict(residuals[-1])
-        for name, k in formula_counts(f).items():
+        for name, k in counts[f].items():
             new = residual.get(name, 0) - k
             if new:
                 residual[name] = new

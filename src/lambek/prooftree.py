@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -62,6 +63,12 @@ class Rule(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+
+# The search, the proof walks here and the -o and slash chains of the
+# parser need no recursion, but two things still recurse: the json module
+# twice per proof level (a node's dict and its premises list), and
+# syntax._Parser once per level of parentheses.
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 _ARITY = {
     Rule.AX: 0,
@@ -258,12 +265,10 @@ def proof_from_json_text(text: str) -> ProofTree:
 def render_proof(t: ProofTree) -> str:
     """Indented tree, one node per line, rule names right-aligned."""
     rows: list[tuple[str, str]] = []
-
-    def walk(node: ProofTree, depth: int) -> None:
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
         rows.append(("  " * depth + format_sequent(node.conclusion), node.rule.value))
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(t, 0)
+        stack += ((p, depth + 1) for p in reversed(node.premises))
     width = max(len(text) for text, _ in rows) + 3
     return "\n".join(f"{text:<{width}}{rule:>4}" for text, rule in rows)

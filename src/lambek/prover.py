@@ -18,6 +18,15 @@ The search is depth-first and backward, with two refutation filters
 (the primitive count invariant, and the discipline that -o is only
 usable in positive positions, read off ``analysis._occurrences``, the
 one polarity walk) plus a per-query memo table over search states.
+It is one loop, ``_Search._search``, that backtracks over the options
+of each state with its frames on a list, so no depth runs into the
+recursion limit.  It has two modes.  ``prove`` and
+``grammar.recognize`` commit: a state keeps its first result, and
+solved and failed states go to the memo.  ``enumerate_proofs``
+resumes the loop after each result and memoizes only the states that
+have no proof at all.  A state more than ``_MAX_DEPTH`` (10,000) rule
+levels deep stops the search like the node budget and the deadline:
+BudgetExceededError, "unknown".
 
 Right rules come first, and alone.  /R, \\R and -oR are invertible: if
 ``G => A/B`` has a proof ending in a left rule, that rule's right
@@ -67,7 +76,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
@@ -89,7 +97,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
+# The search gives up (BudgetExceededError) on a state deeper than this
+# many rule levels, as it does at its node budget and deadline.
+_MAX_DEPTH = 10_000
 
 
 class CalculusMode(enum.Enum):
@@ -123,10 +133,10 @@ class SearchStats:
 
 
 class BudgetExceededError(RuntimeError):
-    """Search hit its node budget; derivability is unknown."""
+    """Search hit its node budget, deadline or depth bound; derivability is unknown."""
 
     def __init__(self, stats: SearchStats):
-        super().__init__(f"search budget exhausted after {stats.nodes_expanded} nodes")
+        super().__init__(f"search gave up after {stats.nodes_expanded} nodes (node budget, deadline or depth bound)")
         self.stats = stats
 
 
@@ -243,7 +253,7 @@ class _Search:
     def run(self, s: Sequent) -> ProofTree | None:
         if not self._admissible(s):
             return None
-        result = self._solve(tuple(s.antecedent), 0, s.succedent, 1)
+        result = next(self._search(s, True), None)
         if result is None:
             return None
         tree, mask = result
@@ -255,7 +265,7 @@ class _Search:
             return []
         out: list[ProofTree] = []
         seen: set[ProofTree] = set()
-        for tree, mask in self._enum(tuple(s.antecedent), 0, s.succedent, 1):
+        for tree, mask in self._search(s, False):
             assert not any(mask)
             if tree not in seen:
                 seen.add(tree)
@@ -300,18 +310,31 @@ class _Search:
         return entry
 
     def _vec(self, f: Formula) -> int:
-        """Packed count vector of ``f``, cached with all its subformulas'."""
-        v = self._packed.get(f)
-        if v is None:
-            if isinstance(f, Atom):
+        """Packed count vector of ``f``, cached with all its subformulas'.
+
+        New subformulas are ranked in post-order, result before argument.
+        """
+        packed, rank = self._packed, self._rank
+        if f in packed:
+            return packed[f]
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in packed:
+                continue
+            if type(g) is Atom:
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
-                v = self._unit(f)
+                packed[g] = self._unit(g)
             else:
-                v = self._vec(f.result) - self._vec(f.arg)
-            self._packed[f] = v
-            self._rank[f] = len(self._rank)
-        return v
+                r, a = g.result, g.arg
+                if r in packed and a in packed:
+                    packed[g] = packed[r] - packed[a]
+                else:
+                    stack += (g, a, r)  # the result first, then the argument, then g
+                    continue
+            rank[g] = len(rank)
+        return packed[f]
 
     def _unit(self, f: Formula) -> int:
         """The bag holding one ``f``: a one in the lane of ``f``, given out on first use.
@@ -329,7 +352,7 @@ class _Search:
                 self._compound_bits |= _LANE_MASK * u
         return u
 
-    # -- core recursion -------------------------------------------------------
+    # -- the search engine ----------------------------------------------------
 
     def _expand(self, depth: int) -> None:
         """Count a node expanded at ``depth``, or raise once a limit is hit."""
@@ -338,53 +361,84 @@ class _Search:
             stats.nodes_expanded - self._baseline >= self.budget or time.monotonic() > self.deadline
         ):
             raise BudgetExceededError(stats)
-        stats.nodes_expanded += 1
         if depth > stats.max_depth:
+            if depth > _MAX_DEPTH:
+                raise BudgetExceededError(stats)
             stats.max_depth = depth
+        stats.nodes_expanded += 1
 
-    def _solve(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, depth: int) -> Result | None:
-        key = (fixed, bag, succ)
-        memo = self.memo
-        result = memo.get(key, memo)  # the memo itself marks a miss
-        if result is not memo:
-            self.stats.cache_hits += 1
-            return result
-        self._expand(depth)
+    def _search(self, s: Sequent, commit: bool) -> Iterator[Result]:
+        """Results for the root goal ``s``, by backtracking over ``_options``.
 
-        result = None
-        for children, is_rule, recombine in self._options(fixed, bag, succ):
-            child_depth = depth + 1 if is_rule else depth
-            solved: list[Result] = []
-            for child in children:
-                r = self._solve(*child, child_depth)
-                if r is None:
+        A task ``(state, depth, rest)`` solves a state, and a task
+        ``((state, recombine, premises), None, rest)`` concludes an option
+        whose premises are solved, their results on top.  The tasks still
+        to do and the results not yet used are linked lists, so a choice
+        point (the options left at a state, or the results left at a
+        conclusion) saves both as they are.  With ``commit``, a state
+        keeps its first result: its choice point, the newest one since
+        each premise dropped its own, is dropped, and solved and failed
+        states go to the memo.  Without, the loop resumes after each
+        root result and memoizes only the states that have no proof.
+        """
+        memo, points, proved = self.memo, [], set()
+        stats, expand, options = self.stats, self._expand, self._options
+        todo = ((tuple(s.antecedent), 0, s.succedent), 1, None)
+        results = None
+        while True:
+            if todo is None:
+                yield results[0]
+            else:
+                state, depth, todo = todo
+                if depth is not None:
+                    r = memo.get(state, memo)  # the memo itself marks a miss
+                    if r is memo:
+                        expand(depth)
+                        points.append((options(*state), todo, results, state, depth))
+                    else:
+                        stats.cache_hits += 1
+                        if r is not None:
+                            results = (r, results)
+                            continue
+                else:
+                    state, recombine, premises = state
+                    if premises == 2:
+                        r2, (r1, results) = results
+                        rs = [r1, r2]
+                    elif premises:
+                        r1, results = results
+                        rs = [r1]
+                    else:
+                        rs = []
+                    if commit:
+                        points.pop()
+                        r = memo[state] = next(recombine(rs))
+                        results = (r, results)
+                        continue
+                    proved.add(state)
+                    points.append((recombine(rs), todo, results, None, None))
+            # Backtrack: take the next alternative of the newest choice point.
+            while points:
+                alternatives, todo, results, state, depth = points[-1]
+                x = next(alternatives, None)
+                if x is None:
+                    points.pop()
+                    if state is not None and (commit or state not in proved):
+                        memo[state] = None
+                elif state is None:
+                    results = (x, results)
                     break
-                solved.append(r)
+                else:
+                    children, is_rule, recombine = x
+                    todo = ((state, recombine, len(children)), None, todo)
+                    depth += is_rule
+                    if children:  # one or two premises, solved in order
+                        todo = (children[-1], depth, todo)
+                        if len(children) == 2:
+                            todo = (children[0], depth, todo)
+                    break
             else:
-                result = next(recombine(solved), None)
-                assert result is not None
-                break
-        memo[key] = result
-        return result
-
-    def _enum(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, depth: int) -> Iterator[Result]:
-        self._expand(depth)
-        for children, is_rule, recombine in self._options(fixed, bag, succ):
-            child_depth = depth + 1 if is_rule else depth
-            if not children:
-                yield from recombine([])
-            elif len(children) == 1:
-                for r in self._enum(*children[0], child_depth):
-                    yield from recombine([r])
-            else:
-                seconds: list[Result] | None = None
-                for r1 in self._enum(*children[0], child_depth):
-                    if seconds is None:
-                        seconds = list(self._enum(*children[1], child_depth))
-                    if not seconds:
-                        break
-                    for r2 in seconds:
-                        yield from recombine([r1, r2])
+                return
 
     # -- option generation ----------------------------------------------------
 
@@ -573,9 +627,10 @@ def prove(
 
     Returns the first proof in canonical search order, or None when the
     search space is exhausted without one.  Raises BudgetExceededError
-    after ``budget`` node expansions; that outcome means "unknown", not
-    "underivable".  Raises ValueError for a sequent of 32,768 or more
-    atom occurrences, too many for the packed count vectors.
+    after ``budget`` node expansions, or on a state more than 10,000 rule
+    levels deep; that outcome means "unknown", not "underivable".  Raises
+    ValueError for a sequent of 32,768 or more atom occurrences, too many
+    for the packed count vectors.
     """
     search = _Search(mode, budget)
     tree = search.run(s)
@@ -595,7 +650,7 @@ def enumerate_proofs(
     sequent whose succedent's right rule exists in ``mode``.  Every
     derivable sequent has such a proof (module docstring), but proofs
     that differ from one only by a left rule below a right rule are not
-    returned.
+    returned.  Raises BudgetExceededError as ``prove`` does.
     """
     search = _Search(mode, budget)
     return search.enumerate(s, limit)

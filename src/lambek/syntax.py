@@ -227,11 +227,12 @@ class _Parser:
         return self.linimp()
 
     def linimp(self) -> Formula:
-        left = self.slash()
-        if self.peek()[0] == "linimp":
+        # Collect the chain first; "-o" associates to the right.
+        items = [self.slash()]
+        while self.peek()[0] == "linimp":
             self.next()
-            return LinImp(left, self.linimp())
-        return left
+            items.append(self.slash())
+        return _fold_right(LinImp, items)
 
     def slash(self) -> Formula:
         head = self.atomic()
@@ -256,10 +257,7 @@ class _Parser:
                 raise FormulaSyntaxError(
                     "cannot mix '/' and '\\' without parentheses", self.peek()[2]
                 )
-            result = items[-1]
-            for item in reversed(items[:-1]):
-                result = Under(item, result)
-            return result
+            return _fold_right(Under, items)
         return head
 
     def atomic(self) -> Formula:
@@ -271,6 +269,14 @@ class _Parser:
             self.expect("rpar")
             return inner
         raise FormulaSyntaxError(f"expected a formula, found {text!r}", pos)
+
+
+def _fold_right(cls: type[Under] | type[LinImp], items: list[Formula]) -> Formula:
+    """``cls(items[0], cls(items[1], ...))``, a right-associative chain; empties ``items``."""
+    result = items.pop()
+    while items:
+        result = cls(items.pop(), result)
+    return result
 
 
 def parse_formula(text: str) -> Formula:

@@ -17,14 +17,17 @@ against itself:
   whose counts balance but that are often underivable, and
   ``zero_linimp_sequent`` for balanced sequents with -o in either
   polarity,
-* ``all_valid_instances``, every small 3-partition instance.
+* ``all_valid_instances``, every small 3-partition instance,
+* ``recursion_limit``, to show that a walk does not recurse per level.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import random
+import sys
 
 from lambek import (
     Atom,
@@ -489,3 +492,17 @@ def all_valid_instances(max_m: int, max_target: int):
             for sizes in itertools.product(range(low, high + 1), repeat=3 * m):
                 if sum(sizes) == m * target:
                     yield ThreePartitionInstance(m, target, sizes)
+
+
+@contextlib.contextmanager
+def recursion_limit(frames: int):
+    """Run the body with the recursion limit ``frames`` above the current stack depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import chain_sequent, forward_proof, mutate_proof, naive_check
+from helpers import chain_sequent, forward_proof, mutate_proof, naive_check, recursion_limit
 from lambek import (
     Atom,
     CalculusMode,
@@ -162,6 +162,24 @@ def test_render_proof():
     assert lines[1].startswith("  ")
     assert all(len(line.rstrip()) <= len(lines[0]) for line in lines)
     assert {line.split()[-1] for line in lines} == {"/L", "Ax"}
+
+
+def _recursive_rows(node: ProofTree, depth: int = 0):
+    yield "  " * depth + format_sequent(node.conclusion), node.rule.value
+    for p in node.premises:
+        yield from _recursive_rows(p, depth + 1)
+
+
+def test_render_proof_does_not_recurse_per_level():
+    tree, _ = prove(chain_sequent(300), SDL)
+    assert tree.depth() == 601
+    # The recursive walk that render_proof replaced, as the reference.
+    rows = list(_recursive_rows(tree))
+    width = max(len(text) for text, _ in rows) + 3
+    expected = "\n".join(f"{text:<{width}}{rule:>4}" for text, rule in rows)
+    with recursion_limit(50):
+        text = render_proof(tree)
+    assert text == expected
 
 
 def test_nodes_and_counts():

@@ -93,6 +93,12 @@ def test_prove_json_deep_formula(capsys):
     assert parse_sequent(json.loads(out)["sequent"]) == parse_sequent(text)
 
 
+def test_prove_deeper_than_the_depth_bound_is_unknown(capsys):
+    # Its one proof has depth 12,001, past the search's bound of 10,000.
+    code, out, _ = run(capsys, "prove", "b" + "/a" * 6000 + " => " + "a -o " * 6000 + "b")
+    assert (code, out) == (3, "unknown (budget exhausted)\n")
+
+
 def test_prove_too_many_atoms_is_an_input_error(capsys):
     text = ", ".join(["a"] * 32_767) + " => a"
     code, out, err = run(capsys, "prove", text)

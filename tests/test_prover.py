@@ -19,6 +19,7 @@ from helpers import (
     oracle_counts,
     random_formula,
     random_sequent,
+    recursion_limit,
     reference_violations,
     shuffled_sequent,
     zero_linimp_sequent,
@@ -376,6 +377,31 @@ def test_enumerate_proofs_of_a_deep_chain():
     assert len(trees) == 1
     assert trees[0].conclusion == s and trees[0].depth() == 5001
     assert check_proof(trees[0], SDL)
+
+
+def test_search_does_not_recurse_per_level():
+    s = chain_sequent(1000)  # parsed before the limit is lowered
+    with recursion_limit(100):
+        tree, _ = prove(s, SDL)
+        trees = enumerate_proofs(s, SDL, limit=1)
+    assert tree.depth() == 2001 and trees == [tree]
+
+
+def test_search_deeper_than_the_bound_is_unknown():
+    with pytest.raises(BudgetExceededError) as e:
+        prove(chain_sequent(6000), SDL)
+    assert e.value.stats.max_depth == prover._MAX_DEPTH == 10_000
+
+
+def test_depth_bound_is_exact(monkeypatch):
+    # The chain of length n has one proof, of depth 2n + 1.
+    monkeypatch.setattr(prover, "_MAX_DEPTH", 101)
+    tree, stats = prove(chain_sequent(50), SDL)
+    assert tree.depth() == stats.max_depth == 101
+    with pytest.raises(BudgetExceededError):
+        prove(chain_sequent(51), SDL)
+    with pytest.raises(BudgetExceededError):
+        enumerate_proofs(chain_sequent(51), SDL)
 
 
 def test_budget_exhaustion():

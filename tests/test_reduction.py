@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from lambek import (
     validate_instance,
 )
 from lambek.grammar import _balanced_assignments, _entries
+from lambek.syntax import _nodes
 
 GOOD = ThreePartitionInstance(1, 12, (4, 4, 4))
 TWO = ThreePartitionInstance(2, 16, (5, 5, 6, 5, 6, 5))
@@ -169,6 +171,20 @@ def test_unsolvable_instances_cost_no_search():
     # every assignment is unbalanced, so the prover never runs
     assert r.stats.nodes_expanded == 0
     assert r.stats.pruned_by_count == 2 ** 6
+
+
+def test_recognizing_reductions_leaves_no_formulas_behind():
+    # Nothing in the count filter or the search outlives a query, so the
+    # reductions' formulas leave the intern table once the caller drops them.
+    gc.collect()
+    size = len(_nodes)
+    more = [ThreePartitionInstance(1, 24, (7, 8, 9)), ThreePartitionInstance(2, 20, (6, 7, 7, 6, 7, 7))]
+    for inst in [GOOD, TWO, *more]:
+        grammar, word = build_reduction(inst)
+        assert recognize(grammar, word, CalculusMode.SDL).member
+        del grammar, word
+        gc.collect()
+        assert len(_nodes) == size, inst
 
 
 def test_instance_json_round_trip():

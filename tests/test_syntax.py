@@ -253,6 +253,13 @@ def test_construction_from_many_threads_gives_one_object():
         assert all(f is g for f, g in zip(formulas, results[0]))
 
 
+def test_long_linimp_chain_parses_without_recursion():
+    text = "a -o " * 20_000 + "b"
+    f = parse_formula(text)
+    assert connective_count(f) == 20_000
+    assert format_formula(f) == text
+
+
 def test_dropped_formulas_leave_the_table():
     gc.collect()
     size = len(_nodes)
