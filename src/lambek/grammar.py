@@ -15,9 +15,11 @@ starts a comment)::
 
 Membership enumerates type assignments in lexicographic order of the
 lexicon entries.  Assignments whose count vectors cannot balance are
-skipped wholesale (the count invariant makes them underivable), with a
-suffix-sum table so that entire prefixes of the assignment product can
-be discarded at once.
+skipped wholesale (the count invariant makes them underivable): a table
+per prefix length holds the residual count vectors that the rest of the
+word can still supply, so entire prefixes of the assignment product can
+be discarded at once.  The tables are grown from both ends of the word
+until they meet in the middle.
 """
 
 from __future__ import annotations
@@ -110,20 +112,108 @@ def _vkey(vec: dict[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(vec.items()))
 
 
-# A suffix table past this size is dropped, admitting every prefix that
-# ends there.  On the m = 5 reduction instance 7 5 5 5 5 6 5 6 6 5 5 5 5 5 5,
-# N = 16, the tables from position 0 hold 188,825, 188,825, 47,775, 35,035,
-# 25,025, ... residuals, so the cap drops exactly the first two: the filter
-# then peaks at 135 MiB under tracemalloc instead of 375 MiB, in half the time.
+def _shift(key: tuple[tuple[str, int], ...], vec: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """The key of the count vector ``key`` plus ``vec``."""
+    merged = dict(key)
+    for name, k in vec.items():
+        new = merged.get(name, 0) + k
+        if new:
+            merged[name] = new
+        else:
+            del merged[name]
+    return _vkey(merged)
+
+
+# A table is built only while it stays within this size.  When the next
+# table of the cheaper side would pass it, the front tables are dropped
+# and every prefix shorter than the back tables reach is admitted.
+#
+# On the m = 5 reduction instance 7 5 5 5 5 6 5 6 6 5 5 5 5 5 5, N = 16
+# (times on CPython 3.11, one core of a 2-core host), the sides meet at
+# position 8 with 3,150 residuals each and none in common, after 19,466
+# merges: the filter refutes the instance in 0.1 s, with a 7 MiB
+# tracemalloc peak.  Tables grown from the end alone hold 188,825
+# residuals at positions 0 and 1, so the cap dropped those two; building
+# the rest took about 543,000 merges, 3.2 s and 136 MiB.  With 5 5 6
+# appended (m = 6) the sides meet at position 9 with 29,862 and 27,027
+# residuals, after 197,329 merges, 1.4 s and 70 MiB; at m = 7 the next
+# table passes the cap.
 #
 # On the reduction's grammars count balance alone decides the instance:
 # some assignment survives this filter exactly when a partition exists
 # (test_count_filter_decides_small_instances).  That does not make the
-# filter a pseudo-polynomial 3-partition decider.  Its residual tables
-# grow with m, as the table sizes above show, and 3-partition is
-# NP-complete in the strong sense, so no decider polynomial in m and in
-# the unary sizes exists unless P = NP.
+# filter a pseudo-polynomial 3-partition decider.  Its tables at the
+# meeting point grow exponentially with m, as the sizes above show, and
+# 3-partition is NP-complete in the strong sense, so no decider
+# polynomial in m and in the unary sizes exists unless P = NP.
 _SUFFIX_CAP = 50_000
+
+
+def _tick(stop: float | None) -> None:
+    """Raise TimeoutError once ``time.monotonic()`` passes ``stop``, if given."""
+    if stop is not None and time.monotonic() > stop:
+        raise TimeoutError
+
+
+def _grow(table: set, vecs: list[dict[str, int]], stop: float | None) -> set | None:
+    """Every key of ``table`` shifted by every vector of ``vecs``, or None past the cap."""
+    out: set = set()
+    for vec in vecs:
+        _tick(stop)
+        for key in table:
+            out.add(_shift(key, vec))
+            if len(out) > _SUFFIX_CAP:
+                return None
+    return out
+
+
+def _residual_tables(entries, start, plus, minus, stop):
+    """``suffix[i]``: the residuals after ``i`` entries that ``entries[i:]`` can sum to.
+
+    Residuals are ``_vkey`` keys; ``start`` is the target's.
+    ``suffix[i]`` is None where the cap stopped the tables, and such a
+    prefix is admitted unchecked.  The tables meet in the middle, as in
+    Horowitz and Sahni's subset-sum algorithm: ``front[i]`` holds the
+    target minus the counts of each prefix of length ``i``, ``back[i]``
+    the counts of each assignment of ``entries[i:]``, and the side whose
+    next table is cheaper to build (table size times entry size) grows
+    until the two meet at ``k``.  Then ``suffix[k]`` is
+    ``front[k] & back[k]``; below ``k`` a front residual is kept when a
+    formula of its entry leads into the table above; above ``k``
+    ``suffix[i]`` is ``back[i]``.  Every table is exact on the residuals
+    that prefixes reach.
+    """
+    n = len(entries)
+    front: list[set] = [{start}]
+    suffix: list[set | None] = [None] * n + [{()}]  # suffix[hi:] holds back[hi:]
+    lo, hi = 0, n
+    while lo < hi:
+        if len(front[lo]) * len(entries[lo]) < len(suffix[hi]) * len(entries[hi - 1]):
+            table = _grow(front[lo], [minus[f] for f in entries[lo]], stop)
+            if table is None:
+                return suffix
+            front.append(table)
+            lo += 1
+        else:
+            table = _grow(suffix[hi], [plus[f] for f in entries[hi - 1]], stop)
+            if table is None:
+                return suffix
+            hi -= 1
+            suffix[hi] = table
+    suffix[hi] = front[hi] & suffix[hi]
+    for i in range(hi - 1, -1, -1):
+        above = suffix[i + 1]
+        if not above:
+            # No prefix of length i + 1 can be completed, so no shorter one can.
+            suffix[: i + 1] = [set()] * (i + 1)
+            break
+        rest = front[i]
+        for f in entries[i]:
+            _tick(stop)
+            vec = minus[f]
+            rest = [key for key in rest if _shift(key, vec) not in above]
+        suffix[i] = front[i].difference(rest)
+    return suffix
 
 
 def _balanced_assignments(entries, target, skipped, stop=None):
@@ -133,46 +223,23 @@ def _balanced_assignments(entries, target, skipped, stop=None):
     were discarded.  Enumeration order matches ``assignments``.  Raises
     TimeoutError once ``time.monotonic()`` passes ``stop``; the clock is
     read only when ``stop`` is given, once per lexicon entry of a table
-    and once per finished prefix.
+    built or pruned and once per finished prefix.
     """
     n = len(entries)
     sizes = [math.prod(len(e) for e in entries[i:]) for i in range(n + 1)]
-    counts = {f: formula_counts(f) for f in set(itertools.chain(*entries))}
+    plus = {f: formula_counts(f) for f in set(itertools.chain(*entries))}
+    minus = {f: {name: -k for name, k in vec.items()} for f, vec in plus.items()}
+    start = _vkey(target)
+    suffix = _residual_tables(entries, start, plus, minus, stop)
 
-    suffix: list[set | None] = [None] * (n + 1)
-    suffix[n] = {_vkey({})}
-    for i in range(n - 1, -1, -1):
-        prev = suffix[i + 1]
-        if prev is None:
-            break
-        acc: set = set()
-        for f in entries[i]:
-            if stop is not None and time.monotonic() > stop:
-                raise TimeoutError
-            vec = counts[f]
-            for key in prev:
-                merged = dict(key)
-                for name, k in vec.items():
-                    new = merged.get(name, 0) + k
-                    if new:
-                        merged[name] = new
-                    else:
-                        del merged[name]
-                acc.add(_vkey(merged))
-                if len(acc) > _SUFFIX_CAP:
-                    break
-            if len(acc) > _SUFFIX_CAP:
-                break
-        suffix[i] = acc if len(acc) <= _SUFFIX_CAP else None
-
-    def admit(i: int, residual: dict[str, int]) -> bool:
+    def admit(i: int, residual: tuple[tuple[str, int], ...]) -> bool:
         """Whether ``i`` entries can be followed by ones summing to ``residual``.
 
         ``suffix[n]`` is never capped, so a full assignment is admitted
         only when it reaches ``target``.
         """
         ss = suffix[i]
-        if ss is not None and _vkey(residual) not in ss:
+        if ss is not None and residual not in ss:
             skipped[0] += sizes[i]
             return False
         return True
@@ -180,28 +247,21 @@ def _balanced_assignments(entries, target, skipped, stop=None):
     # Depth-first over prefixes, as a loop: a generator that called
     # itself through a closure would be a reference cycle, keeping the
     # tables of every query alive until the cyclic collector runs.
-    if not admit(0, target):
+    if not admit(0, start):
         return
     prefix: list[Formula] = []
-    residuals: list[dict[str, int]] = [target]
+    residuals = [start]
     choices = [iter(entries[0])]
     while choices:
         f = next(choices[-1], None)
         if f is None:
-            if stop is not None and time.monotonic() > stop:
-                raise TimeoutError
+            _tick(stop)
             choices.pop()
             residuals.pop()
             if prefix:
                 prefix.pop()
             continue
-        residual = dict(residuals[-1])
-        for name, k in counts[f].items():
-            new = residual.get(name, 0) - k
-            if new:
-                residual[name] = new
-            else:
-                residual.pop(name, None)
+        residual = _shift(residuals[-1], minus[f])
         i = len(prefix) + 1
         if not admit(i, residual):
             continue

@@ -78,7 +78,7 @@ import functools
 import itertools
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule

@@ -32,7 +32,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
-from typing import Iterator, Union
+from collections.abc import Iterator
 
 __all__ = [
     "Atom",
@@ -152,7 +152,7 @@ class LinImp(_Node):
     result: Formula
 
 
-Formula = Union[Atom, Over, Under, LinImp]
+Formula = Atom | Over | Under | LinImp
 
 
 @dataclass(frozen=True, slots=True)

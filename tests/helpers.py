@@ -10,6 +10,8 @@ against itself:
 * random formula and sequent generators,
 * ``brute_force_splits``, every way to split a pending multiset by
   counts, for the prover's split routine,
+* ``brute_force_balanced``, every assignment whose counts sum to a
+  target, for the grammar's count filter,
 * ``reference_violations``, a recursive reading of the -o input
   checks, for ``validate_input``,
 * ``naive_derivable``, a plain positional sequent search, for the
@@ -318,6 +320,28 @@ def brute_force_splits(bag, need: dict[str, int]) -> list[tuple]:
         if {name: n for name, n in total.items() if n} == want:
             taken = dict(zip(order, picks))
             out.append(tuple((f, taken[i]) for i, (f, _) in enumerate(bag) if taken[i]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force balanced assignments (the oracle for the grammar's count filter)
+# ---------------------------------------------------------------------------
+
+
+def brute_force_balanced(entries, target: dict[str, int]) -> list[tuple]:
+    """Every assignment of one formula per entry whose counts sum to ``target``.
+
+    Assignments come in the order of ``itertools.product(*entries)``.
+    """
+    want = {name: n for name, n in target.items() if n}
+    out = []
+    for assignment in itertools.product(*entries):
+        total: dict[str, int] = {}
+        for f in assignment:
+            for name, n in oracle_counts(f).items():
+                total[name] = total.get(name, 0) + n
+        if {name: n for name, n in total.items() if n} == want:
+            out.append(assignment)
     return out
 
 

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
+import random
 import time
 
 import pytest
 
+from helpers import ATOMS, brute_force_balanced, oracle_counts, random_formula
 from lambek import (
     CalculusMode,
     Cfg,
@@ -28,6 +31,7 @@ from lambek import (
     parse_formula,
     recognize,
 )
+from lambek import grammar
 
 L, SDL, SDLM = CalculusMode.L, CalculusMode.SDL, CalculusMode.SDL_MINUS
 
@@ -272,16 +276,71 @@ def test_deadline_is_enforced_inside_the_search():
 
 
 def test_deadline_is_enforced_inside_the_count_filter():
-    # Without a deadline the filter alone runs for seconds on this
-    # instance before the first assignment reaches the search.
-    inst = ThreePartitionInstance(5, 16, (7, 5, 5, 5, 5, 6, 5, 6, 6, 5, 5, 5, 5, 5, 5))
+    # Without a deadline the filter alone takes about a second to refute
+    # this instance (no triple can hold the 7), so the deadline trips
+    # while the tables are built, before any assignment reaches the search.
+    inst = ThreePartitionInstance(6, 16, (7, 5, 5, 5, 5, 6, 5, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 6))
     red = build_reduction(inst)
     t0 = time.perf_counter()
     r = recognize(red.grammar, red.word, SDL, deadline=0.1)
-    assert time.perf_counter() - t0 < 1.0
+    assert time.perf_counter() - t0 < 0.5
     assert r.budget_exhausted and not r.member
+    assert r.stats.nodes_expanded == 0
 
 
 def test_nan_deadline_is_rejected():
     with pytest.raises(ValueError, match="deadline"):
         recognize(anbncn_grammar(), ["a", "b", "c"], SDL, deadline=float("nan"))
+
+
+def _filter_input(rng: random.Random) -> tuple[list[tuple], dict[str, int]]:
+    """Entries drawn from a small pool, so formulas and whole entries repeat."""
+    pool = [random_formula(rng, 2) for _ in range(rng.randint(1, 6))]
+    kinds = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+    entries = [rng.choice(kinds) for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.3:
+        return entries, {rng.choice(ATOMS): rng.choice((1, -1))}
+    # The counts of one assignment, so that at least one survives.
+    target: dict[str, int] = {}
+    for entry in entries:
+        for name, n in oracle_counts(rng.choice(entry)).items():
+            target[name] = target.get(name, 0) + n
+    return entries, {name: n for name, n in target.items() if n}
+
+
+def _summed(formulas, start: dict[str, int] | None = None, sign: int = 1):
+    """``grammar._vkey`` of ``start`` plus ``sign`` times the counts of ``formulas``."""
+    total = dict(start or {})
+    for f in formulas:
+        for name, n in oracle_counts(f).items():
+            total[name] = total.get(name, 0) + sign * n
+    return grammar._vkey({name: n for name, n in total.items() if n})
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 8])
+def test_count_filter_matches_brute_force(cap, monkeypatch):
+    # With the cap at 0, 1 or 8 the tables often stop growing before
+    # they meet, so the walk runs on the back tables alone.
+    if cap is not None:
+        monkeypatch.setattr(grammar, "_SUFFIX_CAP", cap)
+    built = []
+    real = grammar._residual_tables
+    monkeypatch.setattr(grammar, "_residual_tables", lambda *args: built.append(real(*args)) or built[-1])
+    rng = random.Random(41)
+    for _ in range(300):
+        entries, target = _filter_input(rng)
+        expected = brute_force_balanced(entries, target)
+        skipped = [0]
+        assert list(grammar._balanced_assignments(entries, target, skipped)) == expected
+        assert skipped[0] == math.prod(map(len, entries)) - len(expected)
+        # Every table that was built is exact on the prefixes that reach
+        # it, and under the real cap these small inputs build them all.
+        tables = built.pop()
+        assert cap is not None or None not in tables
+        for i, table in enumerate(tables):
+            if table is None:
+                continue
+            sums = {_summed(rest) for rest in itertools.product(*entries[i:])}
+            for prefix in itertools.product(*entries[:i]):
+                residual = _summed(prefix, target, -1)
+                assert (residual in table) is (residual in sums)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,25 @@ def test_unsolvable_instances_cost_no_search():
     # every assignment is unbalanced, so the prover never runs
     assert r.stats.nodes_expanded == 0
     assert r.stats.pruned_by_count == 2 ** 6
+
+
+def test_count_filter_alone_refutes_the_m5_instance():
+    # 7 + 5 + 5 > 16, so no triple holds the 7 and no assignment balances.
+    # Tables grown from both ends refute it before any prefix is walked,
+    # within a fraction of the 136 MiB that tables grown from the end
+    # alone took.
+    inst = ThreePartitionInstance(5, 16, (7, 5, 5, 5, 5, 6, 5, 6, 6, 5, 5, 5, 5, 5, 5))
+    grammar, word = build_reduction(inst)
+    tracemalloc.start()
+    try:
+        r = recognize(grammar, word, CalculusMode.SDL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not r.member and not r.budget_exhausted
+    assert r.stats.nodes_expanded == 0
+    assert r.stats.pruned_by_count == 5 ** 15
+    assert peak < 32 * 2 ** 20
 
 
 def test_recognizing_reductions_leaves_no_formulas_behind():

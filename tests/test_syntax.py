@@ -4,14 +4,18 @@ import copy
 import dataclasses
 import gc
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from helpers import random_formula
+import lambek
 from lambek import (
     Atom,
     Formula,
@@ -278,3 +282,33 @@ def test_connective_count_of_a_deep_formula():
         f = CONNECTIVES[i % 3](f, b)
     assert connective_count(f) == 20_000
     assert connective_count(Sequent((f, f), a)) == 40_000
+
+
+_FRESH_IMPORTS_SCRIPT = """
+import gc, importlib, sys
+
+def live_node_classes():
+    gc.collect()
+    return sum(
+        1 for o in gc.get_objects()
+        if isinstance(o, type) and o.__name__ == "_Node" and o.__module__ == "lambek.syntax"
+    )
+
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "lambek" or m.startswith("lambek.")]:
+        del sys.modules[name]
+    importlib.import_module("lambek")
+    print(live_node_classes())
+"""
+
+
+def test_fresh_imports_leave_no_classes_behind():
+    # A module-level alias subscripted through typing (Union[...],
+    # typing.Callable[...]) sits in typing's caches, which would keep each
+    # dropped import's classes, and every function that refers to them, alive.
+    src = str(Path(lambek.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORTS_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["1", "1", "1"]
