@@ -40,10 +40,36 @@ inside ``T``, so the left rule applies again and -oR, whose
 hypothesis may be inserted at any position, finishes.  Hence when the
 succedent's right rule exists in the mode, the search tries only that
 rule (with the materializations /R and \\R need first, below) and no
-left rule; left rules are tried for atomic succedents and for those
-whose right rule the mode lacks.  The right-rule option always came
-first, so the first proof found is the same as with the left options
-tried after it; ``enumerate_proofs`` finds right-first proofs only.
+left rule.
+
+The left phase is focused (Andreoli 1992; for L this is the normal
+form of Hepple 1990 and Hendriks 1993, free of spurious ambiguity).
+A state carries a focus: the fixed position of the formula under
+focus, or -1.  An unfocused state picks a functor, fixed or pending;
+/L or \\L on it has an unfocused left premise ``T => B`` and a right
+premise focused on the functor's result.  A focused state decomposes that
+formula and no other: /L or \\L on a slash, Ax on an atom that is the
+whole antecedent with nothing pending, nothing on a -o.  This is
+complete.  A state stands for every interleaving of its bag into its
+fixed part, and each interleaving is a sequent of L with -oR added.
+Right rules and -oR are invertible and already run first, so a state
+reaches the left phase only with a succedent that is an atom or whose
+right rule the mode lacks.  On each interleaving, left focusing is
+complete for L: without products, /L and \\L are the only rules that
+are not invertible, and a proof can be permuted so that the right
+premise of each left rule decomposes that rule's result next, while
+its left premise starts afresh.  All atoms are negative, so such a
+chain can only end in Ax on the whole antecedent: a functor is worth
+trying only when its head, the atom reached from it by following
+results through / and \\, is the succedent.  A succedent that is not an
+atom gets no left option at all, which is right: Ax is atomic and left
+rules keep the succedent.  Pending formulas still float in a focused
+state: the spans of the chain's left rules may take them, and its Ax
+needs the bag empty.  The first proof found is one of these focused,
+right-first proofs, and ``enumerate_proofs`` lists one proof per
+focused normal form.  ``SearchStats.pruned_by_count`` counts the spans
+scanned and rejected by the count test, so only those of the functors
+tried: the head filter and the focus leave the others unscanned.
 
 -oR is the one rule whose backward reading branches over positions.
 To keep it tractable the searcher does not commit to an insertion
@@ -177,17 +203,19 @@ def _unusable(f: Formula, positive: bool, mode: CalculusMode) -> bool:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# A state is (fixed, pending, succedent): `fixed` is the positionally
-# committed part of the antecedent, `pending` a multiset of formulas
-# stripped by -oR whose position is not yet committed.  The state
-# stands for every interleaving of `pending` into `fixed`.  A pending
-# multiset is a Bag: one int holding each pending formula's multiplicity
-# in that formula's lane (_Search._unit), so the empty bag is 0.  Count
-# vectors are zero on the lanes of compound formulas.
+# A state is (fixed, pending, succedent, focus): `fixed` is the
+# positionally committed part of the antecedent, `pending` a multiset
+# of formulas stripped by -oR whose position is not yet committed, and
+# `focus` the position in `fixed` of the formula under focus, or -1 for
+# an unfocused state.  The state stands for every interleaving of
+# `pending` into `fixed`.  A pending multiset is a Bag: one int holding
+# each pending formula's multiplicity in that formula's lane
+# (_Search._unit), so the empty bag is 0.  Count vectors are zero on
+# the lanes of compound formulas.
 # ---------------------------------------------------------------------------
 
 Bag = int
-State = tuple[tuple[Formula, ...], Bag, Formula]
+State = tuple[tuple[Formula, ...], Bag, Formula, int]
 
 # A solved state: the proof tree for one concrete interleaving, plus a
 # mask telling which antecedent positions of its conclusion came from
@@ -236,6 +264,9 @@ class _Search:
         self.new_budget_window()
         # Packed count vector of every subformula of the goals seen so far.
         self._packed: dict[Formula, int] = {}
+        # The head of each of them: the atom (or -o) reached from it by
+        # following the result through / and \.
+        self._heads: dict[Formula, Formula] = {}
         # The bag unit of every formula with a lane, in order of its lane
         # (see _unit), and the compound ones among them, in _rank order.
         self._units: dict[Formula, int] = {}
@@ -314,7 +345,7 @@ class _Search:
 
         New subformulas are ranked in post-order, result before argument.
         """
-        packed, rank = self._packed, self._rank
+        packed, rank, heads = self._packed, self._rank, self._heads
         if f in packed:
             return packed[f]
         stack = [f]
@@ -326,10 +357,12 @@ class _Search:
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
                 packed[g] = self._unit(g)
+                heads[g] = g
             else:
                 r, a = g.result, g.arg
                 if r in packed and a in packed:
                     packed[g] = packed[r] - packed[a]
+                    heads[g] = g if type(g) is LinImp else heads[r]
                 else:
                     stack += (g, a, r)  # the result first, then the argument, then g
                     continue
@@ -383,7 +416,7 @@ class _Search:
         """
         memo, points, proved = self.memo, [], set()
         stats, expand, options = self.stats, self._expand, self._options
-        todo = ((tuple(s.antecedent), 0, s.succedent), 1, None)
+        todo = ((tuple(s.antecedent), 0, s.succedent, -1), 1, None)
         results = None
         while True:
             if todo is None:
@@ -442,15 +475,24 @@ class _Search:
 
     # -- option generation ----------------------------------------------------
 
-    def _options(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
+    def _options(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, focus: int) -> Iterator[_Option]:
         mode = self.mode
-        # Ax: the antecedent is the succedent's atom alone, committed or pending.
+        # Ax: the antecedent is the succedent's atom alone, committed or
+        # pending.  A focused state's succedent is an atom, and its
+        # antecedent is never empty.
         if isinstance(succ, Atom) and (fixed == (succ,) and not bag or not fixed and bag == self._packed[succ]):
 
             def ax(_: list[Result], f: Formula = succ, pending: bool = not fixed) -> Iterator[Result]:
                 yield ProofTree(Rule.AX, Sequent((f,), f)), (pending,)
 
             yield [], True, ax
+        if focus >= 0:
+            # Keep decomposing the formula under focus; an atom there had
+            # Ax or nothing, and a -o has no left rule.
+            functor = fixed[focus]
+            if isinstance(functor, (Over, Under)):
+                yield from self._left(fixed, bag, succ, [(functor, focus)])
+            return
 
         # The succedent's right rule is invertible (module docstring), so
         # when it applies, no left option at this state is needed.
@@ -460,7 +502,7 @@ class _Search:
                 return
             # The argument joins the antecedent at the end the slash faces.
             over = isinstance(succ, Over)
-            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, 0, succ.result)
+            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, 0, succ.result, -1)
             rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
 
             def directional_r(
@@ -485,10 +527,19 @@ class _Search:
                             mask[:k] + mask[k + 1 :],
                         )
 
-            yield [(fixed, bag, succ.result)], True, linimp_r
+            yield [(fixed, bag, succ.result, -1)], True, linimp_r
             return
 
-        yield from self._left(fixed, bag, succ)
+        # Left rules, fixed functors in order and then pending ones, on
+        # those whose head is the succedent: a focused chain ends in Ax
+        # on its head (module docstring), so a succedent that is not an
+        # atom has none.
+        heads = self._heads
+        functors = [(f, i) for i, f in enumerate(fixed) if heads[f] is succ and f is not succ]
+        if bag & self._compound_bits:
+            functors += [(g, -1) for g, u in self._compounds if heads[g] is succ and bag & _LANE_MASK * u]
+        if functors:
+            yield from self._left(fixed, bag, succ, functors)
 
     def _materializations(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """Commit one pending formula to a concrete position.
@@ -502,7 +553,7 @@ class _Search:
         for f in sorted((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__):
             rest = bag - units[f]
             for p in range(len(fixed) + 1):
-                child = (fixed[:p] + (f,) + fixed[p:], rest, succ)
+                child = (fixed[:p] + (f,) + fixed[p:], rest, succ, -1)
 
                 def fix_mask(rs: list[Result], p: int = p) -> Iterator[Result]:
                     tree, mask = rs[0]
@@ -530,25 +581,21 @@ class _Search:
             if not (residual | (full - residual)) & high:
                 yield residual + take
 
-    def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
-        """/L and \\L on each functor: the fixed ones in order, then the pending ones.
+    def _left(
+        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: list[tuple[Formula, int]]
+    ) -> Iterator[_Option]:
+        """/L and \\L on each of ``functors``: (formula, fixed position, or -1 if pending).
 
-        The left premise ``T => functor.arg`` takes a span ``fixed[lo:hi]``
-        next to the functor, plus the pending formulas whose counts make
-        up the rest of the argument's: the span's need.  A fixed
-        functor's span grows away from it; a pending functor may land at
-        any ``lo``, its span then growing rightwards.  Prefix sums of the
-        fixed counts are built once per state, so a need is one
-        subtraction; with no compound pending, the lane test alone
-        decides the one take, the need itself.
+        The left premise ``T => functor.arg`` is unfocused, and the right
+        premise is focused on the functor's result.  ``T`` takes a span
+        ``fixed[lo:hi]`` next to the functor, plus the pending formulas
+        whose counts make up the rest of the argument's: the span's
+        need.  A fixed functor's span grows away from it; a pending
+        functor may land at any ``lo``, its span then growing
+        rightwards.  Prefix sums of the fixed counts are built once per
+        state, so a need is one subtraction; with no compound pending,
+        the lane test alone decides the one take, the need itself.
         """
-        functors = [(f, i) for i, f in enumerate(fixed) if isinstance(f, (Over, Under))]
-        if bag & self._compound_bits:
-            functors += [
-                (g, None) for g, u in self._compounds if isinstance(g, (Over, Under)) and bag & _LANE_MASK * u
-            ]
-        if not functors:
-            return
         packed = self._packed
         n = len(fixed)
         sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
@@ -562,7 +609,7 @@ class _Search:
         stats = self.stats
         pruned = 0
         for functor, i in functors:
-            pending = i is None
+            pending = i < 0
             full = bag
             if pending:
                 # The functor's own copy is not in its premises' bag.
@@ -585,8 +632,8 @@ class _Search:
                         found = True
                         # p2 replaces the functor and its span by the result.
                         a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
-                        p1 = (fixed[lo:hi], take, arg)
-                        p2 = (fixed[:a] + (res,) + fixed[b:], full - take, succ)
+                        p1 = (fixed[lo:hi], take, arg, -1)
+                        p2 = (fixed[:a] + (res,) + fixed[b:], full - take, succ, a)
                         # The search may stop at this yield: count the spans scanned so far.
                         stats.pruned_by_count += pruned
                         pruned = 0
@@ -646,11 +693,14 @@ def enumerate_proofs(
 ) -> list[ProofTree]:
     """Up to ``limit`` distinct proofs of ``s`` in canonical search order.
 
-    Only right-first proofs are enumerated: no left rule concludes a
-    sequent whose succedent's right rule exists in ``mode``.  Every
-    derivable sequent has such a proof (module docstring), but proofs
-    that differ from one only by a left rule below a right rule are not
-    returned.  Raises BudgetExceededError as ``prove`` does.
+    One proof per focused normal form is enumerated.  It is right-first:
+    no left rule concludes a sequent whose succedent's right rule exists
+    in ``mode``.  It is focused: the right premise of a left rule
+    decomposes the functor's result, down to Ax on its head atom.  Every
+    derivable sequent has such proofs (module docstring), but proofs
+    that differ from one only in the order of independent rules are
+    not returned: ``a/a, a/a, a => a`` has one, ``a/a, a, a\\a => a``
+    two.  Raises BudgetExceededError as ``prove`` does.
     """
     search = _Search(mode, budget)
     return search.enumerate(s, limit)

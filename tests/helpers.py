@@ -463,22 +463,28 @@ def _replace(f: Formula, path: tuple[str, ...], new: Formula) -> Formula:
 def shuffled_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
     """A count-balanced sequent: a forward-generated one, usually mutated.
 
-    Three in four are mutated, each by swapping two antecedent formulas
-    or by turning one slash round somewhere.  Neither edit changes any
-    primitive's count, so the count filter alone cannot refute the result.
+    Three in four are mutated by ``swap_or_flip``, so the count filter
+    alone cannot refute the result.
     """
     s = forward_proof(rng, mode).conclusion
+    return swap_or_flip(rng, s) if rng.random() < 0.75 else s
+
+
+def swap_or_flip(rng: random.Random, s: Sequent) -> Sequent:
+    """``s`` with two antecedent formulas swapped or one slash turned round somewhere.
+
+    Neither edit changes any primitive's count.
+    """
     ant, succ = list(s.antecedent), s.succedent
-    if rng.random() < 0.75:
-        if len(ant) >= 2 and rng.random() < 0.5:
-            i, j = rng.sample(range(len(ant)), 2)
-            ant[i], ant[j] = ant[j], ant[i]
+    if len(ant) >= 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(len(ant)), 2)
+        ant[i], ant[j] = ant[j], ant[i]
+    else:
+        k = rng.randrange(len(ant) + 1)
+        if k == len(ant):
+            succ = _flip_slashes(rng, succ)
         else:
-            k = rng.randrange(len(ant) + 1)
-            if k == len(ant):
-                succ = _flip_slashes(rng, succ)
-            else:
-                ant[k] = _flip_slashes(rng, ant[k])
+            ant[k] = _flip_slashes(rng, ant[k])
     return Sequent(tuple(ant), succ)
 
 

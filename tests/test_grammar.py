@@ -248,9 +248,9 @@ def test_membership_leaves_no_cyclic_garbage():
     assert freed < 1_000
 
 
-# One assignment of a^8 b^8 c^8 in the anbncn grammar, as a grammar with
+# One assignment of a^n b^n c^n in the anbncn grammar, as a grammar with
 # one type per terminal: the count filter passes it, and the search
-# takes about 1,500 nodes and half a second to refute it.
+# refutes it.  At n = 26 that takes about 3,100 nodes and 0.6 s.
 HARD_ASSIGNMENT = """
 start: x
 a: x/(c -o b -o x)
@@ -260,7 +260,7 @@ b_last: y/b/z
 c: z/c/z
 c_last: z/c
 """
-HARD_WORD = ["a"] * 7 + ["a_last"] + ["b"] * 7 + ["b_last", "c", "c_last"] + ["c"] * 6
+HARD_WORD = ["a"] * 25 + ["a_last"] + ["b"] * 25 + ["b_last", "c", "c_last"] + ["c"] * 24
 
 
 def test_deadline_is_enforced_inside_the_search():

@@ -22,6 +22,7 @@ from helpers import (
     recursion_limit,
     reference_violations,
     shuffled_sequent,
+    swap_or_flip,
     zero_linimp_sequent,
 )
 from lambek import (
@@ -305,9 +306,11 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     # The order in which pending formulas are materialized ahead of /R
     # and \R decides which proof is found first and how many nodes it
     # takes.  The digest was recorded from the search that kept pending
-    # atoms as (atom, multiplicity) pairs, on the first 200 sequents whose
-    # sdl search materializes two or more distinct pending formulas.  Each
-    # is proved in sdl- as well, where left rules split the same bags.
+    # atoms as (atom, multiplicity) pairs, and re-recorded (the same under
+    # PYTHONHASHSEED 0 and 1) when the left phase became focused, on the
+    # first 200 sequents whose sdl search materializes two or more
+    # distinct pending formulas.  Each is proved in sdl- as well, where
+    # left rules split the same bags.
     materialized = set()
     real = prover._Search._materializations
 
@@ -336,20 +339,50 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
             line = [str(s), str(mode), stats.as_dict(), tree and proof_to_json_text(tree)]
             digest.update(json.dumps(line).encode() + b"\n")
     assert tried < 300
-    assert digest.hexdigest() == "7f7bf6c9f8b313c88b54230a1fda612e16ae6c496309a6bd663d7e124e7dcbaf"
+    assert digest.hexdigest() == "0de58b07e156491e7fa2c8fcdcfe3612a748dcf6ce35c30b4347ea30c54545ad"
 
 
 def test_enumerate_proofs():
-    s = parse_sequent("a/a, a/a, a => a")
-    trees = enumerate_proofs(s, L, limit=10)
-    assert len(trees) == 2
-    assert len(set(trees)) == 2
-    for t in trees:
-        assert t.conclusion == s
-        assert check_proof(t, L)
+    # One proof per focused normal form.  Both readings of two a/a are
+    # f(g(x)); with a/a on the left and a\a on the right of x, f(g(x))
+    # and g(f(x)) are two readings.
+    for text, count in (("a/a, a/a, a => a", 1), ("a/a, a, a\\a => a", 2)):
+        s = parse_sequent(text)
+        trees = enumerate_proofs(s, L, limit=10)
+        assert len(trees) == len(set(trees)) == count, text
+        for t in trees:
+            assert t.conclusion == s
+            assert check_proof(t, L)
     assert len(enumerate_proofs(parse_sequent("a/b, b => a"), L, limit=10)) == 1
     assert enumerate_proofs(parse_sequent("a => b"), SDL, limit=10) == []
-    assert len(enumerate_proofs(s, L, limit=1)) == 1
+    assert len(enumerate_proofs(parse_sequent("a/a, a, a\\a => a"), L, limit=1)) == 1
+
+
+def _functor_index(node) -> int:
+    """Antecedent position of the functor a /L or \\L node decomposes."""
+    q, n = node.split
+    return q if node.rule is Rule.OVER_L else q + n
+
+
+def test_enumerated_proofs_are_focused():
+    # The right premise of a left rule keeps decomposing the functor's
+    # result, at the position it takes there, down to Ax on its head.
+    rng = random.Random(18)
+    chained = 0
+    for mode in CalculusMode:
+        for _ in range(200):
+            for tree in enumerate_proofs(forward_proof(rng, mode).conclusion, mode, limit=10):
+                for node in tree.nodes():
+                    if node.rule not in (Rule.OVER_L, Rule.UNDER_L):
+                        continue
+                    right = node.premises[1]
+                    if right.rule is Rule.AX:
+                        assert right.conclusion.antecedent == (node.conclusion.antecedent[_functor_index(node)].result,)
+                    else:
+                        assert right.rule in (Rule.OVER_L, Rule.UNDER_L), tree
+                        assert _functor_index(right) == node.split[0], tree
+                        chained += 1
+    assert chained > 100
 
 
 def test_enumerated_proofs_are_right_first():
@@ -367,6 +400,14 @@ def test_enumerated_proofs_are_right_first():
                         assert not (isinstance(succ, (Over, Under)) and mode.has_directional_right), tree
                         assert not (isinstance(succ, LinImp) and mode.has_linimp_right), tree
     assert left_nodes > 1000
+
+
+def test_no_left_rule_below_a_missing_right_rule():
+    # In sdl- a slash succedent has no right rule, and every left chain
+    # ends in Ax on an atom, so the root has no option and no span is scanned.
+    tree, stats = prove(parse_sequent("x/c/b, b => x/c"), SDLM)
+    assert tree is None
+    assert stats.nodes_expanded == 1 and stats.pruned_by_count == 0
 
 
 def test_enumerate_proofs_of_a_deep_chain():
@@ -449,6 +490,51 @@ def test_prove_agrees_with_naive_search():
             assert (tree is not None) == expected, (mode, str(s))
             verdicts.append(expected)
     assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000
+
+
+def _pending_functor_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
+    """A forward-generated sequent with one antecedent slash formula ``B`` moved into ``B -o A``.
+
+    ``B`` then pends, and is a functor left rules may take from the bag.
+    Half are mutated by ``swap_or_flip``, which keeps the counts and
+    often the derivability too.
+    """
+    while True:
+        s = forward_proof(rng, mode).conclusion
+        slashes = [k for k, f in enumerate(s.antecedent) if isinstance(f, (Over, Under))]
+        if len(s.antecedent) >= 2 and slashes:
+            break
+    ant = list(s.antecedent)
+    succ = LinImp(ant.pop(rng.choice(slashes)), s.succedent)
+    s = Sequent(tuple(ant), succ)
+    return swap_or_flip(rng, s) if rng.random() < 0.5 else s
+
+
+def test_pending_functors_agree_with_naive_search(monkeypatch):
+    # Left rules on a functor taken from the bag, and the chains focused
+    # on its result, against the positional oracle in every mode.
+    pending_tries = 0
+    real = prover._Search._left
+
+    def spy(self, fixed, bag, succ, functors):
+        nonlocal pending_tries
+        pending_tries += sum(i < 0 for _, i in functors)
+        return real(self, fixed, bag, succ, functors)
+
+    monkeypatch.setattr(prover._Search, "_left", spy)
+    rng = random.Random(22)
+    verdicts = []
+    for k in range(600):
+        s = _pending_functor_sequent(rng, (L, SDL, SDLM)[k % 3])
+        for mode in CalculusMode:
+            tree, _ = prove(s, mode)
+            expected = naive_derivable(s, mode)
+            assert (tree is not None) == expected, (mode, str(s))
+            if tree is not None:
+                assert tree.conclusion == s and check_proof(tree, mode)
+            verdicts.append(expected)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 900
+    assert pending_tries > 1000
 
 
 def test_mode_monotonicity_spot():
