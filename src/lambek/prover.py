@@ -65,11 +65,21 @@ results through / and \\, is the succedent.  A succedent that is not an
 atom gets no left option at all, which is right: Ax is atomic and left
 rules keep the succedent.  Pending formulas still float in a focused
 state: the spans of the chain's left rules may take them, and its Ax
-needs the bag empty.  The first proof found is one of these focused,
-right-first proofs, and ``enumerate_proofs`` lists one proof per
-focused normal form.  ``SearchStats.pruned_by_count`` counts the spans
-scanned and rejected by the count test, so only those of the functors
-tried: the head filter and the focus leave the others unscanned.
+needs the bag empty.  Where the formula under focus sits matters too.
+The span of a \\ argument on its chain takes formulas on its left, that
+of a / argument formulas on its right, and the chain must end on the
+whole antecedent.  So a chain with no \\ argument can end only from
+fixed position 0, one with no / argument only from the last position,
+and one on an atom only with nothing pending (``_Search._can_end``).  A
+fixed functor that fails this is not tried, and a left rule whose right
+premise would fail it is not yielded, so its left premise is never
+searched.  The first proof found is one of these focused, right-first
+proofs, and ``enumerate_proofs`` lists one proof per focused normal
+form.  ``SearchStats.pruned_by_count`` counts the spans scanned and
+rejected by the count test, so only those of the functors tried: the
+head filter, the position test and the focus leave the others
+unscanned, and a span the count test passes is not counted even when
+the position test then drops its right premise.
 
 -oR is the one rule whose backward reading branches over positions.
 To keep it tractable the searcher does not commit to an insertion
@@ -240,6 +250,12 @@ _LANE_BITS = 16
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
 
+# The sides of a formula's result chain (_Search._sides): whether the
+# chain has a \ argument, whose span takes fixed formulas on its left,
+# and whether it has a / argument, whose span takes those on its right.
+_LEFT_ARG = 1
+_RIGHT_ARG = 2
+
 
 def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
     """Index of the p-th positionally committed entry under ``mask``."""
@@ -267,6 +283,9 @@ class _Search:
         # The head of each of them: the atom (or -o) reached from it by
         # following the result through / and \.
         self._heads: dict[Formula, Formula] = {}
+        # The sides of each of them, _LEFT_ARG | _RIGHT_ARG: which slashes
+        # that result chain passes through on the way to the head.
+        self._sides: dict[Formula, int] = {}
         # The bag unit of every formula with a lane, in order of its lane
         # (see _unit), and the compound ones among them, in _rank order.
         self._units: dict[Formula, int] = {}
@@ -277,7 +296,7 @@ class _Search:
         # formulas are read off a bag in this order, so the search order
         # does not depend on the per-process hash of strings.
         self._rank: dict[Formula, int] = {}
-        self._root_table: dict[tuple[Formula, bool], tuple[int, bool]] = {}  # see _root
+        self._root_table: dict[tuple[Formula, bool], tuple[int, bool, int]] = {}  # see _root
 
     # -- public entry points ------------------------------------------------
 
@@ -314,21 +333,25 @@ class _Search:
     # -- admissibility of a root goal ----------------------------------------
 
     def _admissible(self, s: Sequent) -> bool:
-        roots = [self._root(f, positive) for f, _, _, positive in _roots(s)]
+        # The antecedent's packed vectors come first, as ranks follow first sight.
+        atoms, usable, lhs = 0, True, 0
+        for f in s.antecedent:
+            a, u, v = self._root(f, False)
+            atoms, usable, lhs = atoms + a, usable and u, lhs + v
+        a, u, rhs = self._root(s.succedent, True)
         # Every lane of every count vector in the search is a sum over
         # distinct atom occurrences of the root, so their total bounds
         # them all.
-        if sum(atoms for atoms, _ in roots) >= _LANE_HALF:
+        if atoms + a >= _LANE_HALF:
             raise ValueError(f"sequents with {_LANE_HALF} or more atom occurrences are not supported")
-        vec = self._vec
-        if sum(map(vec, s.antecedent)) != vec(s.succedent):
+        if lhs != rhs:
             self.stats.pruned_by_count += 1
             return False
         # Subgoals inherit usable -o's, so the root check suffices.
-        return all(usable for _, usable in roots)
+        return usable and u
 
-    def _root(self, f: Formula, positive: bool) -> tuple[int, bool]:
-        """(atom occurrences, whether every -o is usable) of a root ``f`` of that polarity."""
+    def _root(self, f: Formula, positive: bool) -> tuple[int, bool, int]:
+        """(atom occurrences, whether every -o is usable, packed count vector) of a root ``f`` of that polarity."""
         entry = self._root_table.get((f, positive))
         if entry is None:
             atoms, usable = 0, True
@@ -337,7 +360,7 @@ class _Search:
                     atoms += 1
                 elif _unusable(g, g_positive, self.mode):
                     usable = False
-            entry = self._root_table[f, positive] = (atoms, usable)
+            entry = self._root_table[f, positive] = (atoms, usable, self._vec(f))
         return entry
 
     def _vec(self, f: Formula) -> int:
@@ -345,7 +368,7 @@ class _Search:
 
         New subformulas are ranked in post-order, result before argument.
         """
-        packed, rank, heads = self._packed, self._rank, self._heads
+        packed, rank, heads, sides = self._packed, self._rank, self._heads, self._sides
         if f in packed:
             return packed[f]
         stack = [f]
@@ -357,17 +380,32 @@ class _Search:
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
                 packed[g] = self._unit(g)
-                heads[g] = g
+                heads[g], sides[g] = g, 0
             else:
                 r, a = g.result, g.arg
                 if r in packed and a in packed:
                     packed[g] = packed[r] - packed[a]
-                    heads[g] = g if type(g) is LinImp else heads[r]
+                    if type(g) is LinImp:
+                        heads[g], sides[g] = g, 0
+                    else:
+                        heads[g] = heads[r]
+                        sides[g] = sides[r] | (_RIGHT_ARG if type(g) is Over else _LEFT_ARG)
                 else:
                     stack += (g, a, r)  # the result first, then the argument, then g
                     continue
             rank[g] = len(rank)
         return packed[f]
+
+    def _can_end(self, f: Formula, i: int, n: int, bag: Bag) -> bool:
+        """Whether a chain focused on ``f`` at fixed position ``i`` of ``n``, with ``bag`` pending, can end in Ax.
+
+        It must end on the whole antecedent with an empty bag.  Only the
+        span of a \\ argument on the chain takes the fixed formulas left of
+        ``f``, only that of a / argument those right of it, and an atom
+        takes nothing more.
+        """
+        sides = self._sides[f]
+        return bool((sides & _LEFT_ARG or not i) and (sides & _RIGHT_ARG or i == n - 1) and (sides or not bag))
 
     def _unit(self, f: Formula) -> int:
         """The bag holding one ``f``: a one in the lane of ``f``, given out on first use.
@@ -533,9 +571,12 @@ class _Search:
         # Left rules, fixed functors in order and then pending ones, on
         # those whose head is the succedent: a focused chain ends in Ax
         # on its head (module docstring), so a succedent that is not an
-        # atom has none.
-        heads = self._heads
-        functors = [(f, i) for i, f in enumerate(fixed) if heads[f] is succ and f is not succ]
+        # atom has none.  A fixed functor must also be able to end from
+        # where it sits.
+        heads, can_end, n = self._heads, self._can_end, len(fixed)
+        functors = [
+            (f, i) for i, f in enumerate(fixed) if heads[f] is succ and f is not succ and can_end(f, i, n, bag)
+        ]
         if bag & self._compound_bits:
             functors += [(g, -1) for g, u in self._compounds if heads[g] is succ and bag & _LANE_MASK * u]
         if functors:
@@ -605,7 +646,7 @@ class _Search:
         # neither int has a lane's top bit set: a negative int sets the
         # top bit of its highest negative lane.  Count vectors are zero
         # on the compound lanes, where ``full`` is never negative.
-        high = self._high
+        high, can_end = self._high, self._can_end
         stats = self.stats
         pruned = 0
         for functor, i in functors:
@@ -630,8 +671,11 @@ class _Search:
                         if lo == hi and not take:
                             continue
                         found = True
-                        # p2 replaces the functor and its span by the result.
+                        # p2 replaces the functor and its span by the result,
+                        # and is dead unless its chain can end from there.
                         a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
+                        if not can_end(res, a, n - b + a + 1, full - take):
+                            continue
                         p1 = (fixed[lo:hi], take, arg, -1)
                         p2 = (fixed[:a] + (res,) + fixed[b:], full - take, succ, a)
                         # The search may stop at this yield: count the spans scanned so far.

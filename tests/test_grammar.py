@@ -250,7 +250,7 @@ def test_membership_leaves_no_cyclic_garbage():
 
 # One assignment of a^n b^n c^n in the anbncn grammar, as a grammar with
 # one type per terminal: the count filter passes it, and the search
-# refutes it.  At n = 26 that takes about 3,100 nodes and 0.6 s.
+# refutes it.  At n = 58 that takes about 3,800 nodes and 0.6 s.
 HARD_ASSIGNMENT = """
 start: x
 a: x/(c -o b -o x)
@@ -260,7 +260,7 @@ b_last: y/b/z
 c: z/c/z
 c_last: z/c
 """
-HARD_WORD = ["a"] * 25 + ["a_last"] + ["b"] * 25 + ["b_last", "c", "c_last"] + ["c"] * 24
+HARD_WORD = ["a"] * 57 + ["a_last"] + ["b"] * 57 + ["b_last", "c", "c_last"] + ["c"] * 56
 
 
 def test_deadline_is_enforced_inside_the_search():

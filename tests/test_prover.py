@@ -307,8 +307,10 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     # and \R decides which proof is found first and how many nodes it
     # takes.  The digest was recorded from the search that kept pending
     # atoms as (atom, multiplicity) pairs, and re-recorded (the same under
-    # PYTHONHASHSEED 0 and 1) when the left phase became focused, on the
-    # first 200 sequents whose sdl search materializes two or more
+    # PYTHONHASHSEED 0 and 1) when the left phase became focused, and
+    # again when focused chains that cannot end from their position were
+    # dropped (fewer spans scanned and nodes expanded, the same proofs),
+    # on the first 200 sequents whose sdl search materializes two or more
     # distinct pending formulas.  Each is proved in sdl- as well, where
     # left rules split the same bags.
     materialized = set()
@@ -339,7 +341,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
             line = [str(s), str(mode), stats.as_dict(), tree and proof_to_json_text(tree)]
             digest.update(json.dumps(line).encode() + b"\n")
     assert tried < 300
-    assert digest.hexdigest() == "0de58b07e156491e7fa2c8fcdcfe3612a748dcf6ce35c30b4347ea30c54545ad"
+    assert digest.hexdigest() == "875ef6479c8467608e1def1d5d18b238ba250b235c7ca2907f3491df08036f91"
 
 
 def test_enumerate_proofs():
@@ -408,6 +410,93 @@ def test_no_left_rule_below_a_missing_right_rule():
     tree, stats = prove(parse_sequent("x/c/b, b => x/c"), SDLM)
     assert tree is None
     assert stats.nodes_expanded == 1 and stats.pruned_by_count == 0
+
+
+@pytest.mark.parametrize(
+    "text, sides",
+    [
+        ("a", ""),
+        ("a/b", "/"),
+        ("b\\a", "\\"),
+        ("(b\\a)/c", "\\/"),
+        ("c -o a", ""),
+        ("(a/b)\\c", "\\"),
+        ("(c -o a)/b", "/"),
+    ],
+)
+def test_chain_sides(text, sides):
+    # Only the slashes on the way from the formula to its head count,
+    # not those inside an argument or under a -o.
+    search = prover._Search(SDL)
+    f = parse_formula(text)
+    search._vec(f)
+    assert search._sides[f] == ("\\" in sides) * prover._LEFT_ARG + ("/" in sides) * prover._RIGHT_ARG
+
+
+def _chain_can_end(f, i: int, n: int, bag: int) -> bool:
+    """Whether a chain focused on ``f``, at fixed position ``i`` of ``n``, can end in Ax.
+
+    Only a \\ argument on the way to the head takes the fixed formulas
+    on its left, only a / argument those on its right, and Ax needs the
+    bag empty.
+    """
+    slashes = set()
+    while isinstance(f, (Over, Under)):
+        slashes.add(type(f))
+        f = f.result
+    return (i == 0 or Under in slashes) and (i == n - 1 or Over in slashes) and (bool(slashes) or not bag)
+
+
+def _head(f):
+    while isinstance(f, (Over, Under)):
+        f = f.result
+    return f
+
+
+@pytest.mark.parametrize("text", ["a, x/a/b, b => x", "a, b\\a\\x, b => x"])
+def test_functor_that_cannot_end_from_its_position_is_not_tried(text):
+    # x/a/b has no \ argument to take the a on its left, and b\a\x no
+    # / argument to take the b on its right: no span is scanned.
+    for mode in CalculusMode:
+        tree, stats = prove(parse_sequent(text), mode)
+        assert tree is None
+        assert stats.nodes_expanded == 1 and stats.pruned_by_count == 0
+
+
+def test_no_focused_state_whose_chain_cannot_end(monkeypatch):
+    # Every fixed functor handed to the left rules, and every focused
+    # right premise created, can end from its position; the fixed
+    # functors headed by the succedent that cannot were left out.
+    skipped = 0
+    real_options, real_left = prover._Search._options, prover._Search._left
+
+    def spy_options(self, fixed, bag, succ, focus):
+        nonlocal skipped
+        if focus < 0:
+            n = len(fixed)
+            skipped += sum(
+                _head(f) is succ and f is not succ and not _chain_can_end(f, i, n, bag) for i, f in enumerate(fixed)
+            )
+        for option in real_options(self, fixed, bag, succ, focus):
+            children = option[0]
+            if len(children) == 2:
+                ant, rest, _, a = children[1]
+                assert _chain_can_end(ant[a], a, len(ant), rest), (fixed, succ, children[1])
+            yield option
+
+    def spy_left(self, fixed, bag, succ, functors):
+        for f, i in functors:
+            assert i < 0 or _chain_can_end(f, i, len(fixed), bag), (fixed, succ, f, i)
+        return real_left(self, fixed, bag, succ, functors)
+
+    monkeypatch.setattr(prover._Search, "_options", spy_options)
+    monkeypatch.setattr(prover._Search, "_left", spy_left)
+    rng = random.Random(23)
+    for k in range(300):
+        mode = (L, SDL, SDLM)[k % 3]
+        for s in (shuffled_sequent(rng, mode), _pending_functor_sequent(rng, mode)):
+            prove(s, mode)
+    assert skipped > 400
 
 
 def test_enumerate_proofs_of_a_deep_chain():
