@@ -11,13 +11,12 @@ every primitive, which makes the count vector a cheap refutation test.
 
 Polarity assigns + to the succedent root and - to every antecedent
 root; the result side of a connective keeps its parent's polarity and
-the argument side flips it.  That rule is written once, in the
-iterative walk ``_occurrences`` (with ``_roots`` for the roots), and
-nothing caches its answers.  Linear implication is only usable in
+the argument side flips it.  Linear implication is only usable in
 positive positions (there is no left rule for it), so negative
-occurrences are reported by ``polarity_report``, flagged by the
-prover's input validation and refuted by its root check, all three
-read off that walk.
+occurrences are reported by ``polarity_report`` and flagged by the
+prover's input validation, both off the walk ``_occurrences`` (with
+``_roots`` for the roots), and refuted by the prover's root check off
+the tables ``prover._Search._vec`` fills, one walk per formula.
 """
 
 from __future__ import annotations

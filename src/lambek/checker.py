@@ -4,7 +4,7 @@
 schemas, using only the positional data stored on the node (split for
 the left rules, insert for -oR).  The schemas themselves are
 ``prooftree.premise_conclusions``, read through the walk the proof JSON
-and tree equality share, ``prooftree._preorder``; the checker adds the
+uses too, ``prooftree._preorder``; the checker adds the
 Ax condition and the mode's choice of right rules.  It shares no code
 with the search, walks the tree with an explicit stack in time linear
 in the size of the tree times the size of its sequents, and never

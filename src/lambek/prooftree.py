@@ -100,8 +100,7 @@ class ProofTree:
         _check_arity(self.rule, len(self.premises))
 
     def _key(self) -> list[tuple]:
-        # Rule data and every conclusion that is not implied; the rest follows.
-        return [(n.rule, n.split, n.insert, None if implied else n.conclusion) for n, implied in _preorder(self)]
+        return [(n.rule, n.split, n.insert, n.conclusion) for n in self.nodes()]
 
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if isinstance(other, ProofTree) else NotImplemented
@@ -181,8 +180,8 @@ def _preorder(t: ProofTree) -> Iterator[tuple[ProofTree, bool]]:
     """Each node of ``t`` in preorder, with whether its conclusion is implied:
     the one its parent's rule data give (never true of the root).
 
-    Proof JSON stores the conclusions that are not implied, equality and
-    hashing compare them, and a correct proof implies all but the root's.
+    Proof JSON stores the conclusions that are not implied, and a correct
+    proof implies all but the root's.
     """
     stack = [(t, False)]
     while stack:

@@ -16,11 +16,12 @@ not a rule; everything here is cut-free.
 
 The search is depth-first and backward, with two refutation filters
 (the primitive count invariant, and the discipline that -o is only
-usable in positive positions, read off ``analysis._occurrences``, the
-one polarity walk) plus a per-query memo table over search states.
-It is one loop, ``_Search._search``, that backtracks over the options
-of each state with its frames on a list, so no depth runs into the
-recursion limit.  It has two modes.  ``prove`` and
+usable in positive positions, both checked at the root off the
+tables ``_Search._vec`` fills in one walk per formula) plus a
+per-query memo table over search states.  It is one loop,
+``_Search._search``, that backtracks over the options of each state
+with its frames on a list, so no depth runs into the recursion limit.
+It has two modes.  ``prove`` and
 ``grammar.recognize`` commit: a state keeps its first result, and
 solved and failed states go to the memo.  ``enumerate_proofs``
 resumes the loop after each result and memoizes only the states that
@@ -250,6 +251,10 @@ _LANE_BITS = 16
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
 
+# The polarities of _Search._usable.
+_POSITIVE = 1
+_NEGATIVE = 2
+
 # The sides of a formula's result chain (_Search._sides): whether the
 # chain has a \ argument, whose span takes fixed formulas on its left,
 # and whether it has a / argument, whose span takes those on its right.
@@ -286,6 +291,10 @@ class _Search:
         # The sides of each of them, _LEFT_ARG | _RIGHT_ARG: which slashes
         # that result chain passes through on the way to the head.
         self._sides: dict[Formula, int] = {}
+        # The number of atom occurrences in each of them, and the
+        # polarities, _POSITIVE | _NEGATIVE, at which every -o inside is usable.
+        self._atoms: dict[Formula, int] = {}
+        self._usable: dict[Formula, int] = {}
         # The bag unit of every formula with a lane, in order of its lane
         # (see _unit), and the compound ones among them, in _rank order.
         self._units: dict[Formula, int] = {}
@@ -296,7 +305,6 @@ class _Search:
         # formulas are read off a bag in this order, so the search order
         # does not depend on the per-process hash of strings.
         self._rank: dict[Formula, int] = {}
-        self._root_table: dict[tuple[Formula, bool], tuple[int, bool, int]] = {}  # see _root
 
     # -- public entry points ------------------------------------------------
 
@@ -334,43 +342,31 @@ class _Search:
 
     def _admissible(self, s: Sequent) -> bool:
         # The antecedent's packed vectors come first, as ranks follow first sight.
-        atoms, usable, lhs = 0, True, 0
+        vec, atoms, usable = self._vec, self._atoms, self._usable
+        lhs, n, ok = 0, 0, _NEGATIVE  # antecedent roots are negative
         for f in s.antecedent:
-            a, u, v = self._root(f, False)
-            atoms, usable, lhs = atoms + a, usable and u, lhs + v
-        a, u, rhs = self._root(s.succedent, True)
+            lhs, n, ok = lhs + vec(f), n + atoms[f], ok & usable[f]
+        rhs = vec(s.succedent)
         # Every lane of every count vector in the search is a sum over
         # distinct atom occurrences of the root, so their total bounds
         # them all.
-        if atoms + a >= _LANE_HALF:
+        if n + atoms[s.succedent] >= _LANE_HALF:
             raise ValueError(f"sequents with {_LANE_HALF} or more atom occurrences are not supported")
         if lhs != rhs:
             self.stats.pruned_by_count += 1
             return False
         # Subgoals inherit usable -o's, so the root check suffices.
-        return usable and u
-
-    def _root(self, f: Formula, positive: bool) -> tuple[int, bool, int]:
-        """(atom occurrences, whether every -o is usable, packed count vector) of a root ``f`` of that polarity."""
-        entry = self._root_table.get((f, positive))
-        if entry is None:
-            atoms, usable = 0, True
-            for g, g_positive in _occurrences(f, positive):
-                if isinstance(g, Atom):
-                    atoms += 1
-                elif _unusable(g, g_positive, self.mode):
-                    usable = False
-            entry = self._root_table[f, positive] = (atoms, usable, self._vec(f))
-        return entry
+        return bool(ok and usable[s.succedent] & _POSITIVE)
 
     def _vec(self, f: Formula) -> int:
         """Packed count vector of ``f``, cached with all its subformulas'.
 
         New subformulas are ranked in post-order, result before argument.
         """
-        packed, rank, heads, sides = self._packed, self._rank, self._heads, self._sides
+        packed = self._packed
         if f in packed:
             return packed[f]
+        rank, heads, sides, atoms, usable = self._rank, self._heads, self._sides, self._atoms, self._usable
         stack = [f]
         while stack:
             g = stack.pop()
@@ -380,16 +376,21 @@ class _Search:
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
                 packed[g] = self._unit(g)
-                heads[g], sides[g] = g, 0
+                heads[g], sides[g], atoms[g], usable[g] = g, 0, 1, _POSITIVE | _NEGATIVE
             else:
                 r, a = g.result, g.arg
                 if r in packed and a in packed:
                     packed[g] = packed[r] - packed[a]
+                    atoms[g] = atoms[r] + atoms[a]
+                    # The result keeps the polarity and the argument flips it.
+                    u = usable[r] & (usable[a] >> 1 | (usable[a] & _POSITIVE) << 1)
                     if type(g) is LinImp:
                         heads[g], sides[g] = g, 0
+                        u &= ~(_unusable(g, True, self.mode) * _POSITIVE | _unusable(g, False, self.mode) * _NEGATIVE)
                     else:
                         heads[g] = heads[r]
                         sides[g] = sides[r] | (_RIGHT_ARG if type(g) is Over else _LEFT_ARG)
+                    usable[g] = u
                 else:
                     stack += (g, a, r)  # the result first, then the argument, then g
                     continue

@@ -19,7 +19,9 @@ against itself:
   whose counts balance but that are often underivable, and
   ``zero_linimp_sequent`` for balanced sequents with -o in either
   polarity,
-* ``all_valid_instances``, every small 3-partition instance,
+* ``all_valid_instances``, every small 3-partition instance, and
+  ``brute_force_3partition``, every split into triples, for
+  ``solve_3partition``,
 * ``recursion_limit``, to show that a walk does not recurse per level.
 """
 
@@ -522,6 +524,33 @@ def all_valid_instances(max_m: int, max_target: int):
             for sizes in itertools.product(range(low, high + 1), repeat=3 * m):
                 if sum(sizes) == m * target:
                     yield ThreePartitionInstance(m, target, sizes)
+
+
+def brute_force_3partition(inst: ThreePartitionInstance):
+    """The least canonical partition of ``inst`` into triples summing to its target, or None.
+
+    Every partition of the indices into triples is listed, with no
+    pruning by size, and the least whose triples all sum to the target
+    is taken, so no search order is trusted.
+    """
+    sizes = inst.sizes
+    valid = {t for t in itertools.combinations(range(len(sizes)), 3) if sum(sizes[i] for i in t) == inst.target}
+    return min(filter(valid.issuperset, _triple_partitions(len(sizes))), default=None)
+
+
+@functools.cache
+def _triple_partitions(n: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Every partition of range(n) into sorted triples, ordered by their smallest members."""
+    out = []
+    stack = [((), tuple(range(n)))]
+    while stack:
+        done, rest = stack.pop()
+        if not rest:
+            out.append(done)
+            continue
+        for p, q in itertools.combinations(rest[1:], 2):
+            stack.append((done + ((rest[0], p, q),), tuple(i for i in rest[1:] if i != p and i != q)))
+    return out
 
 
 @contextlib.contextmanager

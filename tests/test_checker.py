@@ -78,6 +78,12 @@ def test_right_rules_respect_mode():
     # wrong insertion point
     assert not check_proof(ProofTree(Rule.LINIMP_R, s2, (inner2,), insert=0), SDL)
     assert not check_proof(ProofTree(Rule.LINIMP_R, s2, (inner2,)), SDL)
+    # /R and \R on a succedent of the other connective
+    assert not check_proof(ProofTree(Rule.UNDER_R, s, (inner,)), L)
+    s3 = parse_sequent("b\\a => b\\a")
+    inner3 = ProofTree(Rule.UNDER_L, parse_sequent("b, b\\a => a"), (AX_B, AX_A), split=(0, 1))
+    assert check_proof(ProofTree(Rule.UNDER_R, s3, (inner3,)), L)
+    assert not check_proof(ProofTree(Rule.OVER_R, s3, (inner3,)), L)
 
 
 def test_prover_output_always_checks():
@@ -259,6 +265,9 @@ def test_json_loads_a_sequent_on_every_node():
             "split": [0, 1],
             "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "sequent": "a => a", "premises": []}],
         },
+        # /R and \R on a succedent of the other connective
+        {"rule": "/R", "sequent": "a => b\\a", "premises": [{"rule": "Ax", "premises": []}]},
+        {"rule": "\\R", "sequent": "a => a/b", "premises": [{"rule": "Ax", "premises": []}]},
     ],
 )
 def test_json_rejects_missing_sequents(data):

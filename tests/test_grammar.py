@@ -138,6 +138,7 @@ def test_grammar_text_round_trip():
         ("start: s\na: x//y", "line 2"),
         ("start: s\nnonsense", "expected"),
         ("", "missing"),
+        ("start: s/t\na: x", "not a primitive"),
     ],
 )
 def test_grammar_text_rejects(text, fragment):

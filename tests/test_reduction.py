@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from helpers import all_valid_instances
+from helpers import all_valid_instances, brute_force_3partition
 from lambek import (
     AssignmentDecodeError,
     Atom,
@@ -54,6 +56,7 @@ def test_validate_instance_shape():
     assert any("3m" in p for p in validate_instance(ThreePartitionInstance(2, 12, (4, 4, 4))))
     assert any("sum" in p for p in validate_instance(ThreePartitionInstance(1, 12, (4, 4, 5))))
     assert any("m must" in p for p in validate_instance(ThreePartitionInstance(0, 12, ())))
+    assert any("target must" in p for p in validate_instance(ThreePartitionInstance(1, 0, (1, 1, 1))))
 
 
 def test_solve_3partition():
@@ -65,6 +68,32 @@ def test_solve_3partition():
     assert solve_3partition(ThreePartitionInstance(2, 16, (5, 5, 5, 5, 5, 7))) is None
     with pytest.raises(ValueError):
         solve_3partition(ThreePartitionInstance(2, 16, (5, 5, 6)))
+    # the first triple (0, 1, 5) leaves 4, 4, 4, 6, 6, 6, which no split into triples sums to 15
+    inst = ThreePartitionInstance(3, 15, (5, 5, 4, 4, 4, 5, 6, 6, 6))
+    assert solve_3partition(inst) == brute_force_3partition(inst) == ((0, 2, 6), (1, 3, 7), (4, 5, 8))
+    # sizes that do not sum to m * target have no partition
+    assert solve_3partition(ThreePartitionInstance(2, 16, (5, 5, 5, 5, 5, 5))) is None
+
+
+def test_solve_3partition_matches_brute_force():
+    rng = random.Random(16)
+    m3 = [inst for inst in all_valid_instances(3, 18) if inst.m == 3]
+    m4 = [inst for inst in all_valid_instances(4, 14) if inst.m == 4]
+    backtracked = solvable = 0
+    for inst in rng.sample(m3, 200) + rng.sample(m4, 200):
+        expected = brute_force_3partition(inst)
+        assert solve_3partition(inst) == expected, inst
+        solvable += expected is not None
+        # The first triple the search tries: index 0 with its least partners.
+        first = next(
+            ((0, p, q) for p, q in itertools.combinations(range(1, 3 * inst.m), 2)
+             if inst.sizes[0] + inst.sizes[p] + inst.sizes[q] == inst.target),
+            None,
+        )
+        # When it is not in the answer, the search has undone it.
+        backtracked += first is not None and (expected is None or expected[0] != first)
+    # Both answers occur, and the search backtracks on some instances.
+    assert 0 < solvable < 400 and backtracked > 5, (solvable, backtracked)
 
 
 def test_canonical_partition():
@@ -134,6 +163,12 @@ def test_assignment_to_partition_rejects():
         assignment_to_partition(TWO, skewed)
     with pytest.raises(AssignmentDecodeError, match="expected"):
         assignment_to_partition(TWO, (Atom("d"),))
+    with pytest.raises(AssignmentDecodeError, match="'w2'"):
+        assignment_to_partition(TWO, tuple(assignment[:2] + [Atom("d")] + assignment[3:]))
+    # three items per slot, but 5 + 5 + 5 and 6 + 6 + 5 miss 16
+    unequal = (grammar.lexicon["v"][0],) + tuple(grammar.lexicon[f"w{i}"][i in (3, 5, 6)] for i in range(1, 7))
+    with pytest.raises(AssignmentDecodeError, match="slot 1 sizes"):
+        assignment_to_partition(TWO, unequal)
 
 
 def test_membership_matches_solvability():
