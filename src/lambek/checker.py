@@ -23,7 +23,7 @@ __all__ = ["check_proof"]
 def check_proof(t: ProofTree, mode: CalculusMode) -> bool:
     """True iff every node is a correct rule application in ``mode``."""
     # Below the root every conclusion must be the one its parent's rule data imply.
-    return all((implied or node is t) and _check_node(node, mode) for node, implied in _preorder(t))
+    return all(implied and _check_node(node, mode) for node, implied in _preorder(t))
 
 
 def _check_node(t: ProofTree, mode: CalculusMode) -> bool:

@@ -264,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except Exception as e:  # e.g. RecursionError on a very deep formula
+    except Exception as e:  # a bug, or MemoryError on a huge input
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -16,25 +16,28 @@ to replay the rule application:
 node's premises must have, given its rule, conclusion and rule data.
 The checker and the JSON encoder and decoder all use it.
 
-The JSON form mirrors the tree; ``premises`` nests recursively and
-``sequent`` is concrete sequent text.  The root always carries its
-sequent.  Below the root a node carries one only when its conclusion
-is not the one its parent's rule data imply, so a correct proof stores
-one sequent in all and any tree, correct or not, round-trips exactly::
+The JSON form lists the nodes in preorder, after the root's sequent
+as concrete text.  A node's rule fixes its number of premises, so the
+list needs no nesting and no premise counts.  A node carries a
+``sequent`` only when its conclusion is not the one its parent's rule
+data imply (the root's is the top-level one), so a correct proof
+stores one sequent in all and any tree, correct or not, round-trips
+exactly::
 
-    {"rule": "/L", "sequent": "a/b, b => a", "split": [0, 1],
-     "premises": [{"rule": "Ax", "premises": []},
-                  {"rule": "Ax", "premises": []}]}
+    {"sequent": "a/b, b => a",
+     "nodes": [{"rule": "/L", "split": [0, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]}
 
 The decoder takes a node's ``sequent`` when present and derives it
-otherwise, so files with a sequent on every node load as well.
+otherwise.  It also loads the earlier nested form, in which each node
+lists its ``premises`` and the root carries the sequent, with or
+without a sequent on every other node: an explicit-stack walk turns it
+into the same node list first.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import sys
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -63,12 +66,6 @@ class Rule(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-
-# The search, the proof walks here and the -o and slash chains of the
-# parser need no recursion, but two things still recurse: the json module
-# twice per proof level (a node's dict and its premises list), and
-# syntax._Parser once per level of parentheses.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 _ARITY = {
     Rule.AX: 0,
@@ -178,12 +175,13 @@ def premise_conclusions(
 
 def _preorder(t: ProofTree) -> Iterator[tuple[ProofTree, bool]]:
     """Each node of ``t`` in preorder, with whether its conclusion is implied:
-    the one its parent's rule data give (never true of the root).
+    the root's always is, and any other node's when it is the one its
+    parent's rule data give.
 
-    Proof JSON stores the conclusions that are not implied, and a correct
-    proof implies all but the root's.
+    Proof JSON stores the conclusions that are not implied beside the
+    root's, and a correct proof implies them all.
     """
-    stack = [(t, False)]
+    stack = [(t, True)]
     while stack:
         node, implied = stack.pop()
         yield node, implied
@@ -204,52 +202,63 @@ def _node_json(t: ProofTree, with_sequent: bool) -> dict[str, Any]:
 
 
 def proof_to_json(t: ProofTree) -> dict[str, Any]:
-    """The tree as nested dicts, with the sequent on the root only where possible."""
-    # Bottom-up in reverse preorder: a node's premises are the last ones built.
-    built: list[dict[str, Any]] = []
-    for node, implied in reversed(list(_preorder(t))):
-        out = _node_json(node, not implied)
-        out["premises"] = [built.pop() for _ in node.premises]
-        built.append(out)
-    return built[0]
+    """The root's sequent and the nodes in preorder, each with a sequent only where needed."""
+    nodes = [_node_json(node, not implied) for node, implied in _preorder(t)]
+    return {"sequent": format_sequent(t.conclusion), "nodes": nodes}
 
 
-def proof_from_json(node: dict[str, Any]) -> ProofTree:
-    """Inverse of ``proof_to_json``; also loads a sequent on every node.
+def _flatten(root: dict[str, Any]) -> dict[str, Any]:
+    """The nested form's nodes in preorder, each checked to list as many premises as its rule takes."""
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = node.get("premises", [])
+        _check_arity(Rule(node["rule"]), len(kids))
+        nodes.append(node)
+        stack += reversed(kids)
+    return {"sequent": root["sequent"], "nodes": nodes}
 
-    Raises ValueError on a malformed node, and on a node without a
+
+def proof_from_json(data: dict[str, Any]) -> ProofTree:
+    """Inverse of ``proof_to_json``; also loads the nested form.
+
+    Raises ValueError on a malformed node, on a node list that ends
+    before the tree does or goes on after it, and on a node without a
     sequent whose parent's rule data imply none.
     """
     try:
-        # Top-down: each node's fields, its conclusion taken from its
-        # own sequent or its parent's rule data.  Then bottom-up, in
+        if "nodes" not in data:
+            data = _flatten(data)
+        # Top-down: each node's fields, its conclusion taken from its own
+        # sequent or from the slot its parent left.  Then bottom-up, in
         # reverse preorder, the trees themselves.
+        slots: list[Sequent | None] = [parse_sequent(data["sequent"])]
         preorder = []
-        stack: list[tuple[dict[str, Any], Sequent | None]] = [(node, None)]
-        while stack:
-            data, implied = stack.pop()
-            rule = Rule(data["rule"])
-            text = data.get("sequent") if implied is not None else data["sequent"]
-            conclusion = implied if text is None else parse_sequent(text)
-            split = data.get("split")
+        for node in data["nodes"]:
+            if not slots:
+                raise ValueError("proof node list goes on after the tree ends")
+            conclusion = slots.pop()
+            rule = Rule(node["rule"])
+            text = node.get("sequent")
+            if text is not None:
+                conclusion = parse_sequent(text)
+            elif conclusion is None:
+                raise ValueError(f"{rule} node needs a sequent: its parent's rule data do not apply")
+            split = node.get("split")
             split = (split[0], split[1]) if split is not None else None
-            insert = data.get("insert")
-            kids = data.get("premises", [])
-            _check_arity(rule, len(kids))
-            preorder.append((rule, conclusion, split, insert, len(kids)))
-            if not all("sequent" in kid for kid in kids):
-                expected = premise_conclusions(rule, conclusion, split, insert)
-                if expected is None:
-                    raise ValueError(f"{rule} premises need sequents: its rule data do not apply")
-                stack.extend(zip(reversed(kids), reversed(expected)))
-            else:
-                stack.extend((kid, None) for kid in reversed(kids))
+            insert = node.get("insert")
+            preorder.append((rule, conclusion, split, insert))
+            if n := _ARITY[rule]:
+                slots += reversed(premise_conclusions(rule, conclusion, split, insert) or (None,) * n)
+        if slots:
+            raise ValueError("proof node list ends before the tree does")
         built: list[ProofTree] = []
-        for rule, conclusion, split, insert, n in reversed(preorder):
-            premises = tuple(built.pop() for _ in range(n))
+        for rule, conclusion, split, insert in reversed(preorder):
+            premises = tuple(built.pop() for _ in range(_ARITY[rule]))
             built.append(ProofTree(rule, conclusion, premises, split=split, insert=insert))
         return built[0]
-    except (KeyError, IndexError, TypeError) as e:
+    except (KeyError, IndexError, TypeError, AttributeError) as e:
         raise ValueError(f"malformed proof node: {e!r}") from e
 
 

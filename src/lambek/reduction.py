@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .grammar import Grammar
 from .syntax import Atom, Formula, LinImp, Over
@@ -120,27 +120,31 @@ def solve_3partition(inst: ThreePartitionInstance) -> Partition | None:
         raise ValueError("sizes length must be exactly 3m")
     if sum(inst.sizes) != inst.m * inst.target:
         return None
-    sizes = inst.sizes
-    unused = list(range(len(sizes)))
+    sizes, target = inst.sizes, inst.target
 
-    def rec(acc: list[tuple[int, int, int]]) -> Partition | None:
-        if not unused:
-            return tuple(acc)
-        anchor = unused[0]
-        rest = unused[1:]
-        for p, q in itertools.combinations(rest, 2):
-            if sizes[anchor] + sizes[p] + sizes[q] != inst.target:
-                continue
-            unused[:] = [i for i in rest if i != p and i != q]
-            acc.append((anchor, p, q))
-            found = rec(acc)
-            if found is not None:
-                return found
+    def triples(unused: tuple[int, ...]) -> Iterator[tuple[tuple[int, int, int], tuple[int, ...]]]:
+        """Each triple anchored at ``unused[0]`` that sums to ``target``, in
+        lexicographic order, with the indices it leaves unused."""
+        anchor, rest = unused[0], unused[1:]
+        for j, k in itertools.combinations(range(len(rest)), 2):
+            if sizes[anchor] + sizes[rest[j]] + sizes[rest[k]] == target:
+                yield (anchor, rest[j], rest[k]), rest[:j] + rest[j + 1 : k] + rest[k + 1 :]
+
+    # Depth-first on an explicit stack: one generator per triple chosen so
+    # far, plus the one choosing the next.
+    acc: list[tuple[int, int, int]] = []
+    stack = []
+    unused = tuple(range(len(sizes)))
+    while unused:
+        stack.append(triples(unused))
+        while (step := next(stack[-1], None)) is None:
+            stack.pop()
+            if not stack:
+                return None
             acc.pop()
-            unused[:] = [anchor] + rest
-        return None
-
-    return rec([])
+        triple, unused = step
+        acc.append(triple)
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

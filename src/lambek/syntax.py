@@ -31,8 +31,8 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, fields
-from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import reduce
 
 __all__ = [
     "Atom",
@@ -82,8 +82,8 @@ class _Node:
     """A hash-consed formula node: equal formulas are one object.
 
     The operands of a new node are set here, once; a node found in the
-    table is returned as it is.  Copies and pickles go through the
-    constructor, so they come back as the live node.
+    table is returned as it is.  A copy or pickle is the formula's text,
+    parsed back into the live node, so no depth of formula recurses.
     """
 
     __slots__ = ("__weakref__",)
@@ -118,7 +118,7 @@ class _Node:
         return format_formula(self)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return parse_formula, (format_formula(self),)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -174,101 +174,68 @@ class Sequent:
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<ident>[a-z][a-z0-9_]*)
-  | (?P<linimp>-o)
-  | (?P<arrow>=>)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<over>/)
-  | (?P<under>\\)
-  | (?P<comma>,)
-    """,
-    re.VERBOSE,
-)
+# A token, or in group 2 a character that starts none.
+_TOKEN_RE = re.compile(r"\s*(?:(-o|=>|[a-z][a-z0-9_]*|[()/\\,])|(\S))")
+# Every token but an identifier, and "" for the end of the text.
+_PUNCTUATION = frozenset(["(", ")", "/", "\\", "-o", "=>", ",", ""])
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            yield kind, m.group(), pos
-        pos = m.end()
-    yield "end", "", len(text)
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """Each token's text and position, ending with ``("", len(text))``."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        if m[2] is not None:
+            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        out.append((m[1], m.start(1)))
+    out.append(("", len(text)))
+    return out
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.i = 0
+def _formula(tokens: list[tuple[str, int]], i: int) -> tuple[Formula, int]:
+    """The formula that starts at ``tokens[i]``, and the index of the token after it.
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def formula(self) -> Formula:
-        return self.linimp()
-
-    def linimp(self) -> Formula:
-        # Collect the chain first; "-o" associates to the right.
-        items = [self.slash()]
-        while self.peek()[0] == "linimp":
-            self.next()
-            items.append(self.slash())
-        return _fold_right(LinImp, items)
-
-    def slash(self) -> Formula:
-        head = self.atomic()
-        kind = self.peek()[0]
-        if kind == "over":
-            result = head
-            while self.peek()[0] == "over":
-                self.next()
-                result = Over(result, self.atomic())
-            if self.peek()[0] == "under":
-                raise FormulaSyntaxError(
-                    "cannot mix '/' and '\\' without parentheses", self.peek()[2]
-                )
-            return result
-        if kind == "under":
-            # Collect the chain first; "\" associates to the right.
-            items = [head]
-            while self.peek()[0] == "under":
-                self.next()
-                items.append(self.atomic())
-            if self.peek()[0] == "over":
-                raise FormulaSyntaxError(
-                    "cannot mix '/' and '\\' without parentheses", self.peek()[2]
-                )
-            return _fold_right(Under, items)
-        return head
-
-    def atomic(self) -> Formula:
-        kind, text, pos = self.next()
-        if kind == "ident":
-            return Atom(text)
-        if kind == "lpar":
-            inner = self.formula()
-            self.expect("rpar")
-            return inner
-        raise FormulaSyntaxError(f"expected a formula, found {text!r}", pos)
+    One loop, with no recursion: ``(`` pushes the open frame (its ``-o``
+    items, its slash and its slash chain) and ``)`` pops it.
+    """
+    frames: list[tuple[list[Formula], str | None, list[Formula]]] = []
+    items: list[Formula] = []
+    slash: str | None = None
+    chain: list[Formula] = []
+    while True:
+        # An operand starts here.
+        tok, pos = tokens[i]
+        i += 1
+        if tok == "(":
+            frames.append((items, slash, chain))
+            items, slash, chain = [], None, []
+            continue
+        if tok in _PUNCTUATION:
+            raise FormulaSyntaxError(f"expected a formula, found {tok!r}", pos)
+        f: Formula = Atom(tok)
+        # Close the chains that end after it, up to the next operator.
+        while True:
+            chain.append(f)
+            tok, pos = tokens[i]
+            if tok == "/" or tok == "\\":
+                if slash is None:
+                    slash = tok
+                elif slash != tok:
+                    raise FormulaSyntaxError("cannot mix '/' and '\\' without parentheses", pos)
+                i += 1
+                break
+            # "/" associates to the left, "\\" to the right.
+            items.append(reduce(Over, chain) if slash == "/" else _fold_right(Under, chain))
+            if tok == "-o":
+                i += 1
+                slash, chain = None, []
+                break
+            f = _fold_right(LinImp, items)
+            if not frames:
+                return f, i
+            if tok != ")":
+                raise FormulaSyntaxError(f"expected rpar, found {tok!r}", pos)
+            i += 1
+            items, slash, chain = frames.pop()
 
 
 def _fold_right(cls: type[Under] | type[LinImp], items: list[Formula]) -> Formula:
@@ -279,28 +246,33 @@ def _fold_right(cls: type[Under] | type[LinImp], items: list[Formula]) -> Formul
     return result
 
 
+def _end(tokens: list[tuple[str, int]], i: int) -> None:
+    tok, pos = tokens[i]
+    if tok:
+        raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
+
+
 def parse_formula(text: str) -> Formula:
     """Parse concrete formula syntax; raises FormulaSyntaxError on bad input."""
-    p = _Parser(text)
-    f = p.formula()
-    kind, tok, pos = p.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
+    tokens = _tokens(text)
+    f, i = _formula(tokens, 0)
+    _end(tokens, i)
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
     """Parse "f1, f2, ... => g" into a Sequent."""
-    p = _Parser(text)
-    antecedent = [p.formula()]
-    while p.peek()[0] == "comma":
-        p.next()
-        antecedent.append(p.formula())
-    p.expect("arrow")
-    succedent = p.formula()
-    kind, tok, pos = p.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
+    tokens = _tokens(text)
+    f, i = _formula(tokens, 0)
+    antecedent = [f]
+    while tokens[i][0] == ",":
+        f, i = _formula(tokens, i + 1)
+        antecedent.append(f)
+    tok, pos = tokens[i]
+    if tok != "=>":
+        raise FormulaSyntaxError(f"expected arrow, found {tok!r}", pos)
+    succedent, i = _formula(tokens, i + 1)
+    _end(tokens, i)
     return Sequent(tuple(antecedent), succedent)
 
 

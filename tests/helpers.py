@@ -22,6 +22,8 @@ against itself:
 * ``all_valid_instances``, every small 3-partition instance, and
   ``brute_force_3partition``, every split into triples, for
   ``solve_3partition``,
+* ``nested_proof_json``, proof files in the earlier nested form, for
+  the JSON decoder,
 * ``recursion_limit``, to show that a walk does not recurse per level.
 """
 
@@ -45,8 +47,10 @@ from lambek import (
     ThreePartitionInstance,
     Under,
     format_formula,
+    format_sequent,
     parse_sequent,
 )
+from lambek.prooftree import premise_conclusions
 
 ATOMS = ("a", "b", "c", "d")
 
@@ -551,6 +555,34 @@ def _triple_partitions(n: int) -> list[tuple[tuple[int, int, int], ...]]:
         for p, q in itertools.combinations(rest[1:], 2):
             stack.append((done + ((rest[0], p, q),), tuple(i for i in rest[1:] if i != p and i != q)))
     return out
+
+
+def nested_proof_json(t: ProofTree, every_sequent: bool = False) -> dict:
+    """``t`` in the nested JSON form that proof files had before the flat node list.
+
+    Each node lists its ``premises``.  The root carries its ``sequent``,
+    and so does each node whose conclusion is not the one its parent's
+    rule data give, or every node with ``every_sequent``.
+    """
+    preorder = []
+    stack = [(t, False)]
+    while stack:
+        node, implied = stack.pop()
+        preorder.append((node, implied))
+        given = premise_conclusions(node.rule, node.conclusion, node.split, node.insert) if node.premises else None
+        stack += reversed([(p, given is not None and given[i] == p.conclusion) for i, p in enumerate(node.premises)])
+    built: list[dict] = []
+    for node, implied in reversed(preorder):
+        out: dict = {"rule": node.rule.value}
+        if every_sequent or not implied:
+            out["sequent"] = format_sequent(node.conclusion)
+        if node.split is not None:
+            out["split"] = list(node.split)
+        if node.insert is not None:
+            out["insert"] = node.insert
+        out["premises"] = [built.pop() for _ in node.premises]
+        built.append(out)
+    return built[0]
 
 
 @contextlib.contextmanager

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import chain_sequent, forward_proof, mutate_proof, naive_check, recursion_limit
+from helpers import chain_sequent, forward_proof, mutate_proof, naive_check, nested_proof_json, recursion_limit
 from lambek import (
     Atom,
     CalculusMode,
@@ -129,18 +129,20 @@ def test_json_round_trip():
     for _ in range(200):
         t = forward_proof(rng, SDL)
         assert proof_from_json(proof_to_json(t)) == t
-        assert proof_from_json_text(proof_to_json_text(t)) == t
+        text = proof_to_json_text(t)
+        assert proof_from_json_text(text) == t
+        # The flat node list is never longer than the nested form.
+        assert len(text) <= len(json.dumps(nested_proof_json(t), separators=(",", ":")))
     payload = json.loads(proof_to_json_text(AX_A))
-    assert payload == {"rule": "Ax", "sequent": "a => a", "premises": []}
+    assert payload == {"sequent": "a => a", "nodes": [{"rule": "Ax"}]}
 
 
 def test_json_carries_rule_data():
     tree, _ = prove(parse_sequent("s/c, b\\c => b -o s"), SDL)
     data = proof_to_json(tree)
-    assert data["rule"] == "-oR"
-    assert data["insert"] == 1
-    assert data["premises"][0]["rule"] == "/L"
-    assert data["premises"][0]["split"] == [0, 2]
+    assert data["sequent"] == "s/c, b\\c => b -o s"
+    assert data["nodes"][0] == {"rule": "-oR", "insert": 1}
+    assert data["nodes"][1] == {"rule": "/L", "split": [0, 2]}
     assert proof_from_json(data) == tree
 
 
@@ -152,6 +154,14 @@ def test_json_carries_rule_data():
         {"rule": "Ax", "sequent": "a =>", "premises": []},
         {"rule": "Ax", "sequent": "a => a", "premises": [], "split": [0]},
         {"rule": "/L", "sequent": "a/b, b => a", "premises": []},
+        {"sequent": "a => a"},
+        {"nodes": [{"rule": "Ax"}]},
+        # a node list that ends before the tree does, or goes on after it
+        {"sequent": "a => a", "nodes": []},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1]}, {"rule": "Ax"}]},
+        {"sequent": "a => a", "nodes": [{"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a => a", "nodes": [{"rule": "Cut"}]},
+        {"sequent": "a => a", "nodes": ["Ax"]},
     ],
 )
 def test_json_rejects_malformed(data):
@@ -197,19 +207,8 @@ def test_nodes_and_counts():
     assert tree.depth() == 3
 
 
-def _json_with_every_sequent(t: ProofTree) -> dict:
-    """The JSON form with ``sequent`` written on every node."""
-    node = {"rule": t.rule.value, "sequent": format_sequent(t.conclusion)}
-    if t.split is not None:
-        node["split"] = list(t.split)
-    if t.insert is not None:
-        node["insert"] = t.insert
-    node["premises"] = [_json_with_every_sequent(p) for p in t.premises]
-    return node
-
-
 def _sequent_count(data: dict) -> int:
-    return ("sequent" in data) + sum(_sequent_count(p) for p in data["premises"])
+    return sum("sequent" in node for node in [data, *data["nodes"]])
 
 
 def test_json_of_a_correct_proof_has_one_sequent():
@@ -230,6 +229,7 @@ def test_json_round_trips_rule_inconsistent_trees():
         data = proof_to_json(m)
         assert proof_from_json(data) == m
         assert proof_from_json_text(proof_to_json_text(m)) == m
+        assert proof_from_json(nested_proof_json(m)) == m
         if not naive_check(m, SDL):
             assert _sequent_count(data) > 1
     assert mutants > 100
@@ -239,10 +239,10 @@ def test_json_loads_a_sequent_on_every_node():
     rng = random.Random(26)
     for _ in range(200):
         t = forward_proof(rng, SDL)
-        assert proof_from_json(_json_with_every_sequent(t)) == t
+        assert proof_from_json(nested_proof_json(t, every_sequent=True)) == t
         m = mutate_proof(rng, t)
         if m is not None:
-            assert proof_from_json(_json_with_every_sequent(m)) == m
+            assert proof_from_json(nested_proof_json(m, every_sequent=True)) == m
 
 
 @pytest.mark.parametrize(
@@ -268,6 +268,9 @@ def test_json_loads_a_sequent_on_every_node():
         # /R and \R on a succedent of the other connective
         {"rule": "/R", "sequent": "a => b\\a", "premises": [{"rule": "Ax", "premises": []}]},
         {"rule": "\\R", "sequent": "a => a/b", "premises": [{"rule": "Ax", "premises": []}]},
+        # the same in the flat form
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [1, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a => a", "nodes": [{"rule": "-oR", "insert": 0}, {"rule": "Ax"}]},
     ],
 )
 def test_json_rejects_missing_sequents(data):
@@ -299,8 +302,17 @@ def test_deep_proof_walks():
     data = proof_to_json(tree)
     copy = proof_from_json(data)
     assert copy is not tree and copy == tree and hash(copy) == hash(tree)
-    leaf = data
-    while leaf["premises"]:
-        leaf = leaf["premises"][-1]
-    leaf["sequent"] = "c => c"
+    data["nodes"][-1]["sequent"] = "c => c"
     assert proof_from_json(data) != tree
+    # The nested form loads at any depth.
+    with recursion_limit(100):
+        assert proof_from_json(nested_proof_json(tree)) == tree
+
+
+def test_deep_chain_json_round_trips_without_recursion():
+    tree, _ = prove(chain_sequent(4000), SDL)
+    with recursion_limit(100):
+        text = proof_to_json_text(tree)
+        back = proof_from_json_text(text)
+    assert back == tree
+    assert len(text) < 100 * len(tree.nodes())

@@ -299,6 +299,14 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+def test_prove_a_formula_nested_thousands_of_parentheses_deep(capsys):
+    n = 4_000
+    for text, expected in (("(" * n + "a" + ")" * n + " => a", 0), ("a/(" * n + "a" + ")" * n + " => a", 1)):
+        code, out, err = run(capsys, "prove", text, "--output", "json", "--proof")
+        assert (code, err) == (expected, "")
+        assert json.loads(out)["derivable"] is (expected == 0)
+
+
 ANBNCN_WORDS = ("a b c", "a c b")
 TOY_GRAMMAR = "start: s\nthe: np/n\ncat: n\nsleeps: np\\s\n"
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import all_valid_instances, brute_force_3partition
+from helpers import all_valid_instances, brute_force_3partition, recursion_limit
 from lambek import (
     AssignmentDecodeError,
     Atom,
@@ -94,6 +94,14 @@ def test_solve_3partition_matches_brute_force():
         backtracked += first is not None and (expected is None or expected[0] != first)
     # Both answers occur, and the search backtracks on some instances.
     assert 0 < solvable < 400 and backtracked > 5, (solvable, backtracked)
+
+
+def test_solve_3partition_does_not_recurse_per_triple():
+    m = 2_000
+    inst = ThreePartitionInstance(m, 15, (5,) * (3 * m))
+    with recursion_limit(100):
+        partition = solve_3partition(inst)
+    assert partition == tuple((i, i + 1, i + 2) for i in range(0, 3 * m, 3))
 
 
 def test_canonical_partition():

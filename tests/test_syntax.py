@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_formula
+from helpers import random_formula, recursion_limit
 import lambek
 from lambek import (
     Atom,
@@ -92,6 +92,41 @@ def test_syntax_error_position():
     with pytest.raises(FormulaSyntaxError) as e:
         parse_formula("a/b\\c")
     assert e.value.position == 3
+
+
+@pytest.mark.parametrize(
+    "parse,text,message,position",
+    [
+        # an unexpected character is reported before any parse error
+        (parse_formula, "a $ b", "unexpected character '$'", 2),
+        (parse_formula, "a/ $", "unexpected character '$'", 3),
+        (parse_formula, "-x", "unexpected character '-'", 0),
+        (parse_formula, "A", "unexpected character 'A'", 0),
+        (parse_formula, "", "expected a formula, found ''", 0),
+        (parse_formula, "a -o", "expected a formula, found ''", 4),
+        (parse_formula, "/a", "expected a formula, found '/'", 0),
+        (parse_formula, "a//b", "expected a formula, found '/'", 2),
+        (parse_sequent, "a, => b", "expected a formula, found '=>'", 3),
+        (parse_formula, "(a", "expected rpar, found ''", 2),
+        (parse_formula, "(a b", "expected rpar, found 'b'", 3),
+        (parse_formula, "((a)", "expected rpar, found ''", 4),
+        (parse_sequent, "a, b", "expected arrow, found ''", 4),
+        (parse_sequent, "a b", "expected arrow, found 'b'", 2),
+        (parse_formula, "a/b\\c", "cannot mix '/' and '\\' without parentheses", 3),
+        (parse_formula, "a\\b/c", "cannot mix '/' and '\\' without parentheses", 3),
+        (parse_formula, "(a/b)\\c/d", "cannot mix '/' and '\\' without parentheses", 7),
+        (parse_formula, "a b", "trailing input 'b'", 2),
+        (parse_formula, "a)", "trailing input ')'", 1),
+        (parse_formula, "a => b", "trailing input '=>'", 2),
+        (parse_sequent, "a => b => c", "trailing input '=>'", 7),
+        (parse_sequent, "a => b,", "trailing input ','", 6),
+    ],
+)
+def test_syntax_error_messages_and_positions(parse, text, message, position):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse(text)
+    assert str(e.value) == f"{message} (at position {position})"
+    assert e.value.position == position
 
 
 def test_parse_sequent():
@@ -226,6 +261,16 @@ def test_deep_equality_needs_no_recursion():
     assert h not in {f: 1}
 
 
+def test_deep_formulas_copy_and_parse_without_recursion():
+    f = _deep_formula(20_000, a)
+    text = format_formula(f)
+    with recursion_limit(100):
+        assert parse_formula(text) is f
+        assert parse_formula("(" * 20_000 + "a" + ")" * 20_000) is a
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert g is f
+
+
 def test_parsed_and_constructed_formulas_are_one_object():
     f = parse_formula("a/(b -o c)")
     assert f is Over(a, LinImp(b, c))
@@ -312,3 +357,12 @@ def test_fresh_imports_leave_no_classes_behind():
         [sys.executable, "-c", _FRESH_IMPORTS_SCRIPT], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == ["1", "1", "1"]
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    src = str(Path(lambek.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys; before = sys.getrecursionlimit(); import lambek; print(before, sys.getrecursionlimit())"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    before, after = run.stdout.split()
+    assert before == after
