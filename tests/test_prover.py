@@ -42,6 +42,7 @@ from lambek import (
     parse_formula,
     parse_sequent,
     polarity_report,
+    proof_to_json_text,
     prove,
     validate_input,
 )
@@ -345,6 +346,29 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
             digest.update(json.dumps(line).encode() + b"\n")
     assert tried < 300
     assert digest.hexdigest() == "875ef6479c8467608e1def1d5d18b238ba250b235c7ca2907f3491df08036f91"
+
+
+def test_search_is_pinned():
+    # Every proof `prove` and `enumerate_proofs` return, and every
+    # SearchStats, on seeded sequents of three kinds in all three modes.
+    # A refactor of the search must leave both digests as they are.
+    rng = random.Random(31)
+    proofs, stats = hashlib.sha256(), hashlib.sha256()
+    kinds = (lambda r, m: forward_proof(r, m).conclusion, zero_linimp_sequent, shuffled_sequent)
+    for k in range(300):
+        s = kinds[k % 3](rng, (L, SDL, SDLM)[k // 3 % 3])
+        for mode in CalculusMode:
+            tree, st = prove(s, mode)
+            lines = [[str(s), str(mode), tree and proof_to_json_text(tree)]]
+            counts = [st.as_dict()]
+            if k % 4 == 0:
+                search = prover._Search(mode)
+                lines.append([proof_to_json_text(t) for t in search.enumerate(s, 8)])
+                counts.append(search.stats.as_dict())
+            proofs.update(json.dumps(lines).encode() + b"\n")
+            stats.update(json.dumps(counts).encode() + b"\n")
+    assert proofs.hexdigest()[:16] == "39221a6aefa3d6aa"
+    assert stats.hexdigest()[:16] == "09490a469ede50b8"
 
 
 def test_enumerate_proofs():
