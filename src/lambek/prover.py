@@ -111,11 +111,10 @@ replay them.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import time
 from dataclasses import asdict, dataclass
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule
@@ -230,11 +229,17 @@ State = tuple[tuple[Formula, ...], Bag, Formula, int]
 
 # A solved state: the proof tree for one concrete interleaving, plus a
 # mask telling which antecedent positions of its conclusion came from
-# the pending multiset.
+# the pending multiset.  _conclude builds it from an option's move and
+# its premises' results.
 Result = tuple[ProofTree, tuple[bool, ...]]
 
-_Recombine = Callable[[list[Result]], Iterator[Result]]
-_Option = tuple[list[State], bool, _Recombine]
+# An option is its premises, solved in order, and its move: the rule and
+# the data its conclusion needs, (Rule.AX, atom, pending), (Rule.OVER_R
+# or UNDER_R, succedent), (Rule.LINIMP_R, succedent), (Rule.OVER_L or
+# UNDER_L, functor, pending, a) with ``a`` the fixed ordinal of the
+# functor's result in the right premise, or (None, p) for a pending
+# formula fixed at ordinal ``p``, which is not a rule.
+_Option = tuple[list[State], tuple]
 
 
 # Count vectors are packed into one int with a lane of _LANE_BITS bits
@@ -443,8 +448,9 @@ class _Search:
         """Results for the root goal ``s``, by backtracking over ``_options``.
 
         A task ``(state, depth, rest)`` solves a state, and a task
-        ``((state, recombine, premises), None, rest)`` concludes an option
-        whose premises are solved, their results on top.  The tasks still
+        ``((state, move, premises), None, rest)`` concludes an option
+        whose premises are solved, their results on top (``_conclude``).
+        A move that is a rule adds a level of depth.  The tasks still
         to do and the results not yet used are linked lists, so a choice
         point (the options left at a state, or the results left at a
         conclusion) saves both as they are.  With ``commit``, a state
@@ -473,7 +479,7 @@ class _Search:
                             results = (r, results)
                             continue
                 else:
-                    state, recombine, premises = state
+                    state, move, premises = state
                     if premises == 2:
                         r2, (r1, results) = results
                         rs = [r1, r2]
@@ -484,11 +490,11 @@ class _Search:
                         rs = []
                     if commit:
                         points.pop()
-                        r = memo[state] = next(recombine(rs))
+                        r = memo[state] = next(_conclude(move, rs))
                         results = (r, results)
                         continue
                     proved.add(state)
-                    points.append((recombine(rs), todo, results, None, None))
+                    points.append((_conclude(move, rs), todo, results, None, None))
             # Backtrack: take the next alternative of the newest choice point.
             while points:
                 alternatives, todo, results, state, depth = points[-1]
@@ -501,9 +507,9 @@ class _Search:
                     results = (x, results)
                     break
                 else:
-                    children, is_rule, recombine = x
-                    todo = ((state, recombine, len(children)), None, todo)
-                    depth += is_rule
+                    children, move = x
+                    todo = ((state, move, len(children)), None, todo)
+                    depth += move[0] is not None
                     if children:  # one or two premises, solved in order
                         todo = (children[-1], depth, todo)
                         if len(children) == 2:
@@ -520,11 +526,7 @@ class _Search:
         # pending.  A focused state's succedent is an atom, and its
         # antecedent is never empty.
         if isinstance(succ, Atom) and (fixed == (succ,) and not bag or not fixed and bag == self._packed[succ]):
-
-            def ax(_: list[Result], f: Formula = succ, pending: bool = not fixed) -> Iterator[Result]:
-                yield ProofTree(Rule.AX, Sequent((f,), f)), (pending,)
-
-            yield [], True, ax
+            yield [], (Rule.AX, succ, not fixed)
         if focus >= 0:
             # Keep decomposing the formula under focus; an atom there had
             # Ax or nothing, and a -o has no left rule.
@@ -542,31 +544,10 @@ class _Search:
             # The argument joins the antecedent at the end the slash faces.
             over = isinstance(succ, Over)
             child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, 0, succ.result, -1)
-            rule, rest = (Rule.OVER_R, slice(-1)) if over else (Rule.UNDER_R, slice(1, None))
-
-            def directional_r(
-                rs: list[Result], succ: Formula = succ, rule: Rule = rule, rest: slice = rest
-            ) -> Iterator[Result]:
-                tree, mask = rs[0]
-                yield ProofTree(rule, Sequent(tree.conclusion.antecedent[rest], succ), (tree,)), mask[rest]
-
-            yield [child], True, directional_r
+            yield [child], (Rule.OVER_R if over else Rule.UNDER_R, succ)
             return
         if isinstance(succ, LinImp) and mode.has_linimp_right:
-            bag += self._unit(succ.arg)
-
-            def linimp_r(rs: list[Result], succ: Formula = succ) -> Iterator[Result]:
-                tree, mask = rs[0]
-                ant = tree.conclusion.antecedent
-                for k in range(len(ant)):
-                    if mask[k] and ant[k] == succ.arg:
-                        concl = Sequent(ant[:k] + ant[k + 1 :], succ)
-                        yield (
-                            ProofTree(Rule.LINIMP_R, concl, (tree,), insert=k),
-                            mask[:k] + mask[k + 1 :],
-                        )
-
-            yield [(fixed, bag, succ.result, -1)], True, linimp_r
+            yield [(fixed, bag + self._unit(succ.arg), succ.result, -1)], (Rule.LINIMP_R, succ)
             return
 
         # Left rules, fixed functors in order and then pending ones, on
@@ -595,14 +576,7 @@ class _Search:
         for f in sorted((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__):
             rest = bag - units[f]
             for p in range(len(fixed) + 1):
-                child = (fixed[:p] + (f,) + fixed[p:], rest, succ, -1)
-
-                def fix_mask(rs: list[Result], p: int = p) -> Iterator[Result]:
-                    tree, mask = rs[0]
-                    q = _nth_fixed_index(mask, p)
-                    yield tree, mask[:q] + (True,) + mask[q + 1 :]
-
-                yield [child], False, fix_mask
+                yield [(fixed[:p] + (f,) + fixed[p:], rest, succ, -1)], (None, p)
 
     def _float_splits(self, full: Bag, need: int) -> Iterator[Bag]:
         """Sub-multisets of the pending bag ``full`` whose summed counts equal ``need``.
@@ -663,6 +637,7 @@ class _Search:
                 spans = zip(range(i, -1, -1), itertools.repeat(i))
             split = full & self._compound_bits
             arg, res = functor.arg, functor.result
+            rule = Rule.OVER_L if isinstance(functor, Over) else Rule.UNDER_L
             want = packed[arg]
             for lo, hi in spans:
                 need = want - sums[hi] + sums[lo]
@@ -682,31 +657,54 @@ class _Search:
                         # The search may stop at this yield: count the spans scanned so far.
                         stats.pruned_by_count += pruned
                         pruned = 0
-                        yield [p1, p2], True, functools.partial(_left_conclusion, functor, pending, succ, a)
+                        yield [p1, p2], (rule, functor, pending, a)
                     if found:
                         continue
                 pruned += 1
         stats.pruned_by_count += pruned
 
 
-def _left_conclusion(functor: Formula, pending: bool, succ: Formula, a: int, rs: list[Result]) -> Iterator[Result]:
-    """/L or \\L on ``functor`` from its premises' results.
+def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
+    """The results of an option with ``move`` whose premises have the results ``rs``.
 
-    ``a`` is the fixed ordinal of the functor's result in the right
-    premise; ``pending`` tells whether the functor came from the bag.
+    Only -oR can give more than one: one per pending copy of its argument.
+    The move is told apart by its premises and operands, as reading a
+    member off the ``Rule`` class costs more than all of this.
     """
-    (t1, m1), (t2, m2) = rs
-    q = _nth_fixed_index(m2, a)
-    ant1, ant2 = t1.conclusion.antecedent, t2.conclusion.antecedent
-    if isinstance(functor, Over):
-        rule = Rule.OVER_L
-        ant = ant2[:q] + (functor,) + ant1 + ant2[q + 1 :]
-        mask = m2[:q] + (pending,) + m1 + m2[q + 1 :]
+    rule = move[0]
+    if len(rs) == 2:  # /L or \L
+        _, functor, pending, a = move
+        (t1, m1), (t2, m2) = rs
+        q = _nth_fixed_index(m2, a)
+        ant1, ant2 = t1.conclusion.antecedent, t2.conclusion.antecedent
+        if type(functor) is Over:
+            ant = ant2[:q] + (functor,) + ant1 + ant2[q + 1 :]
+            mask = m2[:q] + (pending,) + m1 + m2[q + 1 :]
+        else:
+            ant = ant2[:q] + ant1 + (functor,) + ant2[q + 1 :]
+            mask = m2[:q] + m1 + (pending,) + m2[q + 1 :]
+        yield ProofTree(rule, Sequent(ant, t2.conclusion.succedent), (t1, t2), split=(q, len(m1))), mask
+    elif not rs:  # Ax
+        _, f, pending = move
+        yield ProofTree(rule, Sequent((f,), f)), (pending,)
+    elif rule is None:
+        # The materialized formula is pending again.
+        tree, mask = rs[0]
+        q = _nth_fixed_index(mask, move[1])
+        yield tree, mask[:q] + (True,) + mask[q + 1 :]
+    elif type(move[1]) is LinImp:  # -oR
+        succ = move[1]
+        tree, mask = rs[0]
+        ant = tree.conclusion.antecedent
+        for k in range(len(ant)):
+            if mask[k] and ant[k] == succ.arg:
+                concl = Sequent(ant[:k] + ant[k + 1 :], succ)
+                yield ProofTree(rule, concl, (tree,), insert=k), mask[:k] + mask[k + 1 :]
     else:
-        rule = Rule.UNDER_L
-        ant = ant2[:q] + ant1 + (functor,) + ant2[q + 1 :]
-        mask = m2[:q] + m1 + (pending,) + m2[q + 1 :]
-    yield ProofTree(rule, Sequent(ant, succ), (t1, t2), split=(q, len(m1))), mask
+        # /R or \R: the argument left the antecedent at the end the slash faces.
+        tree, mask = rs[0]
+        rest = slice(-1) if type(move[1]) is Over else slice(1, None)
+        yield ProofTree(rule, Sequent(tree.conclusion.antecedent[rest], move[1]), (tree,)), mask[rest]
 
 
 def prove(

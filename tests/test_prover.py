@@ -321,7 +321,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
 
     def spy(self, fixed, bag, succ):
         for option in real(self, fixed, bag, succ):
-            (child,), _, _ = option
+            (child,), _ = option
             # The first place where the child's antecedent departs from
             # ``fixed`` holds a copy of the materialized formula.
             materialized.add(next(g for g, h in zip(child[0], fixed + (None,)) if g != h))
