@@ -569,14 +569,15 @@ class _Search:
 
         Only needed ahead of /R and \\R, which pin a formula to an end
         of the antecedent and therefore need the interleaving settled.
-        The pending formulas are read off their lanes and tried in the
-        order of ``_rank``.
+        Only the first pending formula in the order of ``_rank`` is
+        fixed, at each position in turn; the rest are fixed in the
+        states below, so each interleaving is reached in one order only.
         """
         units = self._units
-        for f in sorted((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__):
-            rest = bag - units[f]
-            for p in range(len(fixed) + 1):
-                yield [(fixed[:p] + (f,) + fixed[p:], rest, succ, -1)], (None, p)
+        f = min((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__)
+        rest = bag - units[f]
+        for p in range(len(fixed) + 1):
+            yield [(fixed[:p] + (f,) + fixed[p:], rest, succ, -1)], (None, p)
 
     def _float_splits(self, full: Bag, need: int) -> Iterator[Bag]:
         """Sub-multisets of the pending bag ``full`` whose summed counts equal ``need``.

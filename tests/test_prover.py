@@ -311,7 +311,10 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     # PYTHONHASHSEED 0 and 1) when the left phase became focused, and
     # again when focused chains that cannot end from their position were
     # dropped (fewer spans scanned and nodes expanded, the same proofs),
-    # on the first 200 sequents whose sdl search materializes two or more
+    # and when only the first pending formula in rank order was
+    # materialized at each state (fewer nodes expanded and cache hits,
+    # the same proofs: the proofs-only digest did not change), on the
+    # first 200 sequents whose sdl search materializes two or more
     # distinct pending formulas.  Each is proved in sdl- as well, where
     # left rules split the same bags.
     # The proofs are digested in the nested JSON form the digest was
@@ -329,7 +332,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
 
     monkeypatch.setattr(prover._Search, "_materializations", spy)
     rng = random.Random(5)
-    digest = hashlib.sha256()
+    digest, proofs = hashlib.sha256(), hashlib.sha256()
     picked = tried = 0
     while picked < 200:
         s = _pending_bag_sequent(rng, (SDL, SDLM)[tried % 2])
@@ -344,8 +347,43 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
             proof = tree and json.dumps(nested_proof_json(tree), separators=(",", ":"))
             line = [str(s), str(mode), stats.as_dict(), proof]
             digest.update(json.dumps(line).encode() + b"\n")
+            proofs.update(json.dumps([str(s), str(mode), proof]).encode() + b"\n")
     assert tried < 300
-    assert digest.hexdigest() == "875ef6479c8467608e1def1d5d18b238ba250b235c7ca2907f3491df08036f91"
+    assert proofs.hexdigest()[:16] == "8c27117e6f258428"
+    assert digest.hexdigest() == "2491634b80dba0c0de5c774ee775667dd1e7007c2eace6e242437c940b121f2b"
+
+
+def test_each_interleaving_is_materialized_in_one_order(monkeypatch):
+    # Fixing k distinct pending formulas one by one, each wherever it may
+    # go, reaches every interleaving once per order of the k formulas.
+    # Within one search no state may be the child of two materializing
+    # states.  Only states whose pending formulas are distinct and unlike
+    # their fixed ones are watched: equal formulas give equal children at
+    # different positions.
+    parents: dict = {}
+    watched = 0
+    real = prover._Search._materializations
+
+    def spy(self, fixed, bag, succ):
+        nonlocal watched
+        counts = [bag // u & prover._LANE_MASK for u in self._units.values()]
+        pending = [f for f, k in zip(self._units, counts) if k]
+        clean = max(counts) == 1 and not set(pending) & set(fixed)
+        watched += clean and len(pending) >= 2
+        for option in real(self, fixed, bag, succ):
+            (child,), _ = option
+            if clean:
+                assert parents.setdefault(child, (fixed, bag, succ)) == (fixed, bag, succ), child
+            yield option
+
+    monkeypatch.setattr(prover._Search, "_materializations", spy)
+    rng = random.Random(6)
+    for k in range(150):
+        s = _pending_bag_sequent(rng, (SDL, SDLM)[k % 2])
+        for search in (lambda: prove(s, SDL), lambda: enumerate_proofs(s, SDL, limit=8)):
+            parents.clear()
+            search()
+    assert watched > 100
 
 
 def test_search_is_pinned():
