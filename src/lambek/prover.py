@@ -300,6 +300,9 @@ class _Search:
         # polarities, _POSITIVE | _NEGATIVE, at which every -o inside is usable.
         self._atoms: dict[Formula, int] = {}
         self._usable: dict[Formula, int] = {}
+        # The polarities at which a -o itself is usable (_unusable): the
+        # positive one, in a mode with -oR.
+        self._linimp_usable = _POSITIVE if mode.has_linimp_right else 0
         # The bag unit of every formula with a lane, in order of its lane
         # (see _unit), and the compound ones among them, in _rank order.
         self._units: dict[Formula, int] = {}
@@ -391,7 +394,7 @@ class _Search:
                     u = usable[r] & (usable[a] >> 1 | (usable[a] & _POSITIVE) << 1)
                     if type(g) is LinImp:
                         heads[g], sides[g] = g, 0
-                        u &= ~(_unusable(g, True, self.mode) * _POSITIVE | _unusable(g, False, self.mode) * _NEGATIVE)
+                        u &= self._linimp_usable
                     else:
                         heads[g] = heads[r]
                         sides[g] = sides[r] | (_RIGHT_ARG if type(g) is Over else _LEFT_ARG)
