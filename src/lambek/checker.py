@@ -5,7 +5,8 @@ schemas, using only the positional data stored on the node (split for
 the left rules, insert for -oR).  The schemas themselves are
 ``prooftree.premise_conclusions``, read through the walk the proof JSON
 uses too, ``prooftree._preorder``; the checker adds the
-Ax condition and the mode's choice of right rules.  It shares no code
+Ax condition, the mode's choice of right rules, and that a node
+carries no rule data its rule does not take.  It shares no code
 with the search, walks the tree with an explicit stack in time linear
 in the size of the tree times the size of its sequents, and never
 raises on malformed trees: any mismatch is just False.
@@ -30,15 +31,14 @@ def _check_node(t: ProofTree, mode: CalculusMode) -> bool:
     concl = t.conclusion
     rule = t.rule
 
+    # A rule carries only its own data: a split on /L and \\L, an insert on -oR.
+    if t.split is not None and rule not in (Rule.OVER_L, Rule.UNDER_L):
+        return False
+    if t.insert is not None and rule is not Rule.LINIMP_R:
+        return False
     if rule is Rule.AX:
         ant, succ = concl.antecedent, concl.succedent
-        return (
-            len(ant) == 1
-            and isinstance(succ, Atom)
-            and ant[0] == succ
-            and t.split is None
-            and t.insert is None
-        )
+        return len(ant) == 1 and isinstance(succ, Atom) and ant[0] == succ
     if rule in (Rule.OVER_R, Rule.UNDER_R) and not mode.has_directional_right:
         return False
     if rule is Rule.LINIMP_R and not mode.has_linimp_right:

@@ -223,9 +223,11 @@ def _flatten(root: dict[str, Any]) -> dict[str, Any]:
 def proof_from_json(data: dict[str, Any]) -> ProofTree:
     """Inverse of ``proof_to_json``; also loads the nested form.
 
-    Raises ValueError on a malformed node, on a node list that ends
-    before the tree does or goes on after it, and on a node without a
-    sequent whose parent's rule data imply none.
+    Raises ValueError on a malformed node (a split that is not a list of
+    two integers, an insert that is not an integer; booleans are not
+    integers here), on a node list that ends before the tree does or
+    goes on after it, and on a node without a sequent whose parent's
+    rule data imply none.
     """
     try:
         if "nodes" not in data:
@@ -246,8 +248,13 @@ def proof_from_json(data: dict[str, Any]) -> ProofTree:
             elif conclusion is None:
                 raise ValueError(f"{rule} node needs a sequent: its parent's rule data do not apply")
             split = node.get("split")
-            split = (split[0], split[1]) if split is not None else None
+            if split is not None:
+                if not (type(split) is list and len(split) == 2 and all(type(x) is int for x in split)):
+                    raise ValueError(f"{rule} node: split must be a list of two integers, got {split!r}")
+                split = tuple(split)
             insert = node.get("insert")
+            if insert is not None and type(insert) is not int:
+                raise ValueError(f"{rule} node: insert must be an integer, got {insert!r}")
             preorder.append((rule, conclusion, split, insert))
             if n := _ARITY[rule]:
                 slots += reversed(premise_conclusions(rule, conclusion, split, insert) or (None,) * n)

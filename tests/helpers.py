@@ -168,8 +168,12 @@ def naive_check(t: ProofTree, mode: CalculusMode) -> bool:
     kids = t.premises
     if any(not naive_check(k, mode) for k in kids):
         return False
+    if t.split is not None and t.rule not in (Rule.OVER_L, Rule.UNDER_L):
+        return False
+    if t.insert is not None and t.rule is not Rule.LINIMP_R:
+        return False
     if t.rule is Rule.AX:
-        return isinstance(succ, Atom) and ant == (succ,) and t.split is None and t.insert is None
+        return isinstance(succ, Atom) and ant == (succ,)
 
     if t.rule is Rule.OVER_R:
         return (

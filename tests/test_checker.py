@@ -57,6 +57,26 @@ def test_under_left():
     assert not check_proof(ProofTree(Rule.UNDER_L, concl, (AX_A, AX_B), split=(0, 1)), L)
 
 
+def test_rule_data_only_on_their_rules():
+    # A split belongs to /L and \\L, an insert to -oR; any other node
+    # that carries one is rejected, however right the rest of the tree.
+    tree, _ = prove(parse_sequent("s/c, b\\c => b -o s"), SDL)
+    assert check_proof(tree, SDL) and naive_check(tree, SDL)
+    data = proof_to_json(tree)
+    assert [n["rule"] for n in data["nodes"]] == ["-oR", "/L", "\\L", "Ax", "Ax", "Ax"]
+    for k, extra in [(1, {"insert": 3}), (2, {"insert": 0}), (0, {"split": [0, 1]}), (3, {"split": [0, 1]})]:
+        nodes = [dict(n) for n in data["nodes"]]
+        nodes[k].update(extra)
+        bad = proof_from_json({"sequent": data["sequent"], "nodes": nodes})
+        assert not check_proof(bad, SDL) and not naive_check(bad, SDL), (k, extra)
+    over_l = ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=(0, 1))
+    concl = parse_sequent("a/b => a/b")
+    assert check_proof(ProofTree(Rule.OVER_R, concl, (over_l,)), L)
+    for data in ({"insert": 0}, {"split": (0, 1)}):
+        bad = ProofTree(Rule.OVER_R, concl, (over_l,), **data)
+        assert not check_proof(bad, L) and not naive_check(bad, L)
+
+
 def test_right_rules_respect_mode():
     s = parse_sequent("a/b => a/b")
     inner = ProofTree(
@@ -162,6 +182,15 @@ def test_json_carries_rule_data():
         {"sequent": "a => a", "nodes": [{"rule": "Ax"}, {"rule": "Ax"}]},
         {"sequent": "a => a", "nodes": [{"rule": "Cut"}]},
         {"sequent": "a => a", "nodes": ["Ax"]},
+        # a split that is not a list of two integers, an insert that is not an integer
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [False, True]}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1, 7]}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1.0]}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": "01"}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": {"0": 1}}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": True}, {"rule": "Ax"}]},
+        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": "1"}, {"rule": "Ax"}]},
+        {"rule": "/L", "sequent": "a/b, b => a", "split": [0, True], "premises": [{"rule": "Ax"}, {"rule": "Ax"}]},
     ],
 )
 def test_json_rejects_malformed(data):
