@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .syntax import LinImp, Over, Sequent, Under, format_sequent, parse_sequent
+from .syntax import LinImp, Over, Sequent, Under, _dataclass_repr, format_sequent, parse_sequent
 
 __all__ = [
     "Rule",
@@ -82,10 +82,14 @@ def _check_arity(rule: Rule, n: int) -> None:
         raise ValueError(f"{rule} takes {_ARITY[rule]} premises, got {n}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProofTree:
     """A proof node.  Trees are equal when their nodes have the same rule,
-    conclusion, split and insert and their premises are equal in order."""
+    conclusion, split and insert and their premises are equal in order.
+
+    The ``repr`` is the dataclass one, and a copy or pickle goes through
+    the proof JSON; neither recurses per level of the tree.
+    """
 
     rule: Rule
     conclusion: Sequent
@@ -104,6 +108,12 @@ class ProofTree:
 
     def __hash__(self) -> int:
         return hash(tuple(self._key()))
+
+    def __repr__(self) -> str:
+        return _dataclass_repr(self, ProofTree)
+
+    def __reduce__(self):
+        return proof_from_json, (proof_to_json(self),)
 
     def nodes(self) -> list[ProofTree]:
         """All nodes in preorder."""

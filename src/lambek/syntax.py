@@ -31,7 +31,7 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 __all__ = [
@@ -83,7 +83,8 @@ class _Node:
 
     The operands of a new node are set here, once; a node found in the
     table is returned as it is.  A copy or pickle is the formula's text,
-    parsed back into the live node, so no depth of formula recurses.
+    parsed back into the live node, and the ``repr`` is the dataclass
+    one built without recursion, so no depth of formula recurses.
     """
 
     __slots__ = ("__weakref__",)
@@ -117,18 +118,51 @@ class _Node:
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __repr__(self) -> str:
+        return _dataclass_repr(self, _Node)
+
     def __reduce__(self):
         return parse_formula, (format_formula(self),)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+def _dataclass_repr(root: object, kind: type) -> str:
+    """``repr(root)`` as a dataclass writes it, for a dataclass ``root``
+    whose fields hold more instances of ``kind``, directly or in tuples.
+
+    The text and values still to print are kept on an explicit stack,
+    so that no depth runs into the recursion limit.
+    """
+    out: list[str] = []
+    stack: list = [root]  # text to print, or a value to open
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        if type(x) is tuple:
+            labels, values = [""] * len(x), x
+            opening, closing = "(", ",)" if len(x) == 1 else ")"
+        else:
+            labels = [f.name + "=" for f in fields(x)]
+            values = [getattr(x, f.name) for f in fields(x)]
+            opening, closing = type(x).__qualname__ + "(", ")"
+        parts = [opening]
+        for i, (label, v) in enumerate(zip(labels, values)):
+            parts.append(", " + label if i else label)
+            parts.append(v if type(v) is tuple or isinstance(v, kind) else repr(v))
+        parts.append(closing)
+        stack += reversed(parts)
+    return "".join(out)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Atom(_Node):
     """A primitive type, named by a lowercase identifier."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Over(_Node):
     """``result/arg``: a functor looking for ``arg`` on its right."""
 
@@ -136,7 +170,7 @@ class Over(_Node):
     arg: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Under(_Node):
     """``arg\\result``: a functor looking for ``arg`` on its left."""
 
@@ -144,7 +178,7 @@ class Under(_Node):
     result: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class LinImp(_Node):
     """``arg -o result``: consumes ``arg`` anywhere in the antecedent."""
 

@@ -24,12 +24,15 @@ against itself:
   ``solve_3partition``,
 * ``nested_proof_json``, proof files in the earlier nested form, for
   the JSON decoder,
+* ``reference_repr``, the dataclass ``repr`` written out recursively,
+  for the explicit-stack ``repr`` of formulas and proof trees,
 * ``recursion_limit``, to show that a walk does not recurse per level.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import random
@@ -587,6 +590,28 @@ def nested_proof_json(t: ProofTree, every_sequent: bool = False) -> dict:
         out["premises"] = [built.pop() for _ in node.premises]
         built.append(out)
     return built[0]
+
+
+def reference_repr(x: object, out: list[str] | None = None) -> str:
+    """``repr(x)`` as a dataclass writes it, recursing through dataclass
+    fields and tuples; needs a recursion limit above the depth of ``x``."""
+    top = out is None
+    out = [] if top else out
+    if dataclasses.is_dataclass(x):
+        out.append(type(x).__qualname__ + "(")
+        for i, field in enumerate(dataclasses.fields(x)):
+            out.append((", " if i else "") + field.name + "=")
+            reference_repr(getattr(x, field.name), out)
+        out.append(")")
+    elif type(x) is tuple:
+        out.append("(")
+        for i, y in enumerate(x):
+            out.append(", " if i else "")
+            reference_repr(y, out)
+        out.append(",)" if len(x) == 1 else ")")
+    else:
+        out.append(repr(x))
+    return "".join(out) if top else ""
 
 
 @contextlib.contextmanager

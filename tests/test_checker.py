@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
 
-from helpers import chain_sequent, forward_proof, mutate_proof, naive_check, nested_proof_json, recursion_limit
+from helpers import (
+    chain_sequent,
+    forward_proof,
+    mutate_proof,
+    naive_check,
+    nested_proof_json,
+    recursion_limit,
+    reference_repr,
+)
 from lambek import (
     Atom,
     CalculusMode,
+    LinImp,
     Over,
     ProofTree,
     Rule,
@@ -305,6 +316,25 @@ def test_json_loads_a_sequent_on_every_node():
 def test_json_rejects_missing_sequents(data):
     with pytest.raises(ValueError):
         proof_from_json(data)
+
+
+def test_repr_pickle_and_copy_do_not_recurse_per_level():
+    f = a
+    for i in range(20_000):
+        f = (Over(f, b), Under(b, f), LinImp(b, f))[i % 3]
+    # The chain's proof repeats its long formulas at every level, so its
+    # repr grows as n squared: n = 100 is already 200 levels deep.
+    short, _ = prove(chain_sequent(100), SDL)
+    long, _ = prove(chain_sequent(2500), SDL)
+    rng = random.Random(41)
+    small = [forward_proof(rng, SDL) for _ in range(50)]
+    with recursion_limit(100_000):
+        expected = [reference_repr(x) for x in (f, short, *small)]
+    with recursion_limit(100):
+        assert [repr(x) for x in (f, short, *small)] == expected
+        for x in (f, long, *small):
+            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert y == x
 
 
 def test_chain_proof_json_is_linear():
