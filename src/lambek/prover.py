@@ -311,7 +311,8 @@ class _Search:
         self._high = 0  # the top bit of every lane given out
         # The same subformulas numbered in order of first sight; pending
         # formulas are read off a bag in this order, so the search order
-        # does not depend on the per-process hash of strings.
+        # is the same in every run, although a formula hashes by identity
+        # and so by its address.
         self._rank: dict[Formula, int] = {}
 
     # -- public entry points ------------------------------------------------
@@ -672,8 +673,8 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
     """The results of an option with ``move`` whose premises have the results ``rs``.
 
     Only -oR can give more than one: one per pending copy of its argument.
-    The move is told apart by its premises and operands, as reading a
-    member off the ``Rule`` class costs more than all of this.
+    The move is told apart by its premises and operands: reading a
+    member off the ``Rule`` class is a slow attribute lookup.
     """
     rule = move[0]
     if len(rs) == 2:  # /L or \L
