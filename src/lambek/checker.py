@@ -31,16 +31,18 @@ def _check_node(t: ProofTree, mode: CalculusMode) -> bool:
     concl = t.conclusion
     rule = t.rule
 
-    # A rule carries only its own data: a split on /L and \\L, an insert on -oR.
-    if t.split is not None and rule not in (Rule.OVER_L, Rule.UNDER_L):
-        return False
-    if t.insert is not None and rule is not Rule.LINIMP_R:
-        return False
+    # A rule carries only its own data: a split on /L and \L, an insert on -oR.
     if rule is Rule.AX:
         ant, succ = concl.antecedent, concl.succedent
-        return len(ant) == 1 and isinstance(succ, Atom) and ant[0] == succ
-    if rule in (Rule.OVER_R, Rule.UNDER_R) and not mode.has_directional_right:
-        return False
-    if rule is Rule.LINIMP_R and not mode.has_linimp_right:
-        return False
-    return True
+        return (
+            len(ant) == 1
+            and isinstance(succ, Atom)
+            and ant[0] == succ
+            and t.split is None
+            and t.insert is None
+        )
+    if rule is Rule.LINIMP_R:
+        return t.split is None and mode.has_linimp_right
+    if rule in (Rule.OVER_R, Rule.UNDER_R):
+        return t.split is None and t.insert is None and mode.has_directional_right
+    return t.insert is None
