@@ -140,14 +140,13 @@ def _dataclass_repr(root: object, kind: type) -> str:
             out.append(x)
             continue
         if type(x) is tuple:
-            labels, values = [""] * len(x), x
+            items = [("", v) for v in x]
             opening, closing = "(", ",)" if len(x) == 1 else ")"
         else:
-            labels = [f.name + "=" for f in fields(x)]
-            values = [getattr(x, f.name) for f in fields(x)]
+            items = [(f.name + "=", getattr(x, f.name)) for f in fields(x)]
             opening, closing = type(x).__qualname__ + "(", ")"
         parts = [opening]
-        for i, (label, v) in enumerate(zip(labels, values)):
+        for i, (label, v) in enumerate(items):
             parts.append(", " + label if i else label)
             parts.append(v if type(v) is tuple or isinstance(v, kind) else repr(v))
         parts.append(closing)
