@@ -88,6 +88,64 @@ def test_rule_data_only_on_their_rules():
         assert not check_proof(bad, L) and not naive_check(bad, L)
 
 
+def test_a_split_list_is_not_a_proof_tree():
+    # A list split once gave a tree that checked but did not hash or round-trip.
+    with pytest.raises(ValueError):
+        ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=[0, 1])
+
+
+def test_a_boolean_split_is_not_a_proof_tree():
+    # A boolean split once gave a tree that checked but whose JSON did not load.
+    with pytest.raises(ValueError):
+        ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=(False, True))
+
+
+def test_a_float_insert_is_not_a_proof_tree():
+    # A float insert once made check_proof raise TypeError.
+    with pytest.raises(ValueError):
+        ProofTree(Rule.LINIMP_R, parse_sequent("a => b -o a"), (AX_A,), insert=1.0)
+
+
+@pytest.mark.parametrize(
+    "rule,sequent,premises,data",
+    [
+        (Rule.AX, "a => a", 0, {"split": (0, 1)}),
+        (Rule.AX, "a => a", 0, {"insert": 0}),
+        (Rule.LINIMP_R, "a => b -o a", 1, {"insert": 1, "split": (0, 1)}),
+        (Rule.OVER_R, "a/b => a/b", 1, {"split": (0, 1)}),
+        (Rule.OVER_L, "a/b, b => a", 2, {"split": (0, 1), "insert": 0}),
+        (Rule.UNDER_L, "b, b\\a => a", 2, {"insert": 0}),
+        (Rule.OVER_L, "a/b, b => a", 2, {}),
+        (Rule.UNDER_L, "b, b\\a => a", 2, {}),
+        (Rule.LINIMP_R, "a => b -o a", 1, {}),
+        (Rule.OVER_L, "a/b, b => a", 2, {"split": (0, 1, 2)}),
+        (Rule.OVER_L, "a/b, b => a", 2, {"split": (0, True)}),
+        (Rule.LINIMP_R, "a => b -o a", 1, {"insert": True}),
+        (Rule.LINIMP_R, "a => b -o a", 1, {"insert": "1"}),
+        (Rule.OVER_L, "a/b, b => a", 1, {"split": (0, 1)}),
+        (Rule.AX, "a => a", 1, {}),
+    ],
+)
+def test_misplaced_or_mistyped_rule_data_raise_where_the_tree_is_built(rule, sequent, premises, data):
+    with pytest.raises(ValueError):
+        ProofTree(rule, parse_sequent(sequent), (AX_A,) * premises, **data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # /L without a split and -oR without an insert, with every sequent given
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L"}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax", "sequent": "a => a"}]},
+        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR"}, {"rule": "Ax", "sequent": "a => a"}]},
+        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": 1.0}, {"rule": "Ax", "sequent": "a => a"}]},
+        {"sequent": "a => a", "nodes": [{"rule": "Ax", "insert": 0}]},
+    ],
+)
+def test_json_rejects_nodes_without_their_rule_data(data):
+    with pytest.raises(ValueError):
+        proof_from_json(data)
+
+
 def test_right_rules_respect_mode():
     s = parse_sequent("a/b => a/b")
     inner = ProofTree(
