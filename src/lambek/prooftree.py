@@ -1,8 +1,10 @@
 """Proof trees for the sequent calculus, plus JSON and text renderings.
 
-A node records its rule, its conclusion sequent, its premises (0 for
-Ax, 1 for right rules, 2 for left rules) and the positional data needed
-to replay the rule application:
+``Rule`` is the rule table: each member holds its number of premises
+(0 for Ax, 1 for right rules, 2 for left rules), the connective it
+introduces and the rule data that place it.  A node records its rule,
+its conclusion sequent, its premises and the data its rule takes,
+checked where the node is built:
 
 * ``split = (u, t)`` for /L and \\L: the conclusion antecedent is
   ``U ++ [functor] ++ T ++ V`` (/L) or ``U ++ T ++ [functor] ++ V``
@@ -56,30 +58,36 @@ __all__ = [
 
 
 class Rule(enum.Enum):
-    AX = "Ax"
-    OVER_L = "/L"
-    OVER_R = "/R"
-    UNDER_L = "\\L"
-    UNDER_R = "\\R"
-    LINIMP_R = "-oR"
+    # name (the value), number of premises, connective introduced, rule data
+    AX = ("Ax", 0, None, None)
+    OVER_L = ("/L", 2, Over, "split")
+    OVER_R = ("/R", 1, Over, None)
+    UNDER_L = ("\\L", 2, Under, "split")
+    UNDER_R = ("\\R", 1, Under, None)
+    LINIMP_R = ("-oR", 1, LinImp, "insert")
+
+    def __new__(cls, name: str, arity: int, connective: type | None, data: str | None) -> Rule:
+        member = object.__new__(cls)
+        member._value_ = name
+        member.arity = arity
+        member.connective = connective
+        member.data = data
+        return member
 
     def __str__(self) -> str:
         return self.value
 
 
-_ARITY = {
-    Rule.AX: 0,
-    Rule.OVER_R: 1,
-    Rule.UNDER_R: 1,
-    Rule.LINIMP_R: 1,
-    Rule.OVER_L: 2,
-    Rule.UNDER_L: 2,
-}
-
-
-def _check_arity(rule: Rule, n: int) -> None:
-    if n != _ARITY[rule]:
-        raise ValueError(f"{rule} takes {_ARITY[rule]} premises, got {n}")
+def _check_shape(rule: Rule, n: int, split: Any, insert: Any) -> None:
+    """Raise ValueError unless a ``rule`` node takes ``n`` premises and this rule data."""
+    if n != rule.arity:
+        raise ValueError(f"{rule} takes {rule.arity} premises, got {n}")
+    if rule.data == "split":
+        ok = insert is None and type(split) is tuple and len(split) == 2 and type(split[0]) is int and type(split[1]) is int
+    else:
+        ok = split is None and (type(insert) is int if rule.data == "insert" else insert is None)
+    if not ok:
+        raise ValueError(f"{rule} node with split={split!r}, insert={insert!r}: /L and \\L take a split of two ints, -oR an int insert")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -98,7 +106,7 @@ class ProofTree:
     insert: int | None = None
 
     def __post_init__(self) -> None:
-        _check_arity(self.rule, len(self.premises))
+        _check_shape(self.rule, len(self.premises), self.split, self.insert)
 
     def _key(self) -> list[tuple]:
         return [(n.rule, n.split, n.insert, n.conclusion) for n in self.nodes()]
@@ -149,38 +157,24 @@ def premise_conclusions(
     whether the mode has the rule at all, are left to the caller.
     """
     ant, succ = conclusion.antecedent, conclusion.succedent
-    if rule is Rule.AX:
+    if not rule.arity:
         return ()
-    if rule is Rule.OVER_R:
-        if not isinstance(succ, Over):
+    connective = rule.connective
+    if rule.arity == 1:
+        # The argument goes back at the end (/R), the start (\\R) or ``insert`` (-oR).
+        k = len(ant) if connective is Over else 0 if connective is Under else insert
+        if not (isinstance(succ, connective) and k is not None and 0 <= k <= len(ant)):
             return None
-        return (Sequent(ant + (succ.arg,), succ.result),)
-    if rule is Rule.UNDER_R:
-        if not isinstance(succ, Under):
-            return None
-        return (Sequent((succ.arg,) + ant, succ.result),)
-    if rule is Rule.LINIMP_R:
-        if not (isinstance(succ, LinImp) and insert is not None and 0 <= insert <= len(ant)):
-            return None
-        return (Sequent(ant[:insert] + (succ.arg,) + ant[insert:], succ.result),)
+        return (Sequent(ant[:k] + (succ.arg,) + ant[k:], succ.result),)
     if split is None:
         return None
+    # The functor sits at ``u`` ahead of its span (/L) or at ``u + t`` after it (\\L).
     u, t = split
-    if rule is Rule.OVER_L:
-        if not (0 <= u and 1 <= t and u + 1 + t <= len(ant)):
-            return None
-        functor = ant[u]
-        if not isinstance(functor, Over):
-            return None
-        span, rest = ant[u + 1 : u + 1 + t], ant[u + 1 + t :]
-    else:
-        if not (0 <= u and 1 <= t and u + t < len(ant)):
-            return None
-        functor = ant[u + t]
-        if not isinstance(functor, Under):
-            return None
-        span, rest = ant[u : u + t], ant[u + t + 1 :]
-    return Sequent(span, functor.arg), Sequent(ant[:u] + (functor.result,) + rest, succ)
+    f, lo = (u, u + 1) if connective is Over else (u + t, u)
+    if not (0 <= u and 1 <= t and u + t < len(ant) and isinstance(ant[f], connective)):
+        return None
+    functor = ant[f]
+    return Sequent(ant[lo : lo + t], functor.arg), Sequent(ant[:u] + (functor.result,) + ant[u + t + 1 :], succ)
 
 
 def _preorder(t: ProofTree) -> Iterator[tuple[ProofTree, bool]]:
@@ -217,6 +211,12 @@ def proof_to_json(t: ProofTree) -> dict[str, Any]:
     return {"sequent": format_sequent(t.conclusion), "nodes": nodes}
 
 
+def _fields(node: dict[str, Any]) -> tuple[Rule, Any, Any]:
+    """A JSON node's rule and rule data, its split list made a tuple."""
+    split = node.get("split")
+    return Rule(node["rule"]), tuple(split) if type(split) is list else split, node.get("insert")
+
+
 def _flatten(root: dict[str, Any]) -> dict[str, Any]:
     """The nested form's nodes in preorder, each checked to list as many premises as its rule takes."""
     nodes = []
@@ -224,7 +224,8 @@ def _flatten(root: dict[str, Any]) -> dict[str, Any]:
     while stack:
         node = stack.pop()
         kids = node.get("premises", [])
-        _check_arity(Rule(node["rule"]), len(kids))
+        rule, split, insert = _fields(node)
+        _check_shape(rule, len(kids), split, insert)
         nodes.append(node)
         stack += reversed(kids)
     return {"sequent": root["sequent"], "nodes": nodes}
@@ -233,8 +234,9 @@ def _flatten(root: dict[str, Any]) -> dict[str, Any]:
 def proof_from_json(data: dict[str, Any]) -> ProofTree:
     """Inverse of ``proof_to_json``; also loads the nested form.
 
-    Raises ValueError on a malformed node (a split that is not a list of
-    two integers, an insert that is not an integer; booleans are not
+    Raises ValueError on a malformed node (one without the rule data its
+    rule takes or with data it does not take, a split that is not a list
+    of two integers, an insert that is not an integer; booleans are not
     integers here), on a node list that ends before the tree does or
     goes on after it, and on a node without a sequent whose parent's
     rule data imply none.
@@ -251,28 +253,21 @@ def proof_from_json(data: dict[str, Any]) -> ProofTree:
             if not slots:
                 raise ValueError("proof node list goes on after the tree ends")
             conclusion = slots.pop()
-            rule = Rule(node["rule"])
+            rule, split, insert = _fields(node)
+            _check_shape(rule, rule.arity, split, insert)
             text = node.get("sequent")
             if text is not None:
                 conclusion = parse_sequent(text)
             elif conclusion is None:
                 raise ValueError(f"{rule} node needs a sequent: its parent's rule data do not apply")
-            split = node.get("split")
-            if split is not None:
-                if not (type(split) is list and len(split) == 2 and all(type(x) is int for x in split)):
-                    raise ValueError(f"{rule} node: split must be a list of two integers, got {split!r}")
-                split = tuple(split)
-            insert = node.get("insert")
-            if insert is not None and type(insert) is not int:
-                raise ValueError(f"{rule} node: insert must be an integer, got {insert!r}")
             preorder.append((rule, conclusion, split, insert))
-            if n := _ARITY[rule]:
-                slots += reversed(premise_conclusions(rule, conclusion, split, insert) or (None,) * n)
+            if rule.arity:
+                slots += reversed(premise_conclusions(rule, conclusion, split, insert) or (None,) * rule.arity)
         if slots:
             raise ValueError("proof node list ends before the tree does")
         built: list[ProofTree] = []
         for rule, conclusion, split, insert in reversed(preorder):
-            premises = tuple(built.pop() for _ in range(_ARITY[rule]))
+            premises = tuple(built.pop() for _ in range(rule.arity))
             built.append(ProofTree(rule, conclusion, premises, split=split, insert=insert))
         return built[0]
     except (KeyError, IndexError, TypeError, AttributeError) as e:
