@@ -196,6 +196,10 @@ class Sequent:
     succedent: Formula
 
     def __post_init__(self) -> None:
+        # Any sequence is stored as a tuple, so that sequents hash and
+        # compare by content; the prover passes tuples, which stay as they are.
+        if type(self.antecedent) is not tuple:
+            object.__setattr__(self, "antecedent", tuple(self.antecedent))
         if not self.antecedent:
             raise ValueError("sequent antecedent must be nonempty")
 

@@ -18,17 +18,22 @@ from helpers import random_formula, recursion_limit
 import lambek
 from lambek import (
     Atom,
+    CalculusMode,
     Formula,
     FormulaSyntaxError,
     LinImp,
     Over,
+    ProofTree,
+    Rule,
     Sequent,
     Under,
+    check_proof,
     connective_count,
     format_formula,
     format_sequent,
     parse_formula,
     parse_sequent,
+    prove,
     subformulas,
 )
 from lambek.syntax import _nodes
@@ -144,6 +149,21 @@ def test_parse_sequent_rejects(text):
 def test_sequent_needs_nonempty_antecedent():
     with pytest.raises(ValueError):
         Sequent((), a)
+    with pytest.raises(ValueError):
+        Sequent([], a)
+
+
+def test_sequent_stores_its_antecedent_as_a_tuple():
+    s = Sequent([Over(a, b), b], a)
+    assert s.antecedent == (Over(a, b), b) and type(s.antecedent) is tuple
+    assert s == Sequent((Over(a, b), b), a) and hash(s) == hash(Sequent((Over(a, b), b), a))
+    assert Sequent(iter([a]), a) == Sequent((a,), a)
+    for mode in CalculusMode:
+        tree, _ = prove(s, mode)
+        assert tree.conclusion == s and check_proof(tree, mode)
+    ax_a, ax_b = ProofTree(Rule.AX, Sequent([a], a)), ProofTree(Rule.AX, Sequent([b], b))
+    over_l = ProofTree(Rule.OVER_L, Sequent([Over(a, b), b], a), (ax_b, ax_a), split=(0, 1))
+    assert check_proof(ProofTree(Rule.OVER_R, Sequent([Over(a, b)], Over(a, b)), (over_l,)), CalculusMode.L)
 
 
 @pytest.mark.parametrize(
