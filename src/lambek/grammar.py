@@ -61,6 +61,14 @@ class GrammarFormatError(ValueError):
     pass
 
 
+_TERMINAL_RULE = "a terminal is nonempty, has no whitespace, '#' or ':', and is not 'start'"
+
+
+def _is_terminal(name: str) -> bool:
+    """Whether a grammar file can hold ``name`` as a terminal (``_TERMINAL_RULE``)."""
+    return bool(name) and name != "start" and not any(c.isspace() or c in "#:" for c in name)
+
+
 @dataclass(frozen=True)
 class Grammar:
     """Lexicalized grammar: a start primitive and a type lexicon."""
@@ -72,10 +80,13 @@ class Grammar:
         if not IDENT_RE.fullmatch(self.start):
             raise ValueError(f"start symbol {self.start!r} is not a primitive name")
         for terminal, entry in self.lexicon.items():
-            if not terminal or any(c.isspace() for c in terminal):
-                raise ValueError(f"bad terminal {terminal!r}")
+            if not _is_terminal(terminal):
+                raise ValueError(f"bad terminal {terminal!r}: {_TERMINAL_RULE}")
             if not entry:
                 raise ValueError(f"terminal {terminal!r} has an empty lexicon entry")
+        # Entries are tuples, so a grammar equals the one its text reads back as.
+        if any(type(entry) is not tuple for entry in self.lexicon.values()):
+            object.__setattr__(self, "lexicon", {t: tuple(entry) for t, entry in self.lexicon.items()})
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -424,8 +435,8 @@ def cfg_to_grammar(cfg: Cfg) -> Grammar:
         for sym in (p.head, *p.body):
             if not IDENT_RE.fullmatch(sym):
                 raise GnfError(f"nonterminal {sym!r} is not a primitive name ([a-z][a-z0-9_]*)")
-        if not p.terminal or any(c.isspace() for c in p.terminal):
-            raise GnfError(f"bad terminal {p.terminal!r}")
+        if not _is_terminal(p.terminal):
+            raise GnfError(f"bad terminal {p.terminal!r}: {_TERMINAL_RULE}")
         for sym in p.body:
             if sym not in heads:
                 raise GnfError(f"nonterminal {sym!r} in {p.head!r} -> ... has no production")

@@ -21,6 +21,7 @@ from lambek import (
     assignments,
     balanced,
     Atom,
+    Over,
     Sequent,
     ThreePartitionInstance,
     build_reduction,
@@ -45,8 +46,10 @@ def test_grammar_invariants():
         Grammar("X", {"a": (Atom("x"),)})
     with pytest.raises(ValueError):
         Grammar("x", {"a": ()})
-    with pytest.raises(ValueError):
-        Grammar("x", {"a b": (Atom("x"),)})
+    # Terminals a grammar file cannot hold
+    for terminal in ("a b", "a#b", "a:b", "start", ""):
+        with pytest.raises(ValueError):
+            Grammar("x", {terminal: (Atom("x"),)})
 
 
 @pytest.mark.parametrize(
@@ -116,6 +119,14 @@ def test_budget_and_deadline_give_unknown():
 def test_grammar_text_round_trip():
     g = anbncn_grammar()
     assert grammar_from_text(grammar_to_text(g)) == g
+    # Entries given as lists, and legal but odd terminals
+    x, y = Atom("x"), Atom("y")
+    for g in (
+        Grammar("x", {"a": [x, Over(x, y)], "b": (y,)}),
+        Grammar("x", {"x|y": (x,), "<s>": [y], "a/b": (Over(x, y),), "start_": (x,), "=>": (y,)}),
+    ):
+        back = grammar_from_text(grammar_to_text(g))
+        assert back == g and all(type(entry) is tuple for entry in g.lexicon.values())
     text = """
     # toy grammar
     start: s
@@ -224,6 +235,9 @@ def test_cfg_duplicate_productions_collapse():
         (Cfg("s", (GnfProduction("s", "a", ("q",)),)), "no production"),
         (Cfg("s", (GnfProduction("S", "a"),)), "primitive name"),
         (Cfg("s", (GnfProduction("s", "a b"),)), "terminal"),
+        (Cfg("s", (GnfProduction("s", "a#b"),)), "terminal"),
+        (Cfg("s", (GnfProduction("s", "a:b"),)), "terminal"),
+        (Cfg("s", (GnfProduction("s", "start"),)), "terminal"),
     ],
 )
 def test_cfg_rejects(cfg, fragment):
