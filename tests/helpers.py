@@ -7,6 +7,7 @@ against itself:
   instantiating rules root-ward from axioms,
 * ``naive_check``, a straight replay of the rule schemas used to
   cross-validate the packaged checker and to filter proof mutants,
+  with ``mutate_proof`` and ``relabel_proof`` to make those mutants,
 * random formula and sequent generators,
 * ``brute_force_splits``, every way to split a pending multiset by
   counts, for the prover's split routine,
@@ -294,6 +295,27 @@ def mutate_proof(rng: random.Random, t: ProofTree) -> ProofTree | None:
         )
     out = _replace_at(t, path, mutated)
     return None if out == t else out
+
+
+# /R, \\R and -oR abstract over the succedent's argument, /L and \\L apply a functor.
+_SAME_ARITY = {1: (Rule.OVER_R, Rule.UNDER_R, Rule.LINIMP_R), 2: (Rule.OVER_L, Rule.UNDER_L)}
+
+
+def relabel_proof(rng: random.Random, t: ProofTree) -> ProofTree | None:
+    """``t`` with one node given another rule of the same arity; None when all are Ax.
+
+    /L and \\L swap and keep their split.  /R, \\R and -oR swap among
+    themselves: a node that becomes -oR gets an insert in range, any
+    other gets none.  Callers judge the result with naive_check.
+    """
+    paths = [path for path in _all_paths(t) if _node_at(t, path).premises]
+    if not paths:
+        return None
+    path = rng.choice(paths)
+    node = _node_at(t, path)
+    rule = rng.choice([r for r in _SAME_ARITY[len(node.premises)] if r is not node.rule])
+    insert = rng.randint(0, len(node.conclusion.antecedent)) if rule is Rule.LINIMP_R else None
+    return _replace_at(t, path, ProofTree(rule, node.conclusion, node.premises, split=node.split, insert=insert))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from helpers import (
     nested_proof_json,
     recursion_limit,
     reference_repr,
+    relabel_proof,
 )
 from lambek import (
     Atom,
@@ -190,15 +191,24 @@ def test_prover_output_always_checks():
 
 
 def test_checker_agrees_with_naive_replay():
-    rng = random.Random(21)
-    for _ in range(400):
-        t = forward_proof(rng, SDL)
-        assert naive_check(t, SDL)
-        assert check_proof(t, SDL)
-        m = mutate_proof(rng, t)
-        if m is None:
-            continue
-        assert check_proof(m, SDL) == naive_check(m, SDL)
+    # Mutants move rule data; relabelled trees, drawn from a stream of
+    # their own, put each rule's connective in the rule table to the test.
+    for mode in (L, SDL, SDLM):
+        rng, relabel_rng = random.Random(21), random.Random(27)
+        relabelled = 0
+        for _ in range(400):
+            t = forward_proof(rng, mode)
+            assert naive_check(t, mode)
+            assert check_proof(t, mode)
+            r = relabel_proof(relabel_rng, t)
+            if r is not None:
+                relabelled += 1
+                assert check_proof(r, mode) == naive_check(r, mode)
+            m = mutate_proof(rng, t)
+            if m is None:
+                continue
+            assert check_proof(m, mode) == naive_check(m, mode)
+        assert relabelled > 300
 
 
 def test_mode_restriction_on_whole_tree():
