@@ -4,7 +4,9 @@ Subcommands: ``prove`` (decide a sequent), ``parse`` (decide word
 membership for a grammar), ``reduce`` (emit the grammar and word
 encoding a 3-partition instance), ``solve3p`` (exact 3-partition
 search).  Exit codes: 0 yes, 1 no, 2 bad input, 3 search gave up
-(budget or deadline), so scripts can tell "no" from "unknown".
+(node budget, deadline, or a search deeper than the depth bound), so
+scripts can tell "no" from "unknown", and 4 internal error (a bug, or
+running out of memory on a huge input).
 """
 
 from __future__ import annotations

@@ -450,4 +450,4 @@ def cfg_to_grammar(cfg: Cfg) -> Grammar:
         entry = lexicon.setdefault(p.terminal, [])
         if t not in entry:
             entry.append(t)
-    return Grammar(cfg.start, {k: tuple(v) for k, v in lexicon.items()})
+    return Grammar(cfg.start, lexicon)

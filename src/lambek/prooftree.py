@@ -161,14 +161,14 @@ def premise_conclusions(
         return ()
     connective = rule.connective
     if rule.arity == 1:
-        # The argument goes back at the end (/R), the start (\\R) or ``insert`` (-oR).
+        # The argument goes back at the end (/R), the start (\R) or ``insert`` (-oR).
         k = len(ant) if connective is Over else 0 if connective is Under else insert
         if not (isinstance(succ, connective) and k is not None and 0 <= k <= len(ant)):
             return None
         return (Sequent(ant[:k] + (succ.arg,) + ant[k:], succ.result),)
     if split is None:
         return None
-    # The functor sits at ``u`` ahead of its span (/L) or at ``u + t`` after it (\\L).
+    # The functor sits at ``u`` ahead of its span (/L) or at ``u + t`` after it (\L).
     u, t = split
     f, lo = (u, u + 1) if connective is Over else (u + t, u)
     if not (0 <= u and 1 <= t and u + t < len(ant) and isinstance(ant[f], connective)):

@@ -90,27 +90,14 @@ def test_rule_data_only_on_their_rules():
             ProofTree(Rule.OVER_R, concl, (over_l,), **data)
 
 
-def test_a_split_list_is_not_a_proof_tree():
-    # A list split once gave a tree that checked but did not hash or round-trip.
-    with pytest.raises(ValueError):
-        ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=[0, 1])
-
-
-def test_a_boolean_split_is_not_a_proof_tree():
-    # A boolean split once gave a tree that checked but whose JSON did not load.
-    with pytest.raises(ValueError):
-        ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=(False, True))
-
-
-def test_a_float_insert_is_not_a_proof_tree():
-    # A float insert once made check_proof raise TypeError.
-    with pytest.raises(ValueError):
-        ProofTree(Rule.LINIMP_R, parse_sequent("a => b -o a"), (AX_A,), insert=1.0)
-
-
 @pytest.mark.parametrize(
     "rule,sequent,premises,data",
     [
+        # Once a tree that checked but did not hash or round-trip, one that
+        # checked but whose JSON did not load, and one that made check_proof raise.
+        (Rule.OVER_L, "a/b, b => a", 2, {"split": [0, 1]}),
+        (Rule.OVER_L, "a/b, b => a", 2, {"split": (False, True)}),
+        (Rule.LINIMP_R, "a => b -o a", 1, {"insert": 1.0}),
         (Rule.AX, "a => a", 0, {"split": (0, 1)}),
         (Rule.AX, "a => a", 0, {"insert": 0}),
         (Rule.LINIMP_R, "a => b -o a", 1, {"insert": 1, "split": (0, 1)}),
