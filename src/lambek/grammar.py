@@ -27,7 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .analysis import formula_counts
 from .prooftree import ProofTree
@@ -71,10 +73,15 @@ def _is_terminal(name: str) -> bool:
 
 @dataclass(frozen=True)
 class Grammar:
-    """Lexicalized grammar: a start primitive and a type lexicon."""
+    """Lexicalized grammar: a start primitive and a type lexicon.
+
+    The lexicon is stored as a read-only copy with tuple entries: a
+    grammar hashes, and no entry can be set past the checks below, so
+    the grammar's text always reads back as the grammar.
+    """
 
     start: str
-    lexicon: dict[str, tuple[Formula, ...]]
+    lexicon: Mapping[str, tuple[Formula, ...]]
 
     def __post_init__(self) -> None:
         if not IDENT_RE.fullmatch(self.start):
@@ -84,9 +91,16 @@ class Grammar:
                 raise ValueError(f"bad terminal {terminal!r}: {_TERMINAL_RULE}")
             if not entry:
                 raise ValueError(f"terminal {terminal!r} has an empty lexicon entry")
-        # Entries are tuples, so a grammar equals the one its text reads back as.
-        if any(type(entry) is not tuple for entry in self.lexicon.values()):
-            object.__setattr__(self, "lexicon", {t: tuple(entry) for t, entry in self.lexicon.items()})
+        lexicon = {t: tuple(entry) for t, entry in self.lexicon.items()}
+        object.__setattr__(self, "lexicon", MappingProxyType(lexicon))
+
+    def __hash__(self) -> int:
+        # Lexicons compare as dicts do, whatever their order.
+        return hash((self.start, frozenset(self.lexicon.items())))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the plain dict does.
+        return Grammar, (self.start, dict(self.lexicon))
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -339,8 +353,15 @@ def recognize(
 
 
 def grammar_from_text(text: str) -> Grammar:
+    """Read a grammar file (see the module docstring).
+
+    Each distinct formula text is parsed once per file; a text that
+    repeats takes the formula already read.  Raises GrammarFormatError,
+    naming the line, on text that is not a grammar.
+    """
     start: str | None = None
     lexicon: dict[str, tuple[Formula, ...]] = {}
+    parsed: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -359,11 +380,16 @@ def grammar_from_text(text: str) -> Grammar:
             raise GrammarFormatError(f"line {lineno}: duplicate start header")
         if name in lexicon:
             raise GrammarFormatError(f"line {lineno}: duplicate terminal {name!r}")
-        try:
-            entry = tuple(parse_formula(part) for part in rhs.split("|"))
-        except ValueError as e:
-            raise GrammarFormatError(f"line {lineno}: {e}") from e
-        lexicon[name] = entry
+        entry = []
+        for part in rhs.split("|"):
+            f = parsed.get(part)
+            if f is None:
+                try:
+                    f = parsed[part] = parse_formula(part)
+                except ValueError as e:
+                    raise GrammarFormatError(f"line {lineno}: {e}") from e
+            entry.append(f)
+        lexicon[name] = tuple(entry)
     if start is None:
         raise GrammarFormatError("missing 'start:' header")
     try:

@@ -211,10 +211,16 @@ def proof_to_json(t: ProofTree) -> dict[str, Any]:
     return {"sequent": format_sequent(t.conclusion), "nodes": nodes}
 
 
+_RULE_OF_NAME = {rule.value: rule for rule in Rule}  # a dict lookup is cheaper than Rule(name)
+
+
 def _fields(node: dict[str, Any]) -> tuple[Rule, Any, Any]:
     """A JSON node's rule and rule data, its split list made a tuple."""
+    rule = _RULE_OF_NAME.get(node["rule"])
+    if rule is None:
+        raise ValueError(f"{node['rule']!r} is not a rule name")
     split = node.get("split")
-    return Rule(node["rule"]), tuple(split) if type(split) is list else split, node.get("insert")
+    return rule, tuple(split) if type(split) is list else split, node.get("insert")
 
 
 def _flatten(root: dict[str, Any]) -> dict[str, Any]:

@@ -192,10 +192,17 @@ def build_reduction(inst: ThreePartitionInstance) -> ReductionOutput:
     problems = validate_instance(inst)
     if problems:
         raise ValueError("ill-formed instance: " + "; ".join(problems))
+    n = 3 * inst.m
     lexicon: dict[str, tuple[Formula, ...]] = {"v": (_v_type(inst),)}
-    for i in range(1, 3 * inst.m + 1):
-        lexicon[f"w{i}"] = tuple(_w_type(inst, i, j) for j in range(1, inst.m + 1))
-    word = ("v",) + tuple(f"w{i}" for i in range(1, 3 * inst.m + 1))
+    # A row depends only on the item's size and on whether it is the last.
+    rows: dict[tuple[int, bool], tuple[Formula, ...]] = {}
+    for i in range(1, n + 1):
+        key = (inst.sizes[i - 1], i == n)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = tuple(_w_type(inst, i, j) for j in range(1, inst.m + 1))
+        lexicon[f"w{i}"] = row
+    word = ("v",) + tuple(f"w{i}" for i in range(1, n + 1))
     return ReductionOutput(Grammar("a", lexicon), word)
 
 

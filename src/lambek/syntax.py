@@ -22,7 +22,16 @@ hash-consing", 2006): the constructors return the one live node with
 the given class and operands, so two formulas are equal exactly when
 they are the same object, and ``==`` and ``hash`` are ``object``'s.
 Construction is thread-safe, and an unpickled or copied formula is the
-live node.  The intern table holds its nodes weakly.
+live node.  The intern table holds its nodes weakly.  Each class has a
+constructor of its own, with the operands named: ``Atom(name)``,
+``Over(result, arg)``, ``Under(arg, result)`` and ``LinImp(arg,
+result)``, so that finding a live node builds its key and nothing else.
+
+The tokenizer checks the whole text once, with one regular-expression
+match, for characters that start no token, and then takes every
+token's text with one ``findall``.  Token positions are not kept: the
+position of a syntax error is found by scanning the text again when
+the error is raised.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
 from functools import reduce
+from itertools import islice
 
 __all__ = [
     "Atom",
@@ -78,42 +88,36 @@ _nodes: dict[tuple, _Ref] = {}  # (class, *operands) -> the one live node
 _lock = threading.Lock()  # makes a miss's check and insert one step
 
 
+def _insert(key: tuple) -> _Node:
+    """The live node of ``key``, made and entered in the table if there is none.
+
+    The check and the insert are one step under the lock; a new node's
+    operands are set here, once.
+    """
+    with _lock:
+        ref = _nodes.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            cls = key[0]
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, key[1:]):
+                object.__setattr__(node, name, value)
+            ref = _nodes[key] = _Ref(node, _forget)
+            ref.key = key
+    return node
+
+
 class _Node:
     """A hash-consed formula node: equal formulas are one object.
 
-    The operands of a new node are set here, once; a node found in the
-    table is returned as it is.  A copy or pickle is the formula's text,
-    parsed back into the live node, and the ``repr`` is the dataclass
-    one built without recursion, so no depth of formula recurses.
+    Each class's constructor looks its key ``(class, *operands)`` up in
+    the table and returns the node found there as it is; only a miss
+    goes to ``_insert``.  A copy or pickle is the formula's text, parsed
+    back into the live node, and the ``repr`` is the dataclass one built
+    without recursion, so no depth of formula recurses.
     """
 
     __slots__ = ("__weakref__",)
-
-    def __new__(cls, *args, **kwargs):
-        if kwargs:  # the keyword operands, in field order after the positional ones
-            names = cls.__match_args__[len(args):]
-            if set(kwargs) != set(names):
-                raise TypeError(f"{cls.__name__}() takes the operands {cls.__match_args__}")
-            args = (*args, *[kwargs[n] for n in names])
-        key = (cls, *args)
-        ref = _nodes.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        names = cls.__match_args__
-        if len(args) != len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} operands, got {len(args)}")
-        with _lock:
-            ref = _nodes.get(key)
-            node = None if ref is None else ref()
-            if node is None:
-                node = object.__new__(cls)
-                for name, value in zip(names, args):
-                    object.__setattr__(node, name, value)
-                ref = _nodes[key] = _Ref(node, _forget)
-                ref.key = key
-        return node
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -160,6 +164,15 @@ class Atom(_Node):
 
     name: str
 
+    def __new__(cls, name: str) -> Atom:
+        key = (cls, name)
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _insert(key)
+
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Over(_Node):
@@ -167,6 +180,15 @@ class Over(_Node):
 
     result: Formula
     arg: Formula
+
+    def __new__(cls, result: Formula, arg: Formula) -> Over:
+        key = (cls, result, arg)
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _insert(key)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -176,6 +198,15 @@ class Under(_Node):
     arg: Formula
     result: Formula
 
+    def __new__(cls, arg: Formula, result: Formula) -> Under | LinImp:
+        key = (cls, arg, result)
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _insert(key)
+
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class LinImp(_Node):
@@ -183,6 +214,8 @@ class LinImp(_Node):
 
     arg: Formula
     result: Formula
+
+    __new__ = Under.__new__  # the same operands, in the same order
 
 
 Formula = Atom | Over | Under | LinImp
@@ -211,28 +244,40 @@ class Sequent:
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-# A token, or in group 2 a character that starts none.
-_TOKEN_RE = re.compile(r"\s*(?:(-o|=>|[a-z][a-z0-9_]*|[()/\\,])|(\S))")
+_TOKEN_RE = re.compile(r"-o|=>|[a-z][a-z0-9_]*|[()/\\,]")
+# Whitespace and tokens, as far as they go: the whole text when it is
+# all tokens.  The look-ahead keeps an identifier whole, so that no
+# match backtracks through its characters.
+_TEXT_RE = re.compile(r"(?:\s*(?:-o|=>|[a-z][a-z0-9_]*(?![a-z0-9_])|[()/\\,]))*\s*")
 # Every token but an identifier, and "" for the end of the text.
 _PUNCTUATION = frozenset(["(", ")", "/", "\\", "-o", "=>", ",", ""])
 
 
-def _tokens(text: str) -> list[tuple[str, int]]:
-    """Each token's text and position, ending with ``("", len(text))``."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        if m[2] is not None:
-            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
-        out.append((m[1], m.start(1)))
-    out.append(("", len(text)))
-    return out
+def _tokens(text: str) -> list[str]:
+    """Each token's text, ending with ``""``.
+
+    A character that starts no token raises, at its position.
+    """
+    end = _TEXT_RE.match(text).end()
+    if end < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    return tokens
 
 
-def _formula(tokens: list[tuple[str, int]], i: int) -> tuple[Formula, int]:
+def _error(text: str, i: int, message: str) -> FormulaSyntaxError:
+    """``message`` at the position of token ``i`` of ``text`` (the end for the last, ``""``)."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return FormulaSyntaxError(message, len(text) if m is None else m.start())
+
+
+def _formula(text: str, tokens: list[str], i: int, atoms: dict[str, Atom]) -> tuple[Formula, int]:
     """The formula that starts at ``tokens[i]``, and the index of the token after it.
 
-    One loop, with no recursion: ``(`` pushes the open frame (its ``-o``
-    items, its slash and its slash chain) and ``)`` pops it.
+    ``atoms`` maps the names already read to their atoms.  One loop, with
+    no recursion: ``(`` pushes the open frame (its ``-o`` items, its slash
+    and its slash chain) and ``)`` pops it.
     """
     frames: list[tuple[list[Formula], str | None, list[Formula]]] = []
     items: list[Formula] = []
@@ -240,24 +285,27 @@ def _formula(tokens: list[tuple[str, int]], i: int) -> tuple[Formula, int]:
     chain: list[Formula] = []
     while True:
         # An operand starts here.
-        tok, pos = tokens[i]
-        i += 1
+        tok = tokens[i]
         if tok == "(":
+            i += 1
             frames.append((items, slash, chain))
             items, slash, chain = [], None, []
             continue
         if tok in _PUNCTUATION:
-            raise FormulaSyntaxError(f"expected a formula, found {tok!r}", pos)
-        f: Formula = Atom(tok)
+            raise _error(text, i, f"expected a formula, found {tok!r}")
+        i += 1
+        f = atoms.get(tok)
+        if f is None:
+            f = atoms[tok] = Atom(tok)
         # Close the chains that end after it, up to the next operator.
         while True:
             chain.append(f)
-            tok, pos = tokens[i]
+            tok = tokens[i]
             if tok == "/" or tok == "\\":
                 if slash is None:
                     slash = tok
                 elif slash != tok:
-                    raise FormulaSyntaxError("cannot mix '/' and '\\' without parentheses", pos)
+                    raise _error(text, i, "cannot mix '/' and '\\' without parentheses")
                 i += 1
                 break
             # "/" associates to the left, "\\" to the right.
@@ -270,7 +318,7 @@ def _formula(tokens: list[tuple[str, int]], i: int) -> tuple[Formula, int]:
             if not frames:
                 return f, i
             if tok != ")":
-                raise FormulaSyntaxError(f"expected rpar, found {tok!r}", pos)
+                raise _error(text, i, f"expected rpar, found {tok!r}")
             i += 1
             items, slash, chain = frames.pop()
 
@@ -283,33 +331,32 @@ def _fold_right(cls: type[Under] | type[LinImp], items: list[Formula]) -> Formul
     return result
 
 
-def _end(tokens: list[tuple[str, int]], i: int) -> None:
-    tok, pos = tokens[i]
-    if tok:
-        raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
+def _end(text: str, tokens: list[str], i: int) -> None:
+    if tokens[i]:
+        raise _error(text, i, f"trailing input {tokens[i]!r}")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete formula syntax; raises FormulaSyntaxError on bad input."""
     tokens = _tokens(text)
-    f, i = _formula(tokens, 0)
-    _end(tokens, i)
+    f, i = _formula(text, tokens, 0, {})
+    _end(text, tokens, i)
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
     """Parse "f1, f2, ... => g" into a Sequent."""
     tokens = _tokens(text)
-    f, i = _formula(tokens, 0)
+    atoms: dict[str, Atom] = {}
+    f, i = _formula(text, tokens, 0, atoms)
     antecedent = [f]
-    while tokens[i][0] == ",":
-        f, i = _formula(tokens, i + 1)
+    while tokens[i] == ",":
+        f, i = _formula(text, tokens, i + 1, atoms)
         antecedent.append(f)
-    tok, pos = tokens[i]
-    if tok != "=>":
-        raise FormulaSyntaxError(f"expected arrow, found {tok!r}", pos)
-    succedent, i = _formula(tokens, i + 1)
-    _end(tokens, i)
+    if tokens[i] != "=>":
+        raise _error(text, i, f"expected arrow, found {tokens[i]!r}")
+    succedent, i = _formula(text, tokens, i + 1, atoms)
+    _end(text, tokens, i)
     return Sequent(tuple(antecedent), succedent)
 
 

@@ -27,7 +27,9 @@ against itself:
   the JSON decoder,
 * ``reference_repr``, the dataclass ``repr`` written out recursively,
   for the explicit-stack ``repr`` of formulas and proof trees,
-* ``recursion_limit``, to show that a walk does not recurse per level.
+* ``recursion_limit``, to show that a walk does not recurse per level,
+* ``scan_tokens``, a character-level tokenizer, for the positions of
+  syntax errors.
 """
 
 from __future__ import annotations
@@ -648,3 +650,41 @@ def recursion_limit(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+# ---------------------------------------------------------------------------
+# Tokens, read one character at a time
+# ---------------------------------------------------------------------------
+
+_IDENT_START = "abcdefghijklmnopqrstuvwxyz"
+_IDENT_REST = _IDENT_START + "0123456789_"
+
+
+def scan_tokens(text: str) -> tuple[list[tuple[str, int]], int | None]:
+    """Each token of ``text`` with its position, up to the first character
+    that starts no token, and that character's position (None if none).
+
+    Tokens are identifiers ``[a-z][a-z0-9_]*``, ``-o``, ``=>`` and the
+    characters ``( ) / \\ ,``; whitespace separates them.
+    """
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif text.startswith("-o", i) or text.startswith("=>", i):
+            tokens.append((text[i : i + 2], i))
+            i += 2
+        elif c in "()/\\,":
+            tokens.append((c, i))
+            i += 1
+        elif c in _IDENT_START:
+            j = i + 1
+            while j < n and text[j] in _IDENT_REST:
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+        else:
+            return tokens, i
+    return tokens, None

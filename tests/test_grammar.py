@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import math
+import pickle
 import random
 import time
 
@@ -50,6 +52,40 @@ def test_grammar_invariants():
     for terminal in ("a b", "a#b", "a:b", "start", ""):
         with pytest.raises(ValueError):
             Grammar("x", {terminal: (Atom("x"),)})
+
+
+def test_grammar_lexicon_is_read_only():
+    lexicon = {"a": [Atom("x")], "b": (Over(Atom("x"), Atom("y")),)}
+    g = Grammar("x", lexicon)
+    lexicon["c"] = (Atom("x"),)  # the grammar keeps its own copy
+    assert g.alphabet == {"a", "b"}
+    assert g.lexicon["a"] == (Atom("x"),)
+    with pytest.raises(TypeError):
+        g.lexicon["a b"] = (Atom("x"),)
+    with pytest.raises(TypeError):
+        del g.lexicon["a"]
+    assert grammar_from_text(grammar_to_text(g)) == g
+
+
+def test_grammars_hash_as_they_compare():
+    g = anbncn_grammar()
+    assert hash(g) == hash(anbncn_grammar()) and g == anbncn_grammar()
+    # Lexicons compare as dicts do, whatever their order.
+    reordered = Grammar(g.start, dict(reversed(g.lexicon.items())))
+    assert reordered == g and hash(reordered) == hash(g)
+    assert len({g, anbncn_grammar(), reordered}) == 1
+    other = Grammar("y", dict(g.lexicon))
+    assert other != g and len({g, other}) == 2
+
+
+def test_grammars_copy_and_pickle():
+    g = anbncn_grammar()
+    for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert back == g and hash(back) == hash(g)
+        assert all(b is a for a, b in zip(itertools.chain(*g.lexicon.values()), itertools.chain(*back.lexicon.values())))
+        with pytest.raises(TypeError):
+            back.lexicon["d"] = (Atom("x"),)
+        assert grammar_from_text(grammar_to_text(back)) == g
 
 
 @pytest.mark.parametrize(
@@ -150,6 +186,9 @@ def test_grammar_text_round_trip():
         ("start: s\nnonsense", "expected"),
         ("", "missing"),
         ("start: s/t\na: x", "not a primitive"),
+        # a text read once is not read again, but a bad one on a later line names that line
+        ("start: s\na: x/y | y\nb: x/y | y\nc: y | x/y | x//y", "line 4"),
+        ("start: s\na: x/y | y\n\nb: y | x/y/", "line 4"),
     ],
 )
 def test_grammar_text_rejects(text, fragment):

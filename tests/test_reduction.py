@@ -13,12 +13,15 @@ from lambek import (
     AssignmentDecodeError,
     Atom,
     CalculusMode,
+    Grammar,
     Sequent,
     ThreePartitionInstance,
     assignment_to_partition,
     balanced,
     build_reduction,
     canonical_partition,
+    grammar_from_text,
+    grammar_to_text,
     instance_from_json,
     instance_to_json,
     parse_formula,
@@ -29,6 +32,7 @@ from lambek import (
     validate_instance,
 )
 from lambek.grammar import _balanced_assignments, _entries
+from lambek.reduction import _v_type, _w_type
 from lambek.syntax import _nodes
 
 GOOD = ThreePartitionInstance(1, 12, (4, 4, 4))
@@ -134,6 +138,33 @@ def test_build_reduction_slot_choice():
     )
     assert len(grammar.lexicon["w6"]) == 2
     assert all(len(grammar.lexicon[f"w{i}"]) == 2 for i in range(1, 7))
+
+
+def _random_instance(rng: random.Random, m: int) -> ThreePartitionInstance:
+    """A valid instance with ``m`` triples and a target of 13 to 24."""
+    target = rng.randint(13, 24)
+    low, high = target // 4 + 1, (target - 1) // 2
+    while True:
+        sizes = [rng.randint(low, high) for _ in range(3 * m - 1)]
+        last = m * target - sum(sizes)
+        if low <= last <= high:
+            return ThreePartitionInstance(m, target, (*sizes, last))
+
+
+def test_shared_rows_and_per_file_parsing_change_no_grammar():
+    rng = random.Random(20)
+    instances = [*all_valid_instances(2, 16), *(_random_instance(rng, rng.randint(3, 5)) for _ in range(50))]
+    for inst in instances:
+        n = 3 * inst.m
+        # The grammar built type by type
+        lexicon = {"v": (_v_type(inst),)}
+        for i in range(1, n + 1):
+            lexicon[f"w{i}"] = tuple(_w_type(inst, i, j) for j in range(1, inst.m + 1))
+        expected = Grammar("a", lexicon)
+        grammar, word = build_reduction(inst)
+        assert grammar == expected, inst
+        assert list(grammar.lexicon) == list(expected.lexicon) == list(word)
+        assert grammar_from_text(grammar_to_text(expected)) == expected, inst
 
 
 def test_build_reduction_rejects_bad_instance():

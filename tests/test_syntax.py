@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import gc
@@ -7,14 +8,17 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_formula, recursion_limit
+from helpers import random_formula, random_sequent, recursion_limit, scan_tokens
 import lambek
 from lambek import (
     Atom,
@@ -132,6 +136,80 @@ def test_syntax_error_messages_and_positions(parse, text, message, position):
         parse(text)
     assert str(e.value) == f"{message} (at position {position})"
     assert e.value.position == position
+
+
+_WHITESPACE = ["", " ", "  ", "\t", "\n", "\r\n", " \t\n", "\xa0"]
+_TOKEN_TEXTS = ["a", "bc", "x1_", "-o", "=>", "(", ")", "/", "\\", ","]
+_CHARACTERS = [*"az0_A-o=>()/\\,$.é", " ", "\t", "\n", "\xa0"]
+
+
+@st.composite
+def _mutated_texts(draw) -> str:
+    """The text of a valid formula or sequent with a few characters,
+    tokens or whitespace runs inserted, deleted or swapped."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        text = format_formula(random_formula(rng, depth=3))
+    else:
+        text = format_sequent(random_sequent(rng))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert char", "delete char", "insert token", "delete token", "whitespace"]))
+        if kind == "insert char":
+            text = text[:i] + draw(st.sampled_from(_CHARACTERS)) + text[i:]
+        elif kind == "delete char":
+            text = text[:i] + text[i + 1 :]
+        elif kind == "insert token":
+            text = text[:i] + draw(st.sampled_from(_TOKEN_TEXTS)) + text[i:]
+        elif kind == "delete token":
+            tokens, _ = scan_tokens(text)
+            if tokens:
+                tok, pos = draw(st.sampled_from(tokens))
+                text = text[:pos] + text[pos + len(tok) :]
+        else:
+            # Replace the whitespace run around position i, possibly empty.
+            j = i
+            while i > 0 and text[i - 1].isspace():
+                i -= 1
+            while j < len(text) and text[j].isspace():
+                j += 1
+            text = text[:i] + draw(st.sampled_from(_WHITESPACE)) + text[j:]
+    return text
+
+
+def _check_error_points_at_what_it_names(text: str, e: FormulaSyntaxError) -> None:
+    m = re.fullmatch(r"(.*) \(at position (\d+)\)", str(e), re.DOTALL)
+    assert m is not None and int(m[2]) == e.position, str(e)
+    message, pos = m[1], e.position
+    tokens, bad = scan_tokens(text)
+    if message.startswith("unexpected character "):
+        # The first character that starts no token, and no earlier one.
+        quoted = ast.literal_eval(message.removeprefix("unexpected character "))
+        assert len(quoted) == 1 and text[pos] == quoted
+        assert bad == pos
+        return
+    # Other errors come only when every character starts or continues a token.
+    assert bad is None, message
+    if message.startswith("cannot mix "):
+        assert (text[pos], pos) in tokens and text[pos] in "/\\"
+        return
+    m = re.fullmatch(r"(?:expected (?:a formula|rpar|arrow), found |trailing input )(.*)", message)
+    assert m is not None, message
+    quoted = ast.literal_eval(m[1])
+    if quoted == "":
+        assert pos == len(text)
+    else:
+        assert (quoted, pos) in tokens
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_mutated_texts())
+def test_every_syntax_error_points_at_what_it_names(text):
+    for parse in (parse_formula, parse_sequent):
+        try:
+            parse(text)
+        except FormulaSyntaxError as e:
+            _check_error_points_at_what_it_names(text, e)
 
 
 def test_parse_sequent():
