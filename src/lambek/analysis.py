@@ -13,10 +13,10 @@ Polarity assigns + to the succedent root and - to every antecedent
 root; the result side of a connective keeps its parent's polarity and
 the argument side flips it.  Linear implication is only usable in
 positive positions (there is no left rule for it), so negative
-occurrences are reported by ``polarity_report`` and flagged by the
-prover's input validation, both off the walk ``_occurrences`` (with
-``_roots`` for the roots), and refuted by the prover's root check off
-the tables ``prover._Search._vec`` fills, one walk per formula.
+occurrences are reported by ``polarity_report``, off the walk
+``_occurrences`` (with ``_roots`` for the roots).  The prover's root
+check refutes a goal off each root's ``syntax._Node._usable``, and its
+input validation walks ``_occurrences`` only through a root it flags.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from .analysis import formula_counts
 from .prooftree import ProofTree
 from .prover import DEFAULT_BUDGET, BudgetExceededError, CalculusMode, SearchStats, _Search
-from .syntax import Atom, Formula, IDENT_RE, Over, Sequent, format_formula, parse_formula
+from .syntax import Atom, Formula, FormulaSyntaxError, IDENT_RE, Over, Sequent, format_formula, parse_formula
 
 __all__ = [
     "Grammar",
@@ -357,24 +357,24 @@ def grammar_from_text(text: str) -> Grammar:
 
     Each distinct formula text is parsed once per file; a text that
     repeats takes the formula already read.  Raises GrammarFormatError,
-    naming the line, on text that is not a grammar.
+    naming the line (and the column of a formula error), on text that is not a grammar.
     """
     start: str | None = None
     lexicon: dict[str, tuple[Formula, ...]] = {}
     parsed: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         if ":" not in line:
             raise GrammarFormatError(f"line {lineno}: expected 'name: ...'")
         name, _, rhs = line.partition(":")
+        column = len(name) + 1  # where the next part starts in the line
         name = name.strip()
-        rhs = rhs.strip()
         if start is None:
             if name != "start":
                 raise GrammarFormatError(f"line {lineno}: the first entry must be 'start: <primitive>'")
-            start = rhs
+            start = rhs.strip()
             continue
         if name == "start":
             raise GrammarFormatError(f"line {lineno}: duplicate start header")
@@ -386,9 +386,10 @@ def grammar_from_text(text: str) -> Grammar:
             if f is None:
                 try:
                     f = parsed[part] = parse_formula(part)
-                except ValueError as e:
-                    raise GrammarFormatError(f"line {lineno}: {e}") from e
+                except FormulaSyntaxError as e:
+                    raise GrammarFormatError(f"line {lineno}: {e.message} (at position {column + e.position})") from e
             entry.append(f)
+            column += len(part) + 1
         lexicon[name] = tuple(entry)
     if start is None:
         raise GrammarFormatError("missing 'start:' header")

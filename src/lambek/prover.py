@@ -16,12 +16,12 @@ not a rule; everything here is cut-free.
 
 The search is depth-first and backward, with two refutation filters
 (the primitive count invariant, and the discipline that -o is only
-usable in positive positions, both checked at the root off the
-tables ``_Search._vec`` fills in one walk per formula) plus a
-per-query memo table over search states.  It is one loop,
-``_Search._search``, that backtracks over the options of each state
-with its frames on a list, so no depth runs into the recursion limit.
-It has two modes.  ``prove`` and
+usable in positive positions, both checked at the root: off the count
+vectors ``_Search._vec`` packs and the facts on each formula's node,
+``syntax._Node``) plus a per-query memo table over search states.
+It is one loop, ``_Search._search``, that backtracks over the options
+of each state with its frames on a list, so no depth runs into the
+recursion limit.  It has two modes.  ``prove`` and
 ``grammar.recognize`` commit: a state keeps its first result, and
 solved and failed states go to the memo.  ``enumerate_proofs``
 resumes the loop after each result and memoizes only the states that
@@ -118,6 +118,7 @@ from collections.abc import Iterator
 
 from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule
+from .syntax import _LEFT_ARG, _NEGATIVE, _NEGATIVE_L, _POSITIVE, _POSITIVE_L, _RIGHT_ARG
 from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, format_formula
 
 __all__ = [
@@ -157,6 +158,10 @@ class CalculusMode(enum.Enum):
         return self.value
 
 
+# The bits of syntax._Node._usable that mean positive and negative in each mode.
+_POLARITIES = {m: (_POSITIVE, _NEGATIVE) if m.has_linimp_right else (_POSITIVE_L, _NEGATIVE_L) for m in CalculusMode}
+
+
 @dataclass
 class SearchStats:
     nodes_expanded: int = 0
@@ -193,9 +198,12 @@ def validate_input(s: Sequent, mode: CalculusMode) -> list[InputViolation]:
     succedent, each walked through its printed operands left to right.
     """
     out: list[InputViolation] = []
+    positive_bit, negative_bit = _POLARITIES[mode]
     for root, side, index, root_positive in _roots(s):
+        if root._usable & (positive_bit if root_positive else negative_bit):
+            continue  # no violation inside
         for f, positive in _occurrences(root, root_positive):
-            if _unusable(f, positive, mode):
+            if isinstance(f, LinImp) and (mode is CalculusMode.L or not positive):
                 where = f"({side} position {index})"
                 if mode is CalculusMode.L:
                     out.append(InputViolation("linimp-in-l", f"mode l has no rules for {format_formula(f)} {where}"))
@@ -203,11 +211,6 @@ def validate_input(s: Sequent, mode: CalculusMode) -> list[InputViolation]:
                     message = f"{format_formula(f)} occurs negatively {where} and -o has no left rule"
                     out.append(InputViolation("negative-linimp", message))
     return out
-
-
-def _unusable(f: Formula, positive: bool, mode: CalculusMode) -> bool:
-    """Whether ``f``, at that polarity, is a -o that ``mode`` has no rule for."""
-    return isinstance(f, LinImp) and (mode is CalculusMode.L or not positive)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +259,6 @@ _LANE_BITS = 16
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
 
-# The polarities of _Search._usable.
-_POSITIVE = 1
-_NEGATIVE = 2
-
-# The sides of a formula's result chain (_Search._sides): whether the
-# chain has a \ argument, whose span takes fixed formulas on its left,
-# and whether it has a / argument, whose span takes those on its right.
-_LEFT_ARG = 1
-_RIGHT_ARG = 2
-
 
 def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
     """Index of the p-th positionally committed entry under ``mask``."""
@@ -288,21 +281,9 @@ class _Search:
         self.stats = SearchStats()
         self.memo: dict[State, Result | None] = {}
         self.new_budget_window()
-        # Packed count vector of every subformula of the goals seen so far.
+        # Packed count vector of every subformula of the goals seen so far;
+        # the facts that depend on its shape alone are on its node (syntax._Node).
         self._packed: dict[Formula, int] = {}
-        # The head of each of them: the atom (or -o) reached from it by
-        # following the result through / and \.
-        self._heads: dict[Formula, Formula] = {}
-        # The sides of each of them, _LEFT_ARG | _RIGHT_ARG: which slashes
-        # that result chain passes through on the way to the head.
-        self._sides: dict[Formula, int] = {}
-        # The number of atom occurrences in each of them, and the
-        # polarities, _POSITIVE | _NEGATIVE, at which every -o inside is usable.
-        self._atoms: dict[Formula, int] = {}
-        self._usable: dict[Formula, int] = {}
-        # The polarities at which a -o itself is usable (_unusable): the
-        # positive one, in a mode with -oR.
-        self._linimp_usable = _POSITIVE if mode.has_linimp_right else 0
         # The bag unit of every formula with a lane, in order of its lane
         # (see _unit), and the compound ones among them, in _rank order.
         self._units: dict[Formula, int] = {}
@@ -351,21 +332,21 @@ class _Search:
 
     def _admissible(self, s: Sequent) -> bool:
         # The antecedent's packed vectors come first, as ranks follow first sight.
-        vec, atoms, usable = self._vec, self._atoms, self._usable
-        lhs, n, ok = 0, 0, _NEGATIVE  # antecedent roots are negative
+        vec, lhs, n = self._vec, 0, 0
+        positive, ok = _POLARITIES[self.mode]  # antecedent roots are negative
         for f in s.antecedent:
-            lhs, n, ok = lhs + vec(f), n + atoms[f], ok & usable[f]
+            lhs, n, ok = lhs + vec(f), n + f._atoms, ok & f._usable
         rhs = vec(s.succedent)
         # Every lane of every count vector in the search is a sum over
         # distinct atom occurrences of the root, so their total bounds
         # them all.
-        if n + atoms[s.succedent] >= _LANE_HALF:
+        if n + s.succedent._atoms >= _LANE_HALF:
             raise ValueError(f"sequents with {_LANE_HALF} or more atom occurrences are not supported")
         if lhs != rhs:
             self.stats.pruned_by_count += 1
             return False
         # Subgoals inherit usable -o's, so the root check suffices.
-        return bool(ok and usable[s.succedent] & _POSITIVE)
+        return bool(ok and s.succedent._usable & positive)
 
     def _vec(self, f: Formula) -> int:
         """Packed count vector of ``f``, cached with all its subformulas'.
@@ -375,7 +356,7 @@ class _Search:
         packed = self._packed
         if f in packed:
             return packed[f]
-        rank, heads, sides, atoms, usable = self._rank, self._heads, self._sides, self._atoms, self._usable
+        rank = self._rank
         stack = [f]
         while stack:
             g = stack.pop()
@@ -385,24 +366,11 @@ class _Search:
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
                 packed[g] = self._unit(g)
-                heads[g], sides[g], atoms[g], usable[g] = g, 0, 1, _POSITIVE | _NEGATIVE
+            elif g.result in packed and g.arg in packed:
+                packed[g] = packed[g.result] - packed[g.arg]
             else:
-                r, a = g.result, g.arg
-                if r in packed and a in packed:
-                    packed[g] = packed[r] - packed[a]
-                    atoms[g] = atoms[r] + atoms[a]
-                    # The result keeps the polarity and the argument flips it.
-                    u = usable[r] & (usable[a] >> 1 | (usable[a] & _POSITIVE) << 1)
-                    if type(g) is LinImp:
-                        heads[g], sides[g] = g, 0
-                        u &= self._linimp_usable
-                    else:
-                        heads[g] = heads[r]
-                        sides[g] = sides[r] | (_RIGHT_ARG if type(g) is Over else _LEFT_ARG)
-                    usable[g] = u
-                else:
-                    stack += (g, a, r)  # the result first, then the argument, then g
-                    continue
+                stack += (g, g.arg, g.result)  # the result first, then the argument, then g
+                continue
             rank[g] = len(rank)
         return packed[f]
 
@@ -414,7 +382,7 @@ class _Search:
         ``f``, only that of a / argument those right of it, and an atom
         takes nothing more.
         """
-        sides = self._sides[f]
+        sides = f._sides
         return bool((sides & _LEFT_ARG or not i) and (sides & _RIGHT_ARG or i == n - 1) and (sides or not bag))
 
     def _unit(self, f: Formula) -> int:
@@ -558,13 +526,12 @@ class _Search:
         # those whose head is the succedent: a focused chain ends in Ax
         # on its head (module docstring), so a succedent that is not an
         # atom has none.  A fixed functor must also be able to end from
-        # where it sits.
-        heads, can_end, n = self._heads, self._can_end, len(fixed)
-        functors = [
-            (f, i) for i, f in enumerate(fixed) if heads[f] is succ and f is not succ and can_end(f, i, n, bag)
-        ]
+        # where it sits.  An atom's or a -o's head is None, not itself, so
+        # neither is a functor here.
+        can_end, n = self._can_end, len(fixed)
+        functors = [(f, i) for i, f in enumerate(fixed) if f._head is succ and can_end(f, i, n, bag)]
         if bag & self._compound_bits:
-            functors += [(g, -1) for g, u in self._compounds if heads[g] is succ and bag & _LANE_MASK * u]
+            functors += [(g, -1) for g, u in self._compounds if g._head is succ and bag & _LANE_MASK * u]
         if functors:
             yield from self._left(fixed, bag, succ, functors)
 

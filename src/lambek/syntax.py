@@ -26,6 +26,8 @@ live node.  The intern table holds its nodes weakly.  Each class has a
 constructor of its own, with the operands named: ``Atom(name)``,
 ``Over(result, arg)``, ``Under(arg, result)`` and ``LinImp(arg,
 result)``, so that finding a live node builds its key and nothing else.
+A node also carries four facts about its shape, set once from its
+operands' facts before it enters the table, for the prover's filters.
 
 The tokenizer checks the whole text once, with one regular-expression
 match, for characters that start no token, and then takes every
@@ -68,7 +70,7 @@ class FormulaSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class _Ref(weakref.ref):
@@ -87,12 +89,20 @@ def _forget(ref: _Ref) -> None:
 _nodes: dict[tuple, _Ref] = {}  # (class, *operands) -> the one live node
 _lock = threading.Lock()  # makes a miss's check and insert one step
 
+# _Node._sides: whether the result chain has a \ argument, whose span takes fixed
+# formulas on its left, and whether it has a / argument, whose span takes those on its right.
+_LEFT_ARG, _RIGHT_ARG = 1, 2
+
+# _Node._usable: the polarities where -o has its right rule (the sdl modes: a -o is
+# usable in positive position), and, with _L, where it has none (mode l: nowhere).
+_POSITIVE, _NEGATIVE, _POSITIVE_L, _NEGATIVE_L = 1, 2, 4, 8
+
 
 def _insert(key: tuple) -> _Node:
     """The live node of ``key``, made and entered in the table if there is none.
 
     The check and the insert are one step under the lock; a new node's
-    operands are set here, once.
+    operands and facts (``_Node``) are set here, once, before it is seen.
     """
     with _lock:
         ref = _nodes.get(key)
@@ -102,6 +112,21 @@ def _insert(key: tuple) -> _Node:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, key[1:]):
                 object.__setattr__(node, name, value)
+            if cls is Atom:
+                head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _POSITIVE_L | _NEGATIVE_L
+            else:
+                r, a = node.result, node.arg
+                atoms, u = r._atoms + a._atoms, a._usable
+                # The result keeps the polarity and the argument flips it.
+                usable = r._usable & ((u >> 1 & (_POSITIVE | _POSITIVE_L)) | (u & (_POSITIVE | _POSITIVE_L)) << 1)
+                if cls is LinImp:
+                    head, sides, usable = None, 0, usable & _POSITIVE
+                else:
+                    head, sides = r._head or r, r._sides | (_RIGHT_ARG if cls is Over else _LEFT_ARG)
+            _set_head(node, head)
+            _set_sides(node, sides)
+            _set_atoms(node, atoms)
+            _set_usable(node, usable)
             ref = _nodes[key] = _Ref(node, _forget)
             ref.key = key
     return node
@@ -115,9 +140,15 @@ class _Node:
     goes to ``_insert``.  A copy or pickle is the formula's text, parsed
     back into the live node, and the ``repr`` is the dataclass one built
     without recursion, so no depth of formula recurses.
+
+    Four facts about its shape sit in private slots, not fields:
+    ``_head``, the atom or -o its result chain ends in, through / and \\
+    (None for an atom or a -o: a node pointing at itself would be a
+    reference cycle); ``_sides``, the slashes on that chain; ``_atoms``,
+    its atom occurrences; ``_usable``, where its -o's are all usable.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_head", "_sides", "_atoms", "_usable")
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -127,6 +158,10 @@ class _Node:
 
     def __reduce__(self):
         return parse_formula, (format_formula(self),)
+
+
+# The facts' setters, as a frozen dataclass's own __setattr__ raises.
+_set_head, _set_sides, _set_atoms, _set_usable = (getattr(_Node, name).__set__ for name in _Node.__slots__[1:])
 
 
 def _dataclass_repr(root: object, kind: type) -> str:
@@ -431,12 +466,6 @@ def subformulas(x: Formula | Sequent) -> set[Formula]:
 
 
 def connective_count(x: Formula | Sequent) -> int:
-    """Number of connective occurrences (/, \\, -o)."""
-    stack = [*x.antecedent, x.succedent] if isinstance(x, Sequent) else [x]
-    n = 0
-    while stack:
-        f = stack.pop()
-        if not isinstance(f, Atom):
-            n += 1
-            stack += (f.result, f.arg)
-    return n
+    """Number of connective occurrences (/, \\, -o): each connective joins two operands."""
+    roots = [*x.antecedent, x.succedent] if isinstance(x, Sequent) else [x]
+    return sum(f._atoms for f in roots) - len(roots)

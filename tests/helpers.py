@@ -9,6 +9,9 @@ against itself:
   cross-validate the packaged checker and to filter proof mutants,
   with ``mutate_proof`` and ``relabel_proof`` to make those mutants,
 * random formula and sequent generators,
+* ``oracle_chain``, ``oracle_atoms`` and ``oracle_usable``, a
+  formula's head, chain sides, atom occurrences and usable polarities,
+  for the facts on each formula node,
 * ``brute_force_splits``, every way to split a pending multiset by
   counts, for the prover's split routine,
 * ``brute_force_balanced``, every assignment whose counts sum to a
@@ -333,6 +336,41 @@ def oracle_counts(f: Formula) -> dict[str, int]:
     for name, n in oracle_counts(f.arg).items():
         out[name] = out.get(name, 0) - n
     return {name: n for name, n in out.items() if n}
+
+
+def oracle_chain(f: Formula) -> tuple[Formula, set[str]]:
+    """The head of ``f`` and its chain's sides, straight from their definitions.
+
+    The head is the atom or -o reached from ``f`` by following results
+    through / and \\; the sides are the slashes passed on the way.
+    """
+    if not isinstance(f, (Over, Under)):
+        return f, set()
+    head, sides = oracle_chain(f.result)
+    return head, sides | {"/" if isinstance(f, Over) else "\\"}
+
+
+def oracle_atoms(f: Formula) -> int:
+    """The number of atom occurrences in ``f``."""
+    return 1 if isinstance(f, Atom) else oracle_atoms(f.result) + oracle_atoms(f.arg)
+
+
+def oracle_usable(f: Formula, mode: CalculusMode) -> set[str]:
+    """The polarities, "+" and "-", at which every -o occurrence in ``f`` is usable in ``mode``.
+
+    Mode l has no rule for -o, the sdl modes only -oR, so a -o is usable
+    nowhere in l and only in positive position in sdl and sdl-.  The
+    argument of a connective flips the polarity and its result keeps it.
+    """
+
+    def usable(g: Formula, positive: bool) -> bool:
+        if isinstance(g, Atom):
+            return True
+        if isinstance(g, LinImp) and (mode is CalculusMode.L or not positive):
+            return False
+        return usable(g.result, positive) and usable(g.arg, not positive)
+
+    return {sign for sign, positive in (("+", True), ("-", False)) if usable(f, positive)}
 
 
 def brute_force_splits(bag, need: dict[str, int]) -> list[tuple]:

@@ -183,6 +183,9 @@ def test_grammar_text_round_trip():
         ("start: s\nstart: t", "duplicate start"),
         ("start: s\na: x\na: y", "duplicate terminal"),
         ("start: s\na: x//y", "line 2"),
+        # a formula's error is placed in its line, not in its part
+        ("start: s\na: y | x//y", r"line 2: expected a formula, found '/' \(at position 9\)"),
+        ("start: s\na:    x//y", r"line 2: expected a formula, found '/' \(at position 8\)"),
         ("start: s\nnonsense", "expected"),
         ("", "missing"),
         ("start: s/t\na: x", "not a primitive"),

@@ -46,7 +46,7 @@ from lambek import (
     prove,
     validate_input,
 )
-from lambek import prover
+from lambek import prover, syntax
 
 L, SDL, SDLM = CalculusMode.L, CalculusMode.SDL, CalculusMode.SDL_MINUS
 
@@ -492,10 +492,8 @@ def test_no_left_rule_below_a_missing_right_rule():
 def test_chain_sides(text, sides):
     # Only the slashes on the way from the formula to its head count,
     # not those inside an argument or under a -o.
-    search = prover._Search(SDL)
     f = parse_formula(text)
-    search._vec(f)
-    assert search._sides[f] == ("\\" in sides) * prover._LEFT_ARG + ("/" in sides) * prover._RIGHT_ARG
+    assert f._sides == ("\\" in sides) * syntax._LEFT_ARG + ("/" in sides) * syntax._RIGHT_ARG
 
 
 def _chain_can_end(f, i: int, n: int, bag: int) -> bool:

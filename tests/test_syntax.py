@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula, random_sequent, recursion_limit, scan_tokens
+from helpers import (
+    oracle_atoms,
+    oracle_chain,
+    oracle_usable,
+    random_formula,
+    random_sequent,
+    recursion_limit,
+    scan_tokens,
+)
 import lambek
 from lambek import (
     Atom,
@@ -40,6 +48,7 @@ from lambek import (
     prove,
     subformulas,
 )
+from lambek import prover, syntax
 from lambek.syntax import _nodes
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -398,6 +407,27 @@ def test_construction_from_many_threads_gives_one_object():
         sys.setswitchinterval(interval)
     for formulas in results[1:]:
         assert all(f is g for f, g in zip(formulas, results[0]))
+    for f in results[0]:
+        _assert_facts(f)
+
+
+def _assert_facts(f: Formula) -> None:
+    """Every subformula of ``f`` carries the head, sides, atom count and usability the oracles give."""
+    for g in subformulas(f):
+        head, sides = oracle_chain(g)
+        assert g._head is (None if head is g else head)
+        assert g._sides == ("\\" in sides) * syntax._LEFT_ARG + ("/" in sides) * syntax._RIGHT_ARG
+        assert g._atoms == oracle_atoms(g)
+        for mode in CalculusMode:
+            positive, negative = prover._POLARITIES[mode]
+            assert {sign for sign, bit in (("+", positive), ("-", negative)) if g._usable & bit} == oracle_usable(g, mode)
+
+
+def test_shape_facts_match_the_oracles():
+    rng = random.Random(11)
+    for _ in range(400):
+        _assert_facts(random_formula(rng, depth=rng.randint(0, 6)))
+    _assert_facts(parse_formula("((a -o b)/(c\\d))\\(e -o (f/g -o h))"))
 
 
 def test_long_linimp_chain_parses_without_recursion():
@@ -417,6 +447,23 @@ def test_dropped_formulas_leave_the_table():
     del f, chain
     gc.collect()
     assert len(_nodes) == size
+
+
+def test_dropped_formulas_leave_the_table_without_the_collector():
+    # No node refers to itself, an atom or a -o through its head above
+    # all, so reference counting alone frees a formula.
+    gc.collect()
+    size = len(_nodes)
+    gc.disable()
+    try:
+        f = _deep_formula(20_000, Atom("leaf"))
+        n = 6_000
+        chain = parse_sequent("b" + "/a" * n + " => " + "a -o " * n + "b")
+        assert len(_nodes) > size + 20_000
+        del f, chain
+        assert len(_nodes) == size
+    finally:
+        gc.enable()
 
 
 def test_connective_count_of_a_deep_formula():
