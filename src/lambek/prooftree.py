@@ -3,8 +3,8 @@
 ``Rule`` is the rule table: each member holds its number of premises
 (0 for Ax, 1 for right rules, 2 for left rules), the connective it
 introduces and the rule data that place it.  A node records its rule,
-its conclusion sequent, its premises and the data its rule takes,
-checked where the node is built:
+its premises and the data its rule takes, checked where the node is
+built:
 
 * ``split = (u, t)`` for /L and \\L: the conclusion antecedent is
   ``U ++ [functor] ++ T ++ V`` (/L) or ``U ++ T ++ [functor] ++ V``
@@ -14,36 +14,38 @@ checked where the node is built:
 * ``insert = k`` for -oR: the premise re-inserts the argument at
   position ``k`` of the conclusion antecedent.
 
-``premise_conclusions`` is this schema written once: the sequents a
-node's premises must have, given its rule, conclusion and rule data.
-The checker and the JSON encoder and decoder all use it.
+Only a tree's root holds a sequent, its ``conclusion``; an inner node's
+is None.  ``premise_conclusions`` is the schema above written once, and
+``ProofTree.conclusions`` the one top-down walk that derives every
+other node's conclusion with it, so no two conclusions in a tree can
+disagree.  Rule data that do not apply where they sit (a split out of
+range, a functor or succedent of the wrong connective) make the tree
+no proof: the walk gives the nodes below them no conclusion, and
+``check_proof`` rejects it.  A node may be given premises that have
+conclusions, each the one its rule data give (else ValueError); it
+keeps them without.
 
 The JSON form lists the nodes in preorder, after the root's sequent
 as concrete text.  A node's rule fixes its number of premises, so the
-list needs no nesting and no premise counts.  A node carries a
-``sequent`` only when its conclusion is not the one its parent's rule
-data imply (the root's is the top-level one), so a correct proof
-stores one sequent in all and any tree, correct or not, round-trips
-exactly::
+list needs no nesting and no premise counts::
 
     {"sequent": "a/b, b => a",
      "nodes": [{"rule": "/L", "split": [0, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]}
 
-The decoder takes a node's ``sequent`` when present and derives it
-otherwise.  It also loads the earlier nested form, in which each node
-lists its ``premises`` and the root carries the sequent, with or
-without a sequent on every other node: an explicit-stack walk turns it
-into the same node list first.
+The decoder also loads the earlier nested form, in which each node
+lists its ``premises`` and the root carries the sequent, and files
+with a ``sequent`` on other nodes, in either form, when each is the
+conclusion the walk derives there.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterator
 
-from .syntax import LinImp, Over, Sequent, Under, _dataclass_repr, format_sequent, parse_sequent
+from .syntax import Formula, LinImp, Over, Sequent, Under, _dataclass_repr, format_sequent, parse_sequent
 
 __all__ = [
     "Rule",
@@ -68,14 +70,14 @@ class Rule(enum.Enum):
 
     def __new__(cls, name: str, arity: int, connective: type | None, data: str | None) -> Rule:
         member = object.__new__(cls)
-        member._value_ = name
+        member._value_ = member.symbol = name  # ``value`` is a slow property, ``symbol`` a plain attribute
         member.arity = arity
         member.connective = connective
         member.data = data
         return member
 
     def __str__(self) -> str:
-        return self.value
+        return self.symbol
 
 
 def _check_shape(rule: Rule, n: int, split: Any, insert: Any) -> None:
@@ -90,38 +92,57 @@ def _check_shape(rule: Rule, n: int, split: Any, insert: Any) -> None:
         raise ValueError(f"{rule} node with split={split!r}, insert={insert!r}: /L and \\L take a split of two ints, -oR an int insert")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ProofTree:
-    """A proof node.  Trees are equal when their nodes have the same rule,
-    conclusion, split and insert and their premises are equal in order.
+    """A proof node: its rule, premises and rule data, and at the root of a
+    tree its conclusion.  Trees are equal when their conclusions are and
+    their nodes in preorder have the same rule, split and insert.
 
     The ``repr`` is the dataclass one, and a copy or pickle goes through
-    the proof JSON; neither recurses per level of the tree.
+    the node list; neither recurses per level of the tree.
     """
 
     rule: Rule
-    conclusion: Sequent
-    premises: tuple[ProofTree, ...] = ()
-    split: tuple[int, int] | None = None
-    insert: int | None = None
+    conclusion: Sequent | None
+    premises: tuple[ProofTree, ...]
+    split: tuple[int, int] | None
+    insert: int | None
 
-    def __post_init__(self) -> None:
-        _check_shape(self.rule, len(self.premises), self.split, self.insert)
+    def __init__(
+        self,
+        rule: Rule,
+        conclusion: Sequent | None = None,
+        premises: tuple[ProofTree, ...] = (),
+        split: tuple[int, int] | None = None,
+        insert: int | None = None,
+    ) -> None:
+        _check_shape(rule, len(premises), split, insert)
+        for p in premises:
+            if p.conclusion is not None:
+                premises = _adopt(rule, conclusion, premises, split, insert)
+                break
+        _set_rule(self, rule)
+        _set_conclusion(self, conclusion)
+        _set_premises(self, premises)
+        _set_split(self, split)
+        _set_insert(self, insert)
 
     def _key(self) -> list[tuple]:
-        return [(n.rule, n.split, n.insert, n.conclusion) for n in self.nodes()]
+        return [(n.rule, n.split, n.insert) for n in self.nodes()]
 
     def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, ProofTree) else NotImplemented
+        if not isinstance(other, ProofTree):
+            return NotImplemented
+        return self.conclusion == other.conclusion and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(tuple(self._key()))
+        return hash((self.conclusion, *self._key()))
 
     def __repr__(self) -> str:
         return _dataclass_repr(self, ProofTree)
 
     def __reduce__(self):
-        return proof_from_json, (proof_to_json(self),)
+        return _assemble, (self.conclusion, self._key())
 
     def nodes(self) -> list[ProofTree]:
         """All nodes in preorder."""
@@ -132,6 +153,13 @@ class ProofTree:
             out.append(node)
             stack.extend(reversed(node.premises))
         return out
+
+    def conclusions(self) -> Iterator[tuple[ProofTree, Sequent | None]]:
+        """Each node in preorder with its conclusion, derived from the root's:
+        None below rule data that do not apply, and in a tree whose root
+        has none."""
+        for node, ant, succ in _walk(self):
+            yield node, None if ant is None else Sequent(tuple(ant), succ)
 
     def rule_count(self, rule: Rule) -> int:
         return sum(1 for n in self.nodes() if n.rule is rule)
@@ -146,72 +174,102 @@ class ProofTree:
         return deepest
 
 
-def premise_conclusions(
-    rule: Rule, conclusion: Sequent, split: tuple[int, int] | None, insert: int | None
-) -> tuple[Sequent, ...] | None:
-    """The conclusions a node's premises must have, in premise order.
+# The fields' slot setters, as a frozen dataclass's own __setattr__ raises.
+_set_rule, _set_conclusion, _set_premises, _set_split, _set_insert = (getattr(ProofTree, f.name).__set__ for f in fields(ProofTree))
 
-    None when the rule data do not apply to ``conclusion``: a missing or
-    out-of-range split or insert, or a succedent or functor of the wrong
-    connective.  Ax gives ``()``; whether its conclusion is an axiom, and
-    whether the mode has the rule at all, are left to the caller.
+
+def _adopt(rule: Rule, conclusion: Sequent | None, premises: tuple, split: Any, insert: Any) -> tuple[ProofTree, ...]:
+    """``premises`` without their conclusions, each checked against the one
+    ``conclusion`` and the rule data give it."""
+    c = conclusion
+    given = None if c is None else premise_conclusions(rule, list(c.antecedent), c.succedent, split, insert)
+    out = []
+    for i, p in enumerate(premises):
+        if p.conclusion is not None:
+            if given is None or p.conclusion != Sequent(tuple(given[i][0]), given[i][1]):
+                raise ValueError(f"{rule} premise {format_sequent(p.conclusion)} is not one its rule data give")
+            p = ProofTree(p.rule, None, p.premises, p.split, p.insert)
+        out.append(p)
+    return tuple(out)
+
+
+def premise_conclusions(
+    rule: Rule, ant: list[Formula], succ: Formula, split: tuple[int, int] | None, insert: int | None
+) -> list[tuple[list[Formula], Formula]] | None:
+    """The antecedents and succedents a node's premises must have, in
+    premise order, when it concludes ``ant => succ``.
+
+    The last premise's antecedent is ``ant`` itself, changed in place.
+    None when the rule data do not apply: an out-of-range split or
+    insert, or a succedent or functor of the wrong connective.  Ax gives
+    ``[]``; whether its conclusion is an axiom, and whether the mode has
+    the rule at all, are left to the caller.
     """
-    ant, succ = conclusion.antecedent, conclusion.succedent
-    if not rule.arity:
-        return ()
-    connective = rule.connective
-    if rule.arity == 1:
+    arity, connective, n = rule.arity, rule.connective, len(ant)
+    if arity == 1:
         # The argument goes back at the end (/R), the start (\R) or ``insert`` (-oR).
-        k = len(ant) if connective is Over else 0 if connective is Under else insert
-        if not (isinstance(succ, connective) and k is not None and 0 <= k <= len(ant)):
+        k = n if connective is Over else 0 if connective is Under else insert
+        if type(succ) is not connective or not 0 <= k <= n:
             return None
-        return (Sequent(ant[:k] + (succ.arg,) + ant[k:], succ.result),)
-    if split is None:
-        return None
+        ant.insert(k, succ.arg)
+        return [(ant, succ.result)]
+    if not arity:
+        return []
     # The functor sits at ``u`` ahead of its span (/L) or at ``u + t`` after it (\L).
     u, t = split
     f, lo = (u, u + 1) if connective is Over else (u + t, u)
-    if not (0 <= u and 1 <= t and u + t < len(ant) and isinstance(ant[f], connective)):
+    if not (0 <= u and 1 <= t and u + t < n) or type(ant[f]) is not connective:
         return None
     functor = ant[f]
-    return Sequent(ant[lo : lo + t], functor.arg), Sequent(ant[:u] + (functor.result,) + ant[u + t + 1 :], succ)
+    span = ant[lo : lo + t]
+    ant[u : u + t + 1] = (functor.result,)
+    return [(span, functor.arg), (ant, succ)]
 
 
-def _preorder(t: ProofTree) -> Iterator[tuple[ProofTree, bool]]:
-    """Each node of ``t`` in preorder, with whether its conclusion is implied:
-    the root's always is, and any other node's when it is the one its
-    parent's rule data give.
+def _walk(t: ProofTree) -> Iterator[tuple[ProofTree, list[Formula] | None, Formula | None]]:
+    """Each node of ``t`` in preorder with its conclusion's antecedent and
+    succedent, or None and None where ``ProofTree.conclusions`` has None.
 
-    Proof JSON stores the conclusions that are not implied beside the
-    root's, and a correct proof implies them all.
+    No sequent is built: the antecedent is a list that becomes the last
+    premise's once the walk goes on, so read it before then.
     """
-    stack = [(t, True)]
+    c = t.conclusion
+    stack = [(t, None, None) if c is None else (t, list(c.antecedent), c.succedent)]
     while stack:
-        node, implied = stack.pop()
-        yield node, implied
+        node, ant, succ = stack.pop()
+        yield node, ant, succ
         if node.premises:
-            given = premise_conclusions(node.rule, node.conclusion, node.split, node.insert)
-            stack += reversed([(p, given is not None and given[i] == p.conclusion) for i, p in enumerate(node.premises)])
+            given = None if ant is None else premise_conclusions(node.rule, ant, succ, node.split, node.insert)
+            stack += reversed([(p, *g) for p, g in zip(node.premises, given or [(None, None)] * 2)])
 
 
-def _node_json(t: ProofTree, with_sequent: bool) -> dict[str, Any]:
-    node: dict[str, Any] = {"rule": t.rule.value}
-    if with_sequent:
-        node["sequent"] = format_sequent(t.conclusion)
-    if t.split is not None:
-        node["split"] = list(t.split)
-    if t.insert is not None:
-        node["insert"] = t.insert
-    return node
+def _assemble(conclusion: Sequent | None, rows: list[tuple[Rule, Any, Any]]) -> ProofTree:
+    """The tree under ``conclusion`` whose nodes, in preorder, have these rules and rule data."""
+    built: list[ProofTree] = []
+    for rule, split, insert in reversed(rows):
+        premises = tuple(built.pop() for _ in range(rule.arity))
+        built.append(ProofTree(rule, None, premises, split, insert))
+    return replace(built[0], conclusion=conclusion)
 
 
 def proof_to_json(t: ProofTree) -> dict[str, Any]:
-    """The root's sequent and the nodes in preorder, each with a sequent only where needed."""
-    nodes = [_node_json(node, not implied) for node, implied in _preorder(t)]
+    """The root's sequent and every node's rule and rule data, in preorder.
+
+    ValueError on an inner node, which has no sequent of its own."""
+    if t.conclusion is None:
+        raise ValueError("an inner proof node has no conclusion to write")
+    nodes = []
+    for node in t.nodes():
+        out: dict[str, Any] = {"rule": node.rule.symbol}
+        if node.split is not None:
+            out["split"] = list(node.split)
+        if node.insert is not None:
+            out["insert"] = node.insert
+        nodes.append(out)
     return {"sequent": format_sequent(t.conclusion), "nodes": nodes}
 
 
-_RULE_OF_NAME = {rule.value: rule for rule in Rule}  # a dict lookup is cheaper than Rule(name)
+_RULE_OF_NAME = {rule.symbol: rule for rule in Rule}  # a dict lookup is cheaper than Rule(name)
 
 
 def _fields(node: dict[str, Any]) -> tuple[Rule, Any, Any]:
@@ -244,38 +302,27 @@ def proof_from_json(data: dict[str, Any]) -> ProofTree:
     rule takes or with data it does not take, a split that is not a list
     of two integers, an insert that is not an integer; booleans are not
     integers here), on a node list that ends before the tree does or
-    goes on after it, and on a node without a sequent whose parent's
-    rule data imply none.
+    goes on after it, and on a node ``sequent`` that is not the
+    conclusion the tree gives that node.
     """
     try:
         if "nodes" not in data:
             data = _flatten(data)
-        # Top-down: each node's fields, its conclusion taken from its own
-        # sequent or from the slot its parent left.  Then bottom-up, in
-        # reverse preorder, the trees themselves.
-        slots: list[Sequent | None] = [parse_sequent(data["sequent"])]
-        preorder = []
+        conclusion = parse_sequent(data["sequent"])
+        nodes, open_slots = [], 1  # premises still to come, the root's slot included
         for node in data["nodes"]:
-            if not slots:
+            if not open_slots:
                 raise ValueError("proof node list goes on after the tree ends")
-            conclusion = slots.pop()
-            rule, split, insert = _fields(node)
-            _check_shape(rule, rule.arity, split, insert)
-            text = node.get("sequent")
-            if text is not None:
-                conclusion = parse_sequent(text)
-            elif conclusion is None:
-                raise ValueError(f"{rule} node needs a sequent: its parent's rule data do not apply")
-            preorder.append((rule, conclusion, split, insert))
-            if rule.arity:
-                slots += reversed(premise_conclusions(rule, conclusion, split, insert) or (None,) * rule.arity)
-        if slots:
+            nodes.append(_fields(node))
+            open_slots += nodes[-1][0].arity - 1
+        if open_slots:
             raise ValueError("proof node list ends before the tree does")
-        built: list[ProofTree] = []
-        for rule, conclusion, split, insert in reversed(preorder):
-            premises = tuple(built.pop() for _ in range(rule.arity))
-            built.append(ProofTree(rule, conclusion, premises, split=split, insert=insert))
-        return built[0]
+        tree = _assemble(conclusion, nodes)
+        if any("sequent" in node for node in data["nodes"]):
+            for node, (_, c) in zip(data["nodes"], tree.conclusions()):
+                if "sequent" in node and (c is None or parse_sequent(node["sequent"]) != c):
+                    raise ValueError(f"proof node sequent {node['sequent']!r} is not the conclusion its rule data give")
+        return tree
     except (KeyError, IndexError, TypeError, AttributeError) as e:
         raise ValueError(f"malformed proof node: {e!r}") from e
 
@@ -289,12 +336,16 @@ def proof_from_json_text(text: str) -> ProofTree:
 
 
 def render_proof(t: ProofTree) -> str:
-    """Indented tree, one node per line, rule names right-aligned."""
+    """Indented tree, one node per line, rule names right-aligned; ``?``
+    for a node without a conclusion (``ProofTree.conclusions``)."""
     rows: list[tuple[str, str]] = []
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        rows.append(("  " * depth + format_sequent(node.conclusion), node.rule.value))
-        stack += ((p, depth + 1) for p in reversed(node.premises))
+    todo: list[int] = []  # for each node above, its premises not yet shown
+    for node, c in t.conclusions():
+        rows.append(("  " * len(todo) + ("?" if c is None else format_sequent(c)), node.rule.symbol))
+        todo.append(len(node.premises))
+        while todo and not todo[-1]:
+            todo.pop()
+            if todo:
+                todo[-1] -= 1
     width = max(len(text) for text, _ in rows) + 3
     return "\n".join(f"{text:<{width}}{rule:>4}" for text, rule in rows)

@@ -105,7 +105,7 @@ when the need is zero, a multiset of atoms at most once, and only the
 compound formulas are enumerated.  Returned proof trees are fully
 positional regardless: every -oR node records its insertion index and
 every left node its split, so ``lambek.checker.check_proof`` can
-replay them.
+replay them from the root's sequent, the one sequent a tree holds.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from collections.abc import Iterator
 
 from .analysis import _occurrences, _roots
@@ -230,18 +230,21 @@ def validate_input(s: Sequent, mode: CalculusMode) -> list[InputViolation]:
 Bag = int
 State = tuple[tuple[Formula, ...], Bag, Formula, int]
 
-# A solved state: the proof tree for one concrete interleaving, plus a
-# mask telling which antecedent positions of its conclusion came from
-# the pending multiset.  _conclude builds it from an option's move and
-# its premises' results.
-Result = tuple[ProofTree, tuple[bool, ...]]
+# A solved state: the proof tree for one concrete interleaving, its
+# nodes without conclusions (prooftree), plus a mask over the antecedent
+# positions of its conclusion: None at a position committed in the
+# state's fixed part, the formula itself at one that came from the
+# pending multiset.  _conclude builds both from an option's move and
+# its premises' results; the positions of split and insert come from
+# the masks alone.
+Result = tuple[ProofTree, tuple[Formula | None, ...]]
 
 # An option is its premises, solved in order, and its move: the rule and
 # the data its conclusion needs, (Rule.AX, atom, pending), (Rule.OVER_R
 # or UNDER_R, succedent), (Rule.LINIMP_R, succedent), (Rule.OVER_L or
 # UNDER_L, functor, pending, a) with ``a`` the fixed ordinal of the
-# functor's result in the right premise, or (None, p) for a pending
-# formula fixed at ordinal ``p``, which is not a rule.
+# functor's result in the right premise, or (None, p, f) for a pending
+# formula ``f`` fixed at ordinal ``p``, which is not a rule.
 _Option = tuple[list[State], tuple]
 
 
@@ -260,15 +263,12 @@ _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
 
 
-def _nth_fixed_index(mask: tuple[bool, ...], p: int) -> int:
+def _nth_fixed_index(mask: tuple[Formula | None, ...], p: int) -> int:
     """Index of the p-th positionally committed entry under ``mask``."""
-    seen = -1
-    for idx, is_pending in enumerate(mask):
-        if not is_pending:
-            seen += 1
-            if seen == p:
-                return idx
-    raise AssertionError("fixed ordinal out of range")
+    q = -1
+    for _ in range(p + 1):
+        q = mask.index(None, q + 1)  # skips a run of pending entries at C speed
+    return q
 
 
 class _Search:
@@ -305,8 +305,8 @@ class _Search:
         if result is None:
             return None
         tree, mask = result
-        assert not any(mask) and tree.conclusion == s
-        return tree
+        assert not any(mask)
+        return replace(tree, conclusion=s)
 
     def enumerate(self, s: Sequent, limit: int) -> list[ProofTree]:
         if limit <= 0 or not self._admissible(s):
@@ -315,6 +315,7 @@ class _Search:
         seen: set[ProofTree] = set()
         for tree, mask in self._search(s, False):
             assert not any(mask)
+            tree = replace(tree, conclusion=s)
             if tree not in seen:
                 seen.add(tree)
                 out.append(tree)
@@ -548,7 +549,7 @@ class _Search:
         f = min((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__)
         rest = bag - units[f]
         for p in range(len(fixed) + 1):
-            yield [(fixed[:p] + (f,) + fixed[p:], rest, succ, -1)], (None, p)
+            yield [(fixed[:p] + (f,) + fixed[p:], rest, succ, -1)], (None, p, f)
 
     def _float_splits(self, full: Bag, need: int) -> Iterator[Bag]:
         """Sub-multisets of the pending bag ``full`` whose summed counts equal ``need``.
@@ -641,42 +642,43 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
 
     Only -oR can give more than one: one per pending copy of its argument.
     The move is told apart by its premises and operands: reading a
-    member off the ``Rule`` class is a slow attribute lookup.
+    member off the ``Rule`` class is a slow attribute lookup.  No
+    conclusion is built: a node holds its rule, premises and rule data.
     """
     rule = move[0]
     if len(rs) == 2:  # /L or \L
         _, functor, pending, a = move
         (t1, m1), (t2, m2) = rs
         q = _nth_fixed_index(m2, a)
-        ant1, ant2 = t1.conclusion.antecedent, t2.conclusion.antecedent
+        f = functor if pending else None
         if type(functor) is Over:
-            ant = ant2[:q] + (functor,) + ant1 + ant2[q + 1 :]
-            mask = m2[:q] + (pending,) + m1 + m2[q + 1 :]
+            mask = m2[:q] + (f,) + m1 + m2[q + 1 :]
         else:
-            ant = ant2[:q] + ant1 + (functor,) + ant2[q + 1 :]
-            mask = m2[:q] + m1 + (pending,) + m2[q + 1 :]
-        yield ProofTree(rule, Sequent(ant, t2.conclusion.succedent), (t1, t2), split=(q, len(m1))), mask
+            mask = m2[:q] + m1 + (f,) + m2[q + 1 :]
+        yield ProofTree(rule, None, (t1, t2), (q, len(m1))), mask
     elif not rs:  # Ax
         _, f, pending = move
-        yield ProofTree(rule, Sequent((f,), f)), (pending,)
+        yield ProofTree(rule), (f if pending else None,)
     elif rule is None:
         # The materialized formula is pending again.
+        _, p, f = move
         tree, mask = rs[0]
-        q = _nth_fixed_index(mask, move[1])
-        yield tree, mask[:q] + (True,) + mask[q + 1 :]
+        q = _nth_fixed_index(mask, p)
+        yield tree, mask[:q] + (f,) + mask[q + 1 :]
     elif type(move[1]) is LinImp:  # -oR
-        succ = move[1]
+        arg = move[1].arg
         tree, mask = rs[0]
-        ant = tree.conclusion.antecedent
-        for k in range(len(ant)):
-            if mask[k] and ant[k] == succ.arg:
-                concl = Sequent(ant[:k] + ant[k + 1 :], succ)
-                yield ProofTree(rule, concl, (tree,), insert=k), mask[:k] + mask[k + 1 :]
+        k = -1
+        while True:
+            try:
+                k = mask.index(arg, k + 1)
+            except ValueError:
+                return
+            yield ProofTree(rule, None, (tree,), None, k), mask[:k] + mask[k + 1 :]
     else:
         # /R or \R: the argument left the antecedent at the end the slash faces.
         tree, mask = rs[0]
-        rest = slice(-1) if type(move[1]) is Over else slice(1, None)
-        yield ProofTree(rule, Sequent(tree.conclusion.antecedent[rest], move[1]), (tree,)), mask[rest]
+        yield ProofTree(rule, None, (tree,)), mask[:-1] if type(move[1]) is Over else mask[1:]
 
 
 def prove(

@@ -110,8 +110,8 @@ def _insert(key: tuple) -> _Node:
         if node is None:
             cls = key[0]
             node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, key[1:]):
-                object.__setattr__(node, name, value)
+            for set_operand, value in zip(_set_operands[cls], key[1:]):
+                set_operand(node, value)
             if cls is Atom:
                 head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _POSITIVE_L | _NEGATIVE_L
             else:
@@ -254,6 +254,9 @@ class LinImp(_Node):
 
 
 Formula = Atom | Over | Under | LinImp
+
+# Each class's operand setters, in the order of its key, for _insert.
+_set_operands = {cls: [getattr(cls, name).__set__ for name in cls.__match_args__] for cls in (Atom, Over, Under, LinImp)}
 
 
 @dataclass(frozen=True, slots=True)

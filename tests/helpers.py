@@ -7,7 +7,10 @@ against itself:
   instantiating rules root-ward from axioms,
 * ``naive_check``, a straight replay of the rule schemas used to
   cross-validate the packaged checker and to filter proof mutants,
-  with ``mutate_proof`` and ``relabel_proof`` to make those mutants,
+  with ``mutate_proof`` and ``relabel_proof`` to make those mutants;
+  its ``oracle_conclusions`` derives every node's conclusion from the
+  root's, for the proof tree's own walk and the tests that read inner
+  conclusions,
 * random formula and sequent generators,
 * ``oracle_chain``, ``oracle_atoms`` and ``oracle_usable``, a
   formula's head, chain sides, atom occurrences and usable polarities,
@@ -59,7 +62,6 @@ from lambek import (
     format_sequent,
     parse_sequent,
 )
-from lambek.prooftree import premise_conclusions
 
 ATOMS = ("a", "b", "c", "d")
 
@@ -171,63 +173,61 @@ def _forward_rules(mode: CalculusMode) -> list[Rule]:
 # ---------------------------------------------------------------------------
 
 
+def oracle_premise_conclusions(node: ProofTree, c: Sequent) -> list[Sequent] | None:
+    """The conclusions the rule schemas give the premises of ``node`` when it
+    concludes ``c``, in premise order; None when its rule data do not apply."""
+    ant, succ = c.antecedent, c.succedent
+    rule = node.rule
+    if rule is Rule.AX:
+        return []
+    if rule is Rule.OVER_R:
+        return [Sequent(ant + (succ.arg,), succ.result)] if isinstance(succ, Over) else None
+    if rule is Rule.UNDER_R:
+        return [Sequent((succ.arg,) + ant, succ.result)] if isinstance(succ, Under) else None
+    if rule is Rule.LINIMP_R:
+        k = node.insert
+        if not (isinstance(succ, LinImp) and 0 <= k <= len(ant)):
+            return None
+        return [Sequent(ant[:k] + (succ.arg,) + ant[k:], succ.result)]
+    u, n = node.split
+    if rule is Rule.OVER_L:
+        if not (0 <= u and n >= 1 and u + 1 + n <= len(ant) and isinstance(ant[u], Over)):
+            return None
+        f = ant[u]
+        return [Sequent(ant[u + 1 : u + 1 + n], f.arg), Sequent(ant[:u] + (f.result,) + ant[u + 1 + n :], succ)]
+    if not (0 <= u and n >= 1 and u + n < len(ant) and isinstance(ant[u + n], Under)):
+        return None
+    f = ant[u + n]
+    return [Sequent(ant[u : u + n], f.arg), Sequent(ant[:u] + (f.result,) + ant[u + n + 1 :], succ)]
+
+
+def oracle_conclusions(t: ProofTree) -> list[tuple[ProofTree, Sequent | None]]:
+    """Each node of ``t`` in preorder with the conclusion the rule schemas
+    give it from the root's: None below rule data that do not apply."""
+    out = []
+    stack = [(t, t.conclusion)]
+    while stack:
+        node, c = stack.pop()
+        out.append((node, c))
+        given = None if c is None else oracle_premise_conclusions(node, c)
+        stack += reversed(list(zip(node.premises, given or [None] * len(node.premises))))
+    return out
+
+
 def naive_check(t: ProofTree, mode: CalculusMode) -> bool:
     """Validate a proof tree directly against the rule schemas."""
-    ant, succ = t.conclusion.antecedent, t.conclusion.succedent
-    kids = t.premises
-    if any(not naive_check(k, mode) for k in kids):
+    if t.conclusion is None:
         return False
-    if t.split is not None and t.rule not in (Rule.OVER_L, Rule.UNDER_L):
-        return False
-    if t.insert is not None and t.rule is not Rule.LINIMP_R:
-        return False
-    if t.rule is Rule.AX:
-        return isinstance(succ, Atom) and ant == (succ,)
-
-    if t.rule is Rule.OVER_R:
-        return (
-            mode is not CalculusMode.SDL_MINUS
-            and isinstance(succ, Over)
-            and kids[0].conclusion == Sequent(ant + (succ.arg,), succ.result)
-        )
-    if t.rule is Rule.UNDER_R:
-        return (
-            mode is not CalculusMode.SDL_MINUS
-            and isinstance(succ, Under)
-            and kids[0].conclusion == Sequent((succ.arg,) + ant, succ.result)
-        )
-    if t.rule is Rule.LINIMP_R:
-        k = t.insert
-        return (
-            mode is not CalculusMode.L
-            and isinstance(succ, LinImp)
-            and k is not None
-            and 0 <= k <= len(ant)
-            and kids[0].conclusion == Sequent(ant[:k] + (succ.arg,) + ant[k:], succ.result)
-        )
-
-    if t.split is None:
-        return False
-    u, n = t.split
-    if t.rule is Rule.OVER_L:
-        if not (0 <= u and n >= 1 and u + 1 + n <= len(ant)):
+    for node, c in oracle_conclusions(t):
+        if c is None:
             return False
-        f = ant[u]
-        if not isinstance(f, Over):
+        if node.rule is Rule.AX and not (isinstance(c.succedent, Atom) and c.antecedent == (c.succedent,)):
             return False
-        left = Sequent(ant[u + 1 : u + 1 + n], f.arg)
-        right = Sequent(ant[:u] + (f.result,) + ant[u + 1 + n :], succ)
-        return kids[0].conclusion == left and kids[1].conclusion == right
-    if t.rule is Rule.UNDER_L:
-        if not (0 <= u and n >= 1 and u + n < len(ant)):
+        if node.rule in (Rule.OVER_R, Rule.UNDER_R) and mode is CalculusMode.SDL_MINUS:
             return False
-        f = ant[u + n]
-        if not isinstance(f, Under):
+        if node.rule is Rule.LINIMP_R and mode is CalculusMode.L:
             return False
-        left = Sequent(ant[u : u + n], f.arg)
-        right = Sequent(ant[:u] + (f.result,) + ant[u + n + 1 :], succ)
-        return kids[0].conclusion == left and kids[1].conclusion == right
-    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +255,27 @@ def _replace_at(t: ProofTree, path, new: ProofTree) -> ProofTree:
     return ProofTree(t.rule, t.conclusion, tuple(kids), split=t.split, insert=t.insert)
 
 
+def _pick_node(rng: random.Random, t: ProofTree, keep=lambda node: True):
+    """A random path to a node that ``keep`` accepts, with the node and the
+    length of its conclusion's antecedent; None when there is none."""
+    picks = [
+        (path, node, len(c.antecedent))
+        for path, (node, c) in zip(_all_paths(t), oracle_conclusions(t))
+        if keep(node)
+    ]
+    return rng.choice(picks) if picks else None
+
+
 def mutate_proof(rng: random.Random, t: ProofTree) -> ProofTree | None:
     """One random structural edit; None when the pick was inapplicable.
 
     Edits are the ones that matter for a verifier: flipped split or
     insert positions, and swapped premises of a two-premise rule.  The
-    result can coincidentally still be a valid proof; callers filter
-    with naive_check.
+    conclusions below the edit are derived afresh from the root's, so
+    the result can coincidentally still be a valid proof; callers
+    filter with naive_check.
     """
-    paths = list(_all_paths(t))
-    path = rng.choice(paths)
-    node = _node_at(t, path)
-    ant_len = len(node.conclusion.antecedent)
+    path, node, ant_len = _pick_node(rng, t)
     choices = []
     if node.split is not None:
         choices.append("split")
@@ -313,13 +322,12 @@ def relabel_proof(rng: random.Random, t: ProofTree) -> ProofTree | None:
     themselves: a node that becomes -oR gets an insert in range, any
     other gets none.  Callers judge the result with naive_check.
     """
-    paths = [path for path in _all_paths(t) if _node_at(t, path).premises]
-    if not paths:
+    pick = _pick_node(rng, t, lambda node: node.premises)
+    if pick is None:
         return None
-    path = rng.choice(paths)
-    node = _node_at(t, path)
+    path, node, ant_len = pick
     rule = rng.choice([r for r in _SAME_ARITY[len(node.premises)] if r is not node.rule])
-    insert = rng.randint(0, len(node.conclusion.antecedent)) if rule is Rule.LINIMP_R else None
+    insert = rng.randint(0, ant_len) if rule is Rule.LINIMP_R else None
     return _replace_at(t, path, ProofTree(rule, node.conclusion, node.premises, split=node.split, insert=insert))
 
 
@@ -630,21 +638,16 @@ def nested_proof_json(t: ProofTree, every_sequent: bool = False) -> dict:
     """``t`` in the nested JSON form that proof files had before the flat node list.
 
     Each node lists its ``premises``.  The root carries its ``sequent``,
-    and so does each node whose conclusion is not the one its parent's
-    rule data give, or every node with ``every_sequent``.
+    and with ``every_sequent`` so does every node that has a conclusion
+    (``oracle_conclusions``).
     """
-    preorder = []
-    stack = [(t, False)]
-    while stack:
-        node, implied = stack.pop()
-        preorder.append((node, implied))
-        given = premise_conclusions(node.rule, node.conclusion, node.split, node.insert) if node.premises else None
-        stack += reversed([(p, given is not None and given[i] == p.conclusion) for i, p in enumerate(node.premises)])
+    pairs = oracle_conclusions(t) if every_sequent else [(node, None) for node in t.nodes()]
+    pairs[0] = (t, t.conclusion)
     built: list[dict] = []
-    for node, implied in reversed(preorder):
+    for node, c in reversed(pairs):
         out: dict = {"rule": node.rule.value}
-        if every_sequent or not implied:
-            out["sequent"] = format_sequent(node.conclusion)
+        if c is not None:
+            out["sequent"] = format_sequent(c)
         if node.split is not None:
             out["split"] = list(node.split)
         if node.insert is not None:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,7 @@ from helpers import (
     mutate_proof,
     naive_check,
     nested_proof_json,
+    oracle_conclusions,
     recursion_limit,
     reference_repr,
     relabel_proof,
@@ -42,6 +45,7 @@ L, SDL, SDLM = CalculusMode.L, CalculusMode.SDL, CalculusMode.SDL_MINUS
 a, b = Atom("a"), Atom("b")
 AX_A = ProofTree(Rule.AX, Sequent((a,), a))
 AX_B = ProofTree(Rule.AX, Sequent((b,), b))
+AX = ProofTree(Rule.AX)  # an inner Ax node: its conclusion comes from its parent's
 
 
 def test_axiom():
@@ -57,8 +61,17 @@ def test_over_left():
     concl = parse_sequent("a/b, b => a")
     good = ProofTree(Rule.OVER_L, concl, (AX_B, AX_A), split=(0, 1))
     assert check_proof(good, L)
-    assert not check_proof(ProofTree(Rule.OVER_L, concl, (AX_B, AX_A), split=(1, 1)), L)
-    assert not check_proof(ProofTree(Rule.OVER_L, concl, (AX_A, AX_B), split=(0, 1)), L)
+    assert good == ProofTree(Rule.OVER_L, concl, (AX, AX), split=(0, 1))
+    assert not check_proof(ProofTree(Rule.OVER_L, concl, (AX, AX), split=(1, 1)), L)
+    # Premises whose conclusions are not the ones the rule data give are
+    # not taken, nor are premises with conclusions under a node without one.
+    for concl_, premises, split in [
+        (concl, (AX_B, AX_A), (1, 1)),
+        (concl, (AX_A, AX_B), (0, 1)),
+        (None, (AX_B, AX), (0, 1)),
+    ]:
+        with pytest.raises(ValueError):
+            ProofTree(Rule.OVER_L, concl_, premises, split=split)
     with pytest.raises(ValueError):
         ProofTree(Rule.OVER_L, concl, (AX_B, AX_A))
 
@@ -67,7 +80,9 @@ def test_under_left():
     concl = parse_sequent("b, b\\a => a")
     good = ProofTree(Rule.UNDER_L, concl, (AX_B, AX_A), split=(0, 1))
     assert check_proof(good, L)
-    assert not check_proof(ProofTree(Rule.UNDER_L, concl, (AX_A, AX_B), split=(0, 1)), L)
+    assert not check_proof(ProofTree(Rule.UNDER_L, concl, (AX, AX), split=(1, 1)), L)
+    with pytest.raises(ValueError):
+        ProofTree(Rule.UNDER_L, concl, (AX_A, AX_B), split=(0, 1))
 
 
 def test_rule_data_only_on_their_rules():
@@ -116,8 +131,9 @@ def test_rule_data_only_on_their_rules():
     ],
 )
 def test_misplaced_or_mistyped_rule_data_raise_where_the_tree_is_built(rule, sequent, premises, data):
+    # Inner Ax premises, which the node takes as they are, so that only the shape check can raise.
     with pytest.raises(ValueError):
-        ProofTree(rule, parse_sequent(sequent), (AX_A,) * premises, **data)
+        ProofTree(rule, parse_sequent(sequent), (AX,) * premises, **data)
 
 
 @pytest.mark.parametrize(
@@ -153,16 +169,22 @@ def test_right_rules_respect_mode():
     assert check_proof(tree2, SDL)
     assert check_proof(tree2, SDLM)
     assert not check_proof(tree2, L)
-    # wrong insertion point
-    assert not check_proof(ProofTree(Rule.LINIMP_R, s2, (inner2,), insert=0), SDL)
+    # A wrong insertion point: inner2 does not conclude the premise it gives,
+    # and without its conclusion the \\L below it does not land on a \\.
+    with pytest.raises(ValueError):
+        ProofTree(Rule.LINIMP_R, s2, (inner2,), insert=0)
+    assert not check_proof(ProofTree(Rule.LINIMP_R, s2, tree2.premises, insert=0), SDL)
     with pytest.raises(ValueError):
         ProofTree(Rule.LINIMP_R, s2, (inner2,))
     # /R and \R on a succedent of the other connective
-    assert not check_proof(ProofTree(Rule.UNDER_R, s, (inner,)), L)
+    with pytest.raises(ValueError):
+        ProofTree(Rule.UNDER_R, s, (inner,))
+    assert not check_proof(ProofTree(Rule.UNDER_R, s, tree.premises), L)
     s3 = parse_sequent("b\\a => b\\a")
     inner3 = ProofTree(Rule.UNDER_L, parse_sequent("b, b\\a => a"), (AX_B, AX_A), split=(0, 1))
-    assert check_proof(ProofTree(Rule.UNDER_R, s3, (inner3,)), L)
-    assert not check_proof(ProofTree(Rule.OVER_R, s3, (inner3,)), L)
+    tree3 = ProofTree(Rule.UNDER_R, s3, (inner3,))
+    assert check_proof(tree3, L)
+    assert not check_proof(ProofTree(Rule.OVER_R, s3, tree3.premises), L)
 
 
 def test_prover_output_always_checks():
@@ -277,17 +299,18 @@ def test_render_proof():
     assert {line.split()[-1] for line in lines} == {"/L", "Ax"}
 
 
-def _recursive_rows(node: ProofTree, depth: int = 0):
-    yield "  " * depth + format_sequent(node.conclusion), node.rule.value
+def _recursive_rows(node: ProofTree, conclusions, depth: int = 0):
+    # ``conclusions`` yields each node's conclusion in preorder.
+    yield "  " * depth + format_sequent(next(conclusions)), node.rule.value
     for p in node.premises:
-        yield from _recursive_rows(p, depth + 1)
+        yield from _recursive_rows(p, conclusions, depth + 1)
 
 
 def test_render_proof_does_not_recurse_per_level():
     tree, _ = prove(chain_sequent(300), SDL)
     assert tree.depth() == 601
     # The recursive walk that render_proof replaced, as the reference.
-    rows = list(_recursive_rows(tree))
+    rows = list(_recursive_rows(tree, (c for _, c in oracle_conclusions(tree))))
     width = max(len(text) for text, _ in rows) + 3
     expected = "\n".join(f"{text:<{width}}{rule:>4}" for text, rule in rows)
     with recursion_limit(50):
@@ -316,36 +339,93 @@ def test_json_of_a_correct_proof_has_one_sequent():
 
 
 def test_json_round_trips_rule_inconsistent_trees():
+    # Mutants move rule data, and their conclusions below the edit are
+    # derived afresh: where the data do not fit, the tree is no proof,
+    # and still round-trips exactly with the root's sequent alone.
     rng = random.Random(25)
-    mutants = 0
-    for _ in range(400):
+    mutants = rejected = 0
+    # Swapping two premises that are the same tree, such as two Ax nodes,
+    # changes nothing, so many picks make no mutant.
+    for _ in range(600):
         m = mutate_proof(rng, forward_proof(rng, SDL))
         if m is None:
             continue
         mutants += 1
         data = proof_to_json(m)
+        assert _sequent_count(data) == 1
         assert proof_from_json(data) == m
         assert proof_from_json_text(proof_to_json_text(m)) == m
         assert proof_from_json(nested_proof_json(m)) == m
         if not naive_check(m, SDL):
-            assert _sequent_count(data) > 1
-    assert mutants > 100
+            rejected += 1
+            assert not check_proof(proof_from_json(data), SDL)
+    assert mutants > 100 and rejected > 100
+
+
+def _every_sequent(t: ProofTree) -> dict:
+    """``t`` in the flat form with a sequent on every node (``oracle_conclusions``)."""
+    data = proof_to_json(t)
+    for node, (_, c) in zip(data["nodes"], oracle_conclusions(t)):
+        node["sequent"] = format_sequent(c)
+    return data
 
 
 def test_json_loads_a_sequent_on_every_node():
+    # Files that give every node's conclusion, flat or nested, load when
+    # each is the one the rule data derive, and raise ValueError when one
+    # is not: a tree's conclusions cannot disagree with its rule data.
     rng = random.Random(26)
+    edited = 0
     for _ in range(200):
         t = forward_proof(rng, SDL)
-        assert proof_from_json(nested_proof_json(t, every_sequent=True)) == t
-        m = mutate_proof(rng, t)
-        if m is not None:
-            assert proof_from_json(nested_proof_json(m, every_sequent=True)) == m
+        flat, nested = _every_sequent(t), nested_proof_json(t, every_sequent=True)
+        assert proof_from_json(flat) == t and proof_from_json(nested) == t
+        assert proof_from_json_text(json.dumps(flat)) == t
+        # Another node's conclusion, where it differs, in place of a node's own.
+        i, j = rng.randrange(len(flat["nodes"])), rng.randrange(len(flat["nodes"]))
+        if flat["nodes"][i]["sequent"] != flat["nodes"][j]["sequent"]:
+            edited += 1
+            flat["nodes"][i]["sequent"] = flat["nodes"][j]["sequent"]
+            with pytest.raises(ValueError):
+                proof_from_json(flat)
+    assert edited > 100
+    # Below rule data that do not apply there is no conclusion to match.
+    data = {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [1, 1]}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax"}]}
+    with pytest.raises(ValueError):
+        proof_from_json(data)
+    # A node with the wrong shape still fails, whatever sequents it carries.
+    for nodes in (
+        [{"rule": "/L", "sequent": "a/b, b => a"}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax", "sequent": "a => a"}],
+        [{"rule": "/L", "split": [0, 1], "sequent": "a/b, b => a"}, {"rule": "Ax", "sequent": "b => b"}],
+        [{"rule": "Ax", "insert": 0, "sequent": "a/b, b => a"}],
+    ):
+        with pytest.raises(ValueError):
+            proof_from_json({"sequent": "a/b, b => a", "nodes": nodes})
 
 
 @pytest.mark.parametrize(
     "data",
     [
         {"rule": "Ax", "premises": []},
+        # /L whose split does not land on a /, with a sequent below it
+        {
+            "rule": "/L",
+            "sequent": "b, b\\a => a",
+            "split": [0, 1],
+            "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "sequent": "a => a", "premises": []}],
+        },
+    ],
+)
+def test_json_rejects_missing_sequents(data):
+    # The root's sequent is the one a file must give; a sequent below
+    # rule data that give none has nothing to match.
+    with pytest.raises(ValueError):
+        proof_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
         # /L with an out-of-range split implies no premises
         {
             "rule": "/L",
@@ -355,13 +435,6 @@ def test_json_loads_a_sequent_on_every_node():
         },
         # -oR on a succedent that is not a -o
         {"rule": "-oR", "sequent": "a => a", "insert": 0, "premises": [{"rule": "Ax", "premises": []}]},
-        # /L whose split does not land on a /
-        {
-            "rule": "/L",
-            "sequent": "b, b\\a => a",
-            "split": [0, 1],
-            "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "sequent": "a => a", "premises": []}],
-        },
         # /R and \R on a succedent of the other connective
         {"rule": "/R", "sequent": "a => b\\a", "premises": [{"rule": "Ax", "premises": []}]},
         {"rule": "\\R", "sequent": "a => a/b", "premises": [{"rule": "Ax", "premises": []}]},
@@ -370,17 +443,22 @@ def test_json_loads_a_sequent_on_every_node():
         {"sequent": "a => a", "nodes": [{"rule": "-oR", "insert": 0}, {"rule": "Ax"}]},
     ],
 )
-def test_json_rejects_missing_sequents(data):
-    with pytest.raises(ValueError):
-        proof_from_json(data)
+def test_json_loads_rule_data_that_do_not_apply(data):
+    # Such a file is a tree, but no proof: its nodes below the misplaced
+    # data have no conclusion, and it fails check_proof in every mode.
+    tree = proof_from_json(data)
+    assert [c is None for _, c in tree.conclusions()] == [False] + [True] * (len(tree.nodes()) - 1)
+    assert not any(check_proof(tree, mode) for mode in CalculusMode)
+    assert proof_from_json(proof_to_json(tree)) == tree
+    assert render_proof(tree).splitlines()[1].lstrip().startswith("?")
 
 
 def test_repr_pickle_and_copy_do_not_recurse_per_level():
     f = a
     for i in range(20_000):
         f = (Over(f, b), Under(b, f), LinImp(b, f))[i % 3]
-    # The chain's proof repeats its long formulas at every level, so its
-    # repr grows as n squared: n = 100 is already 200 levels deep.
+    # Only the root holds a sequent, but the chain's proof is 2n + 1
+    # levels deep: n = 100 is already 200 levels deep.
     short, _ = prove(chain_sequent(100), SDL)
     long, _ = prove(chain_sequent(2500), SDL)
     rng = random.Random(41)
@@ -406,6 +484,26 @@ def test_chain_proof_json_is_linear():
     assert check_proof(back, SDL)
 
 
+def _traced_proof_size(n: int) -> int:
+    """Bytes that the proof of the chain of length n holds, under tracemalloc."""
+    s = chain_sequent(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree, _ = prove(s, SDL)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_proof_memory_is_linear():
+    # Only the root holds a sequent, so the chain's proof of 3n + 1 nodes
+    # takes O(n) memory; a sequent on every node would take O(n^2).
+    small, large = _traced_proof_size(1000), _traced_proof_size(4000)
+    assert large <= 5 * small, (small, large)
+
+
 def test_deep_proof_walks():
     tree, _ = prove(chain_sequent(3000), SDL)
     assert tree.depth() == 6001
@@ -418,8 +516,12 @@ def test_deep_proof_walks():
     data = proof_to_json(tree)
     copy = proof_from_json(data)
     assert copy is not tree and copy == tree and hash(copy) == hash(tree)
+    # A sequent on a node must be the conclusion it has in the tree.
+    data["nodes"][-1]["sequent"] = "b => b"
+    assert proof_from_json(data) == tree
     data["nodes"][-1]["sequent"] = "c => c"
-    assert proof_from_json(data) != tree
+    with pytest.raises(ValueError):
+        proof_from_json(data)
     # The nested form loads at any depth.
     with recursion_limit(100):
         assert proof_from_json(nested_proof_json(tree)) == tree

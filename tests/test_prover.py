@@ -17,7 +17,9 @@ from helpers import (
     forward_proof,
     naive_derivable,
     nested_proof_json,
+    oracle_conclusions,
     oracle_counts,
+    oracle_premise_conclusions,
     random_formula,
     random_sequent,
     recursion_limit,
@@ -439,12 +441,13 @@ def test_enumerated_proofs_are_focused():
     for mode in CalculusMode:
         for _ in range(200):
             for tree in enumerate_proofs(forward_proof(rng, mode).conclusion, mode, limit=10):
-                for node in tree.nodes():
+                for node, c in oracle_conclusions(tree):
                     if node.rule not in (Rule.OVER_L, Rule.UNDER_L):
                         continue
                     right = node.premises[1]
                     if right.rule is Rule.AX:
-                        assert right.conclusion.antecedent == (node.conclusion.antecedent[_functor_index(node)].result,)
+                        right_conclusion = oracle_premise_conclusions(node, c)[1]
+                        assert right_conclusion.antecedent == (c.antecedent[_functor_index(node)].result,)
                     else:
                         assert right.rule in (Rule.OVER_L, Rule.UNDER_L), tree
                         assert _functor_index(right) == node.split[0], tree
@@ -460,10 +463,10 @@ def test_enumerated_proofs_are_right_first():
     for mode in CalculusMode:
         for _ in range(300):
             for tree in enumerate_proofs(forward_proof(rng, mode).conclusion, mode, limit=10):
-                for node in tree.nodes():
+                for node, c in oracle_conclusions(tree):
                     if node.rule in (Rule.OVER_L, Rule.UNDER_L):
                         left_nodes += 1
-                        succ = node.conclusion.succedent
+                        succ = c.succedent
                         assert not (isinstance(succ, (Over, Under)) and mode.has_directional_right), tree
                         assert not (isinstance(succ, LinImp) and mode.has_linimp_right), tree
     assert left_nodes > 1000
