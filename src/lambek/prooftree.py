@@ -15,15 +15,15 @@ built:
   position ``k`` of the conclusion antecedent.
 
 Only a tree's root holds a sequent, its ``conclusion``; an inner node's
-is None.  ``premise_conclusions`` is the schema above written once, and
+is None, and ``ProofTree`` raises ValueError on a premise that has one.
+To build bottom-up, give each premise as ``replace(t, conclusion=None)``.
+``premise_conclusions`` is the schema above written once, and
 ``ProofTree.conclusions`` the one top-down walk that derives every
 other node's conclusion with it, so no two conclusions in a tree can
 disagree.  Rule data that do not apply where they sit (a split out of
 range, a functor or succedent of the wrong connective) make the tree
 no proof: the walk gives the nodes below them no conclusion, and
-``check_proof`` rejects it.  A node may be given premises that have
-conclusions, each the one its rule data give (else ValueError); it
-keeps them without.
+``check_proof`` rejects it.
 
 The JSON form lists the nodes in preorder, after the root's sequent
 as concrete text.  A node's rule fixes its number of premises, so the
@@ -32,10 +32,7 @@ list needs no nesting and no premise counts::
     {"sequent": "a/b, b => a",
      "nodes": [{"rule": "/L", "split": [0, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]}
 
-The decoder also loads the earlier nested form, in which each node
-lists its ``premises`` and the root carries the sequent, and files
-with a ``sequent`` on other nodes, in either form, when each is the
-conclusion the walk derives there.
+This is the one form ``proof_from_json`` reads.
 """
 
 from __future__ import annotations
@@ -95,8 +92,9 @@ def _check_shape(rule: Rule, n: int, split: Any, insert: Any) -> None:
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ProofTree:
     """A proof node: its rule, premises and rule data, and at the root of a
-    tree its conclusion.  Trees are equal when their conclusions are and
-    their nodes in preorder have the same rule, split and insert.
+    tree its conclusion.  Every premise's conclusion must be None (else
+    ValueError).  Trees are equal when their conclusions are and their
+    nodes in preorder have the same rule, split and insert.
 
     The ``repr`` is the dataclass one, and a copy or pickle goes through
     the node list; neither recurses per level of the tree.
@@ -119,8 +117,7 @@ class ProofTree:
         _check_shape(rule, len(premises), split, insert)
         for p in premises:
             if p.conclusion is not None:
-                premises = _adopt(rule, conclusion, premises, split, insert)
-                break
+                raise ValueError(f"{rule} premise {format_sequent(p.conclusion)} has a conclusion; only the root holds one")
         _set_rule(self, rule)
         _set_conclusion(self, conclusion)
         _set_premises(self, premises)
@@ -176,21 +173,6 @@ class ProofTree:
 
 # The fields' slot setters, as a frozen dataclass's own __setattr__ raises.
 _set_rule, _set_conclusion, _set_premises, _set_split, _set_insert = (getattr(ProofTree, f.name).__set__ for f in fields(ProofTree))
-
-
-def _adopt(rule: Rule, conclusion: Sequent | None, premises: tuple, split: Any, insert: Any) -> tuple[ProofTree, ...]:
-    """``premises`` without their conclusions, each checked against the one
-    ``conclusion`` and the rule data give it."""
-    c = conclusion
-    given = None if c is None else premise_conclusions(rule, list(c.antecedent), c.succedent, split, insert)
-    out = []
-    for i, p in enumerate(premises):
-        if p.conclusion is not None:
-            if given is None or p.conclusion != Sequent(tuple(given[i][0]), given[i][1]):
-                raise ValueError(f"{rule} premise {format_sequent(p.conclusion)} is not one its rule data give")
-            p = ProofTree(p.rule, None, p.premises, p.split, p.insert)
-        out.append(p)
-    return tuple(out)
 
 
 def premise_conclusions(
@@ -273,41 +255,33 @@ _RULE_OF_NAME = {rule.symbol: rule for rule in Rule}  # a dict lookup is cheaper
 
 
 def _fields(node: dict[str, Any]) -> tuple[Rule, Any, Any]:
-    """A JSON node's rule and rule data, its split list made a tuple."""
+    """A JSON node's rule and rule data, its split list made a tuple;
+    ValueError on a key other than ``rule`` and the data it carries."""
     rule = _RULE_OF_NAME.get(node["rule"])
     if rule is None:
         raise ValueError(f"{node['rule']!r} is not a rule name")
-    split = node.get("split")
-    return rule, tuple(split) if type(split) is list else split, node.get("insert")
-
-
-def _flatten(root: dict[str, Any]) -> dict[str, Any]:
-    """The nested form's nodes in preorder, each checked to list as many premises as its rule takes."""
-    nodes = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kids = node.get("premises", [])
-        rule, split, insert = _fields(node)
-        _check_shape(rule, len(kids), split, insert)
-        nodes.append(node)
-        stack += reversed(kids)
-    return {"sequent": root["sequent"], "nodes": nodes}
+    split, insert = node.get("split"), node.get("insert")
+    if len(node) != 1 + (split is not None) + (insert is not None):
+        raise ValueError(f"proof node keys {list(node)} are not rule and its split or insert")
+    return rule, tuple(split) if type(split) is list else split, insert
 
 
 def proof_from_json(data: dict[str, Any]) -> ProofTree:
-    """Inverse of ``proof_to_json``; also loads the nested form.
+    """Inverse of ``proof_to_json``: the root's ``sequent`` and the
+    ``nodes`` in preorder, each with its ``rule`` and, as its rule takes
+    them, a ``split`` or an ``insert``.
 
-    Raises ValueError on a malformed node (one without the rule data its
-    rule takes or with data it does not take, a split that is not a list
-    of two integers, an insert that is not an integer; booleans are not
-    integers here), on a node list that ends before the tree does or
-    goes on after it, and on a node ``sequent`` that is not the
-    conclusion the tree gives that node.
+    Raises ValueError on any other key, top-level or on a node (so on a
+    node ``sequent`` or ``premises``), on a malformed node (one without
+    the rule data its rule takes or with data it does not take, a split
+    that is not a list of two integers, an insert that is not an
+    integer; booleans are not integers here), and on a node list that
+    ends before the tree does or goes on after it.  Rule data that do
+    not apply where they sit load, as a tree that is no proof.
     """
     try:
-        if "nodes" not in data:
-            data = _flatten(data)
+        if data.keys() != {"sequent", "nodes"}:
+            raise ValueError(f"proof keys {list(data)} are not sequent and nodes")
         conclusion = parse_sequent(data["sequent"])
         nodes, open_slots = [], 1  # premises still to come, the root's slot included
         for node in data["nodes"]:
@@ -317,12 +291,7 @@ def proof_from_json(data: dict[str, Any]) -> ProofTree:
             open_slots += nodes[-1][0].arity - 1
         if open_slots:
             raise ValueError("proof node list ends before the tree does")
-        tree = _assemble(conclusion, nodes)
-        if any("sequent" in node for node in data["nodes"]):
-            for node, (_, c) in zip(data["nodes"], tree.conclusions()):
-                if "sequent" in node and (c is None or parse_sequent(node["sequent"]) != c):
-                    raise ValueError(f"proof node sequent {node['sequent']!r} is not the conclusion its rule data give")
-        return tree
+        return _assemble(conclusion, nodes)
     except (KeyError, IndexError, TypeError, AttributeError) as e:
         raise ValueError(f"malformed proof node: {e!r}") from e
 

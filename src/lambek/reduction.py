@@ -25,10 +25,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, NamedTuple
 
 from .grammar import Grammar
-from .syntax import Atom, Formula, LinImp, Over
+from .syntax import Atom, Formula, LinImp, Over, _fold_right
 
 __all__ = [
     "ThreePartitionInstance",
@@ -152,35 +153,21 @@ def solve_3partition(inst: ThreePartitionInstance) -> Partition | None:
 # ---------------------------------------------------------------------------
 
 
-def _over_chain(head: Formula, args) -> Formula:
-    for arg in args:
-        head = Over(head, arg)
-    return head
-
-
-def _linimp_chain(args, result: Formula) -> Formula:
-    for arg in reversed(list(args)):
-        result = LinImp(arg, result)
-    return result
-
-
 def _v_type(inst: ThreePartitionInstance) -> Formula:
     hypotheses = []
     for j in range(1, inst.m + 1):
         hypotheses.extend([Atom(f"b{j}")] * 3)
     for j in range(1, inst.m + 1):
         hypotheses.extend([Atom(f"c{j}")] * inst.target)
-    return Over(Atom("a"), _linimp_chain(hypotheses, Atom("d")))
+    hypotheses.append(Atom("d"))
+    return Over(Atom("a"), _fold_right(LinImp, hypotheses))
 
 
 def _w_type(inst: ThreePartitionInstance, i: int, j: int) -> Formula:
     """Type for token ``wi`` that books item ``i`` into slot ``j``."""
     d, bj, cj = Atom("d"), Atom(f"b{j}"), Atom(f"c{j}")
-    t = _over_chain(d, [cj] * inst.sizes[i - 1])
-    t = Over(t, bj)
-    if i < 3 * inst.m:
-        t = Over(t, d)
-    return t
+    t = reduce(Over, [d, *[cj] * inst.sizes[i - 1], bj])
+    return Over(t, d) if i < 3 * inst.m else t
 
 
 def build_reduction(inst: ThreePartitionInstance) -> ReductionOutput:

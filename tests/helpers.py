@@ -26,11 +26,11 @@ against itself:
   whose counts balance but that are often underivable, and
   ``zero_linimp_sequent`` for balanced sequents with -o in either
   polarity,
+* ``mirror_sequent``, a sequent read right to left, for a relation
+  that ``prove`` and ``enumerate_proofs`` must keep at any size,
 * ``all_valid_instances``, every small 3-partition instance, and
   ``brute_force_3partition``, every split into triples, for
   ``solve_3partition``,
-* ``nested_proof_json``, proof files in the earlier nested form, for
-  the JSON decoder,
 * ``reference_repr``, the dataclass ``repr`` written out recursively,
   for the explicit-stack ``repr`` of formulas and proof trees,
 * ``recursion_limit``, to show that a walk does not recurse per level,
@@ -59,7 +59,6 @@ from lambek import (
     ThreePartitionInstance,
     Under,
     format_formula,
-    format_sequent,
     parse_sequent,
 )
 
@@ -105,7 +104,9 @@ def forward_proof(
     """Grow a valid proof by applying rules forward from axioms.
 
     Every returned tree is correct by construction; its conclusion is
-    therefore a derivable sequent of the given mode.
+    therefore a derivable sequent of the given mode.  The pool holds
+    whole trees; a tree becomes a premise without its conclusion, which
+    only a root holds.
     """
     pool = [_axiom(rng.choice(ATOMS)) for _ in range(2)]
     for _ in range(steps):
@@ -122,16 +123,17 @@ def _forward_step(rng, pool, mode, max_antecedent, max_connectives):
         rule = rng.choice(_forward_rules(mode))
         t2 = rng.choice(pool)
         ant, succ = t2.conclusion.antecedent, t2.conclusion.succedent
+        p2 = dataclasses.replace(t2, conclusion=None)
         if rule is Rule.OVER_R and len(ant) >= 2:
-            built = ProofTree(rule, Sequent(ant[:-1], Over(succ, ant[-1])), (t2,))
+            built = ProofTree(rule, Sequent(ant[:-1], Over(succ, ant[-1])), (p2,))
         elif rule is Rule.UNDER_R and len(ant) >= 2:
-            built = ProofTree(rule, Sequent(ant[1:], Under(ant[0], succ)), (t2,))
+            built = ProofTree(rule, Sequent(ant[1:], Under(ant[0], succ)), (p2,))
         elif rule is Rule.LINIMP_R and len(ant) >= 2:
             k = rng.randrange(len(ant))
             built = ProofTree(
                 rule,
                 Sequent(ant[:k] + ant[k + 1 :], LinImp(ant[k], succ)),
-                (t2,),
+                (p2,),
                 insert=k,
             )
         elif rule in (Rule.OVER_L, Rule.UNDER_L):
@@ -147,7 +149,7 @@ def _forward_step(rng, pool, mode, max_antecedent, max_connectives):
                 functor = Under(succ1, picked)
                 new_ant = ant[:i] + ant1 + (functor,) + ant[i + 1 :]
                 split = (i, len(ant1))
-            built = ProofTree(rule, Sequent(new_ant, succ), (t1, t2), split=split)
+            built = ProofTree(rule, Sequent(new_ant, succ), (dataclasses.replace(t1, conclusion=None), p2), split=split)
         else:
             continue
         c = built.conclusion
@@ -596,6 +598,27 @@ def zero_linimp_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
     return Sequent(tuple(formulas[:-1]), formulas[-1])
 
 
+def _mirror(f: Formula) -> Formula:
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Over):
+        return Under(_mirror(f.arg), _mirror(f.result))
+    if isinstance(f, Under):
+        return Over(_mirror(f.result), _mirror(f.arg))
+    return LinImp(_mirror(f.arg), _mirror(f.result))
+
+
+def mirror_sequent(s: Sequent) -> Sequent:
+    """``s`` read right to left: the antecedent reversed, every ``A/B``
+    turned into ``B\\A`` and back, -o left alone.
+
+    The rules map onto each other (/R onto \\R, /L onto \\L, -oR at
+    ``k`` onto -oR at ``n - k``), so in every mode ``s`` and its mirror
+    image have the same verdict and the same focused normal forms.
+    """
+    return Sequent(tuple(_mirror(f) for f in reversed(s.antecedent)), _mirror(s.succedent))
+
+
 def all_valid_instances(max_m: int, max_target: int):
     """Every valid 3-partition instance with m <= ``max_m`` and N <= ``max_target``."""
     for m in range(1, max_m + 1):
@@ -632,29 +655,6 @@ def _triple_partitions(n: int) -> list[tuple[tuple[int, int, int], ...]]:
         for p, q in itertools.combinations(rest[1:], 2):
             stack.append((done + ((rest[0], p, q),), tuple(i for i in rest[1:] if i != p and i != q)))
     return out
-
-
-def nested_proof_json(t: ProofTree, every_sequent: bool = False) -> dict:
-    """``t`` in the nested JSON form that proof files had before the flat node list.
-
-    Each node lists its ``premises``.  The root carries its ``sequent``,
-    and with ``every_sequent`` so does every node that has a conclusion
-    (``oracle_conclusions``).
-    """
-    pairs = oracle_conclusions(t) if every_sequent else [(node, None) for node in t.nodes()]
-    pairs[0] = (t, t.conclusion)
-    built: list[dict] = []
-    for node, c in reversed(pairs):
-        out: dict = {"rule": node.rule.value}
-        if c is not None:
-            out["sequent"] = format_sequent(c)
-        if node.split is not None:
-            out["split"] = list(node.split)
-        if node.insert is not None:
-            out["insert"] = node.insert
-        out["premises"] = [built.pop() for _ in node.premises]
-        built.append(out)
-    return built[0]
 
 
 def reference_repr(x: object, out: list[str] | None = None) -> str:

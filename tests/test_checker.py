@@ -14,7 +14,6 @@ from helpers import (
     forward_proof,
     mutate_proof,
     naive_check,
-    nested_proof_json,
     oracle_conclusions,
     recursion_limit,
     reference_repr,
@@ -59,12 +58,11 @@ def test_axiom():
 
 def test_over_left():
     concl = parse_sequent("a/b, b => a")
-    good = ProofTree(Rule.OVER_L, concl, (AX_B, AX_A), split=(0, 1))
+    good = ProofTree(Rule.OVER_L, concl, (AX, AX), split=(0, 1))
     assert check_proof(good, L)
-    assert good == ProofTree(Rule.OVER_L, concl, (AX, AX), split=(0, 1))
     assert not check_proof(ProofTree(Rule.OVER_L, concl, (AX, AX), split=(1, 1)), L)
-    # Premises whose conclusions are not the ones the rule data give are
-    # not taken, nor are premises with conclusions under a node without one.
+    # Premises that have conclusions are not taken, under a node with one
+    # or without.
     for concl_, premises, split in [
         (concl, (AX_B, AX_A), (1, 1)),
         (concl, (AX_A, AX_B), (0, 1)),
@@ -73,12 +71,12 @@ def test_over_left():
         with pytest.raises(ValueError):
             ProofTree(Rule.OVER_L, concl_, premises, split=split)
     with pytest.raises(ValueError):
-        ProofTree(Rule.OVER_L, concl, (AX_B, AX_A))
+        ProofTree(Rule.OVER_L, concl, (AX, AX))
 
 
 def test_under_left():
     concl = parse_sequent("b, b\\a => a")
-    good = ProofTree(Rule.UNDER_L, concl, (AX_B, AX_A), split=(0, 1))
+    good = ProofTree(Rule.UNDER_L, concl, (AX, AX), split=(0, 1))
     assert check_proof(good, L)
     assert not check_proof(ProofTree(Rule.UNDER_L, concl, (AX, AX), split=(1, 1)), L)
     with pytest.raises(ValueError):
@@ -97,7 +95,7 @@ def test_rule_data_only_on_their_rules():
         nodes[k].update(extra)
         with pytest.raises(ValueError):
             proof_from_json({"sequent": data["sequent"], "nodes": nodes})
-    over_l = ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=(0, 1))
+    over_l = ProofTree(Rule.OVER_L, None, (AX, AX), split=(0, 1))
     concl = parse_sequent("a/b => a/b")
     assert check_proof(ProofTree(Rule.OVER_R, concl, (over_l,)), L)
     for data in ({"insert": 0}, {"split": (0, 1)}):
@@ -139,10 +137,10 @@ def test_misplaced_or_mistyped_rule_data_raise_where_the_tree_is_built(rule, seq
 @pytest.mark.parametrize(
     "data",
     [
-        # /L without a split and -oR without an insert, with every sequent given
-        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L"}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax", "sequent": "a => a"}]},
-        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR"}, {"rule": "Ax", "sequent": "a => a"}]},
-        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": 1.0}, {"rule": "Ax", "sequent": "a => a"}]},
+        # /L without a split and -oR without an insert or with a float one
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L"}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR"}, {"rule": "Ax"}]},
+        {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": 1.0}, {"rule": "Ax"}]},
         {"sequent": "a => a", "nodes": [{"rule": "Ax", "insert": 0}]},
     ],
 )
@@ -153,38 +151,28 @@ def test_json_rejects_nodes_without_their_rule_data(data):
 
 def test_right_rules_respect_mode():
     s = parse_sequent("a/b => a/b")
-    inner = ProofTree(
-        Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=(0, 1)
-    )
+    inner = ProofTree(Rule.OVER_L, None, (AX, AX), split=(0, 1))
     tree = ProofTree(Rule.OVER_R, s, (inner,))
     assert check_proof(tree, L)
     assert check_proof(tree, SDL)
     assert not check_proof(tree, SDLM)
 
     s2 = parse_sequent("b => b\\b -o b")
-    inner2 = ProofTree(
-        Rule.UNDER_L, parse_sequent("b, b\\b => b"), (AX_B, AX_B), split=(0, 1)
-    )
+    inner2 = ProofTree(Rule.UNDER_L, None, (AX, AX), split=(0, 1))
     tree2 = ProofTree(Rule.LINIMP_R, s2, (inner2,), insert=1)
     assert check_proof(tree2, SDL)
     assert check_proof(tree2, SDLM)
     assert not check_proof(tree2, L)
-    # A wrong insertion point: inner2 does not conclude the premise it gives,
-    # and without its conclusion the \\L below it does not land on a \\.
-    with pytest.raises(ValueError):
-        ProofTree(Rule.LINIMP_R, s2, (inner2,), insert=0)
-    assert not check_proof(ProofTree(Rule.LINIMP_R, s2, tree2.premises, insert=0), SDL)
+    # A wrong insertion point: the \\L above it does not land on a \\.
+    assert not check_proof(ProofTree(Rule.LINIMP_R, s2, (inner2,), insert=0), SDL)
     with pytest.raises(ValueError):
         ProofTree(Rule.LINIMP_R, s2, (inner2,))
     # /R and \R on a succedent of the other connective
-    with pytest.raises(ValueError):
-        ProofTree(Rule.UNDER_R, s, (inner,))
-    assert not check_proof(ProofTree(Rule.UNDER_R, s, tree.premises), L)
+    assert not check_proof(ProofTree(Rule.UNDER_R, s, (inner,)), L)
     s3 = parse_sequent("b\\a => b\\a")
-    inner3 = ProofTree(Rule.UNDER_L, parse_sequent("b, b\\a => a"), (AX_B, AX_A), split=(0, 1))
-    tree3 = ProofTree(Rule.UNDER_R, s3, (inner3,))
-    assert check_proof(tree3, L)
-    assert not check_proof(ProofTree(Rule.OVER_R, s3, tree3.premises), L)
+    inner3 = ProofTree(Rule.UNDER_L, None, (AX, AX), split=(0, 1))
+    assert check_proof(ProofTree(Rule.UNDER_R, s3, (inner3,)), L)
+    assert not check_proof(ProofTree(Rule.OVER_R, s3, (inner3,)), L)
 
 
 def test_prover_output_always_checks():
@@ -239,10 +227,7 @@ def test_json_round_trip():
     for _ in range(200):
         t = forward_proof(rng, SDL)
         assert proof_from_json(proof_to_json(t)) == t
-        text = proof_to_json_text(t)
-        assert proof_from_json_text(text) == t
-        # The flat node list is never longer than the nested form.
-        assert len(text) <= len(json.dumps(nested_proof_json(t), separators=(",", ":")))
+        assert proof_from_json_text(proof_to_json_text(t)) == t
     payload = json.loads(proof_to_json_text(AX_A))
     assert payload == {"sequent": "a => a", "nodes": [{"rule": "Ax"}]}
 
@@ -260,10 +245,9 @@ def test_json_carries_rule_data():
     "data",
     [
         {},
-        {"rule": "Cut", "sequent": "a => a", "premises": []},
-        {"rule": "Ax", "sequent": "a =>", "premises": []},
-        {"rule": "Ax", "sequent": "a => a", "premises": [], "split": [0]},
-        {"rule": "/L", "sequent": "a/b, b => a", "premises": []},
+        {"sequent": "a =>", "nodes": [{"rule": "Ax"}]},
+        {"sequent": "a => a", "nodes": [{"rule": "Ax", "split": [0]}]},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1]}]},
         {"sequent": "a => a"},
         {"nodes": [{"rule": "Ax"}]},
         # a node list that ends before the tree does, or goes on after it
@@ -280,7 +264,7 @@ def test_json_carries_rule_data():
         {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": {"0": 1}}, {"rule": "Ax"}, {"rule": "Ax"}]},
         {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": True}, {"rule": "Ax"}]},
         {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": "1"}, {"rule": "Ax"}]},
-        {"rule": "/L", "sequent": "a/b, b => a", "split": [0, True], "premises": [{"rule": "Ax"}, {"rule": "Ax"}]},
+        {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, True]}, {"rule": "Ax"}, {"rule": "Ax"}]},
     ],
 )
 def test_json_rejects_malformed(data):
@@ -355,92 +339,56 @@ def test_json_round_trips_rule_inconsistent_trees():
         assert _sequent_count(data) == 1
         assert proof_from_json(data) == m
         assert proof_from_json_text(proof_to_json_text(m)) == m
-        assert proof_from_json(nested_proof_json(m)) == m
         if not naive_check(m, SDL):
             rejected += 1
             assert not check_proof(proof_from_json(data), SDL)
     assert mutants > 100 and rejected > 100
 
 
-def _every_sequent(t: ProofTree) -> dict:
-    """``t`` in the flat form with a sequent on every node (``oracle_conclusions``)."""
-    data = proof_to_json(t)
-    for node, (_, c) in zip(data["nodes"], oracle_conclusions(t)):
-        node["sequent"] = format_sequent(c)
-    return data
-
-
-def test_json_loads_a_sequent_on_every_node():
-    # Files that give every node's conclusion, flat or nested, load when
-    # each is the one the rule data derive, and raise ValueError when one
-    # is not: a tree's conclusions cannot disagree with its rule data.
+def test_json_refuses_a_sequent_on_every_node():
+    # Files that give every node's conclusion, each the one the rule data
+    # derive, do not load: only the root holds a sequent.
     rng = random.Random(26)
-    edited = 0
     for _ in range(200):
         t = forward_proof(rng, SDL)
-        flat, nested = _every_sequent(t), nested_proof_json(t, every_sequent=True)
-        assert proof_from_json(flat) == t and proof_from_json(nested) == t
-        assert proof_from_json_text(json.dumps(flat)) == t
-        # Another node's conclusion, where it differs, in place of a node's own.
-        i, j = rng.randrange(len(flat["nodes"])), rng.randrange(len(flat["nodes"]))
-        if flat["nodes"][i]["sequent"] != flat["nodes"][j]["sequent"]:
-            edited += 1
-            flat["nodes"][i]["sequent"] = flat["nodes"][j]["sequent"]
-            with pytest.raises(ValueError):
-                proof_from_json(flat)
-    assert edited > 100
-    # Below rule data that do not apply there is no conclusion to match.
-    data = {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [1, 1]}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax"}]}
-    with pytest.raises(ValueError):
-        proof_from_json(data)
-    # A node with the wrong shape still fails, whatever sequents it carries.
-    for nodes in (
-        [{"rule": "/L", "sequent": "a/b, b => a"}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax", "sequent": "a => a"}],
-        [{"rule": "/L", "split": [0, 1], "sequent": "a/b, b => a"}, {"rule": "Ax", "sequent": "b => b"}],
-        [{"rule": "Ax", "insert": 0, "sequent": "a/b, b => a"}],
-    ):
+        data = proof_to_json(t)
+        assert proof_from_json(data) == t
+        for node, (_, c) in zip(data["nodes"], oracle_conclusions(t)):
+            node["sequent"] = format_sequent(c)
         with pytest.raises(ValueError):
-            proof_from_json({"sequent": "a/b, b => a", "nodes": nodes})
+            proof_from_json(data)
 
 
 @pytest.mark.parametrize(
-    "data",
+    "build",
     [
-        {"rule": "Ax", "premises": []},
-        # /L whose split does not land on a /, with a sequent below it
-        {
-            "rule": "/L",
-            "sequent": "b, b\\a => a",
-            "split": [0, 1],
-            "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "sequent": "a => a", "premises": []}],
-        },
+        # a node with its (right) sequent, with premises, with an unknown key
+        lambda: proof_from_json({"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1]}, {"rule": "Ax", "sequent": "b => b"}, {"rule": "Ax"}]}),
+        lambda: proof_from_json({"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1], "premises": []}, {"rule": "Ax"}, {"rule": "Ax"}]}),
+        lambda: proof_from_json({"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0, 1], "Split": [0, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]}),
+        # the nested form, and a top-level key other than sequent and nodes
+        lambda: proof_from_json({"rule": "/L", "sequent": "a/b, b => a", "split": [0, 1], "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "premises": []}]}),
+        lambda: proof_from_json({"sequent": "a => a", "nodes": [{"rule": "Ax"}], "mode": "sdl"}),
+        # premises whose conclusions are the ones the rule data give
+        lambda: ProofTree(Rule.OVER_L, parse_sequent("a/b, b => a"), (AX_B, AX_A), split=(0, 1)),
     ],
+    ids=["node-sequent", "node-premises", "node-unknown-key", "nested", "top-level-key", "premise-conclusions"],
 )
-def test_json_rejects_missing_sequents(data):
-    # The root's sequent is the one a file must give; a sequent below
-    # rule data that give none has nothing to match.
+def test_only_the_root_holds_a_sequent(build):
     with pytest.raises(ValueError):
-        proof_from_json(data)
+        build()
 
 
 @pytest.mark.parametrize(
     "data",
     [
         # /L with an out-of-range split implies no premises
-        {
-            "rule": "/L",
-            "sequent": "a/b, b => a",
-            "split": [1, 1],
-            "premises": [{"rule": "Ax", "premises": []}, {"rule": "Ax", "premises": []}],
-        },
-        # -oR on a succedent that is not a -o
-        {"rule": "-oR", "sequent": "a => a", "insert": 0, "premises": [{"rule": "Ax", "premises": []}]},
-        # /R and \R on a succedent of the other connective
-        {"rule": "/R", "sequent": "a => b\\a", "premises": [{"rule": "Ax", "premises": []}]},
-        {"rule": "\\R", "sequent": "a => a/b", "premises": [{"rule": "Ax", "premises": []}]},
-        # the same in the flat form
         {"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [1, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]},
+        # -oR on a succedent that is not a -o
         {"sequent": "a => a", "nodes": [{"rule": "-oR", "insert": 0}, {"rule": "Ax"}]},
+        # /R and \R on a succedent of the other connective
+        {"sequent": "a => b\\a", "nodes": [{"rule": "/R"}, {"rule": "Ax"}]},
+        {"sequent": "a => a/b", "nodes": [{"rule": "\\R"}, {"rule": "Ax"}]},
     ],
 )
 def test_json_loads_rule_data_that_do_not_apply(data):
@@ -516,15 +464,6 @@ def test_deep_proof_walks():
     data = proof_to_json(tree)
     copy = proof_from_json(data)
     assert copy is not tree and copy == tree and hash(copy) == hash(tree)
-    # A sequent on a node must be the conclusion it has in the tree.
-    data["nodes"][-1]["sequent"] = "b => b"
-    assert proof_from_json(data) == tree
-    data["nodes"][-1]["sequent"] = "c => c"
-    with pytest.raises(ValueError):
-        proof_from_json(data)
-    # The nested form loads at any depth.
-    with recursion_limit(100):
-        assert proof_from_json(nested_proof_json(tree)) == tree
 
 
 def test_deep_chain_json_round_trips_without_recursion():

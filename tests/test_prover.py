@@ -15,8 +15,8 @@ from helpers import (
     brute_force_splits,
     chain_sequent,
     forward_proof,
+    mirror_sequent,
     naive_derivable,
-    nested_proof_json,
     oracle_conclusions,
     oracle_counts,
     oracle_premise_conclusions,
@@ -34,6 +34,7 @@ from lambek import (
     CalculusMode,
     LinImp,
     Over,
+    ProofTree,
     Rule,
     Sequent,
     Under,
@@ -41,6 +42,7 @@ from lambek import (
     connective_count,
     enumerate_proofs,
     format_formula,
+    format_sequent,
     parse_formula,
     parse_sequent,
     polarity_report,
@@ -305,6 +307,23 @@ def _pending_bag_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
     return Sequent(tuple(ant), succ)
 
 
+def _nested_json(t: ProofTree) -> dict:
+    """``t`` in the nested form the digest below was recorded with: each
+    node lists its ``premises``, and the root alone has a ``sequent``."""
+    built: list[dict] = []
+    for node in reversed(t.nodes()):
+        out: dict = {"rule": node.rule.symbol}
+        if node is t:
+            out["sequent"] = format_sequent(t.conclusion)
+        if node.split is not None:
+            out["split"] = list(node.split)
+        if node.insert is not None:
+            out["insert"] = node.insert
+        out["premises"] = [built.pop() for _ in node.premises]
+        built.append(out)
+    return built[0]
+
+
 def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     # The order in which pending formulas are materialized ahead of /R
     # and \R decides which proof is found first and how many nodes it
@@ -320,7 +339,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     # distinct pending formulas.  Each is proved in sdl- as well, where
     # left rules split the same bags.
     # The proofs are digested in the nested JSON form the digest was
-    # recorded with, which proof_to_json no longer writes.
+    # recorded with, which proof_to_json does not write.
     materialized = set()
     real = prover._Search._materializations
 
@@ -346,7 +365,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
         picked += 1
         results.append(prove(s, SDLM))
         for mode, (tree, stats) in zip((SDL, SDLM), results):
-            proof = tree and json.dumps(nested_proof_json(tree), separators=(",", ":"))
+            proof = tree and json.dumps(_nested_json(tree), separators=(",", ":"))
             line = [str(s), str(mode), stats.as_dict(), proof]
             digest.update(json.dumps(line).encode() + b"\n")
             proofs.update(json.dumps([str(s), str(mode), proof]).encode() + b"\n")
@@ -701,6 +720,26 @@ def test_mode_monotonicity_spot():
             assert in_sdl, s
         if prove(s, SDLM)[0] is not None:
             assert in_sdl, s
+
+
+def test_mirror_image_has_the_same_verdict_and_proof_count():
+    # The search is not symmetric: fixed functors are tried from left to
+    # right, _can_end and the span scans treat / and \ apart, and pending
+    # formulas go by rank.  So mirroring tests it at sizes that the naive
+    # oracle cannot reach.
+    rng = random.Random(12)
+    several = 0
+    for mode in (L, SDL, SDLM):
+        for _ in range(1500):
+            s = random_sequent(rng)
+            verdicts = [prove(x, mode, budget=100_000)[0] is not None for x in (s, mirror_sequent(s))]
+            assert verdicts[0] == verdicts[1], (mode, str(s))
+        for _ in range(600):
+            s = forward_proof(rng, mode).conclusion
+            counts = [len(enumerate_proofs(x, mode, limit=50, budget=100_000)) for x in (s, mirror_sequent(s))]
+            assert counts[0] == counts[1], (mode, str(s))
+            several += counts[0] > 1
+    assert several > 300
 
 
 def test_stats_dict_shape():

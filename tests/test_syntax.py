@@ -248,8 +248,8 @@ def test_sequent_stores_its_antecedent_as_a_tuple():
     for mode in CalculusMode:
         tree, _ = prove(s, mode)
         assert tree.conclusion == s and check_proof(tree, mode)
-    ax_a, ax_b = ProofTree(Rule.AX, Sequent([a], a)), ProofTree(Rule.AX, Sequent([b], b))
-    over_l = ProofTree(Rule.OVER_L, Sequent([Over(a, b), b], a), (ax_b, ax_a), split=(0, 1))
+    assert check_proof(ProofTree(Rule.AX, Sequent([a], a)), CalculusMode.L)
+    over_l = ProofTree(Rule.OVER_L, None, (ProofTree(Rule.AX),) * 2, split=(0, 1))
     assert check_proof(ProofTree(Rule.OVER_R, Sequent([Over(a, b)], Over(a, b)), (over_l,)), CalculusMode.L)
 
 
