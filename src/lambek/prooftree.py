@@ -38,11 +38,12 @@ This is the one form ``proof_from_json`` reads.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterator
 
-from .syntax import Formula, LinImp, Over, Sequent, Under, _dataclass_repr, format_sequent, parse_sequent
+from .syntax import Formula, LinImp, Over, Sequent, Under, _dataclass_repr, format_formula, format_sequent, parse_sequent
 
 __all__ = [
     "Rule",
@@ -306,11 +307,17 @@ def proof_from_json_text(text: str) -> ProofTree:
 
 def render_proof(t: ProofTree) -> str:
     """Indented tree, one node per line, rule names right-aligned; ``?``
-    for a node without a conclusion (``ProofTree.conclusions``)."""
+    for a node without a conclusion (``ProofTree.conclusions``).
+
+    Each distinct formula is formatted once, but the text still grows
+    with the proof's depth times its antecedents' length.
+    """
+    text_of = functools.cache(format_formula)
     rows: list[tuple[str, str]] = []
     todo: list[int] = []  # for each node above, its premises not yet shown
-    for node, c in t.conclusions():
-        rows.append(("  " * len(todo) + ("?" if c is None else format_sequent(c)), node.rule.symbol))
+    for node, ant, succ in _walk(t):
+        sequent = "?" if ant is None else f"{', '.join(map(text_of, ant))} => {text_of(succ)}"
+        rows.append(("  " * len(todo) + sequent, node.rule.symbol))
         todo.append(len(node.premises))
         while todo and not todo[-1]:
             todo.pop()

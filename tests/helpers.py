@@ -12,6 +12,8 @@ against itself:
   root's, for the proof tree's own walk and the tests that read inner
   conclusions,
 * random formula and sequent generators,
+* ``oracle_counts`` and ``oracle_balanced``, primitive counts and
+  the count invariant from their definition,
 * ``oracle_chain``, ``oracle_atoms`` and ``oracle_usable``, a
   formula's head, chain sides, atom occurrences and usable polarities,
   for the facts on each formula node,
@@ -26,8 +28,11 @@ against itself:
   whose counts balance but that are often underivable, and
   ``zero_linimp_sequent`` for balanced sequents with -o in either
   polarity,
-* ``mirror_sequent``, a sequent read right to left, for a relation
-  that ``prove`` and ``enumerate_proofs`` must keep at any size,
+* ``mirror_sequent``, a sequent read right to left, and
+  ``rename_sequent``, its primitives renamed, for relations that
+  ``prove`` and ``enumerate_proofs`` must keep at any size, with
+  ``pending_bag_sequent`` for sequents whose search materializes
+  pending formulas,
 * ``all_valid_instances``, every small 3-partition instance, and
   ``brute_force_3partition``, every split into triples, for
   ``solve_3partition``,
@@ -348,6 +353,15 @@ def oracle_counts(f: Formula) -> dict[str, int]:
     return {name: n for name, n in out.items() if n}
 
 
+def oracle_balanced(s: Sequent) -> bool:
+    """Whether the antecedent's ``oracle_counts`` sum to the succedent's."""
+    lhs: dict[str, int] = {}
+    for f in s.antecedent:
+        for name, n in oracle_counts(f).items():
+            lhs[name] = lhs.get(name, 0) + n
+    return {name: n for name, n in lhs.items() if n} == oracle_counts(s.succedent)
+
+
 def oracle_chain(f: Formula) -> tuple[Formula, set[str]]:
     """The head of ``f`` and its chain's sides, straight from their definitions.
 
@@ -617,6 +631,42 @@ def mirror_sequent(s: Sequent) -> Sequent:
     image have the same verdict and the same focused normal forms.
     """
     return Sequent(tuple(_mirror(f) for f in reversed(s.antecedent)), _mirror(s.succedent))
+
+
+def _rename(f: Formula, names: dict[str, str]) -> Formula:
+    if isinstance(f, Atom):
+        return Atom(names[f.name])
+    return type(f)(result=_rename(f.result, names), arg=_rename(f.arg, names))
+
+
+def rename_sequent(s: Sequent, names: dict[str, str]) -> Sequent:
+    """``s`` with each primitive ``p`` renamed ``names[p]``.
+
+    An injective renaming maps the rules onto themselves with the same
+    rule data, so in every mode ``s`` and its renaming have the same
+    verdict and the same proofs, found in the same order.
+    """
+    return Sequent(tuple(_rename(f, names) for f in s.antecedent), _rename(s.succedent, names))
+
+
+def pending_bag_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
+    """A forward-generated sequent closed by /R or \\R and then two -oR steps.
+
+    Half of those with two or more antecedent formulas left have two of
+    them swapped, which keeps the counts and often the derivability too.
+    """
+    while True:
+        s = forward_proof(rng, mode).conclusion
+        if len(s.antecedent) >= 4:
+            break
+    ant, succ = list(s.antecedent), s.succedent
+    succ = Over(succ, ant.pop()) if rng.random() < 0.5 else Under(ant.pop(0), succ)
+    for _ in range(2):
+        succ = LinImp(ant.pop(rng.randrange(len(ant))), succ)
+    if len(ant) > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(len(ant)), 2)
+        ant[i], ant[j] = ant[j], ant[i]
+    return Sequent(tuple(ant), succ)
 
 
 def all_valid_instances(max_m: int, max_target: int):

@@ -13,7 +13,15 @@ import time
 
 import pytest
 
-from helpers import all_valid_instances, forward_proof, mutate_proof, naive_check, oracle_conclusions, random_sequent
+from helpers import (
+    all_valid_instances,
+    forward_proof,
+    mutate_proof,
+    naive_check,
+    oracle_balanced,
+    oracle_conclusions,
+    random_sequent,
+)
 from lambek import (
     Atom,
     CalculusMode,
@@ -21,7 +29,6 @@ from lambek import (
     Sequent,
     anbncn_grammar,
     assignment_to_partition,
-    balanced,
     build_reduction,
     check_proof,
     parse_sequent,
@@ -111,7 +118,7 @@ def test_criterion_01_count_invariant_on_derivable_sequents(forward_pool):
     proofs, gen_elapsed = forward_pool
     t0 = time.monotonic()
     unbalanced = sum(
-        1 for p in proofs for _, c in oracle_conclusions(p) if not balanced(c)
+        1 for p in proofs for _, c in oracle_conclusions(p) if not oracle_balanced(c)
     )
     elapsed = gen_elapsed + (time.monotonic() - t0)
     ok = len(proofs) == 1000 and unbalanced == 0 and elapsed < 10.0

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 
-from helpers import ATOMS, random_formula
+from helpers import ATOMS, forward_proof, oracle_balanced, random_formula, random_sequent, shuffled_sequent
 from lambek import (
     Atom,
+    CalculusMode,
     Sequent,
     balanced,
     count,
@@ -74,6 +75,25 @@ def test_sequent_counts_and_balance():
     assert not balanced(parse_sequent("a/b => a"))
     assert not balanced(parse_sequent("x => y"))
     assert balanced(parse_sequent("s/c, b\\c => b -o s"))
+
+
+def test_balanced_matches_oracle_fuzz():
+    # Random sequents are mostly unbalanced; forward-generated and
+    # shuffled ones are balanced, and a swapped succedent often is not.
+    rng = random.Random(23)
+    kinds = (
+        lambda mode: random_sequent(rng),
+        lambda mode: forward_proof(rng, mode).conclusion,
+        lambda mode: shuffled_sequent(rng, mode),
+    )
+    seen = set()
+    for k in range(1500):
+        s = kinds[k % 3](list(CalculusMode)[k // 3 % 3])
+        if k % 2:
+            s = Sequent(s.antecedent, random_formula(rng, depth=2))
+        seen.add(oracle_balanced(s))
+        assert balanced(s) == oracle_balanced(s), str(s)
+    assert seen == {True, False}
 
 
 def test_polarity_report_roots():

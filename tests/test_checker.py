@@ -284,22 +284,43 @@ def test_render_proof():
 
 
 def _recursive_rows(node: ProofTree, conclusions, depth: int = 0):
-    # ``conclusions`` yields each node's conclusion in preorder.
-    yield "  " * depth + format_sequent(next(conclusions)), node.rule.value
+    # ``conclusions`` yields each node's conclusion, or None, in preorder.
+    c = next(conclusions)
+    yield "  " * depth + ("?" if c is None else format_sequent(c)), node.rule.value
     for p in node.premises:
         yield from _recursive_rows(p, conclusions, depth + 1)
+
+
+def _reference_render(tree: ProofTree) -> str:
+    """The recursive walk that render_proof replaced."""
+    rows = list(_recursive_rows(tree, (c for _, c in oracle_conclusions(tree))))
+    width = max(len(text) for text, _ in rows) + 3
+    return "\n".join(f"{text:<{width}}{rule:>4}" for text, rule in rows)
 
 
 def test_render_proof_does_not_recurse_per_level():
     tree, _ = prove(chain_sequent(300), SDL)
     assert tree.depth() == 601
-    # The recursive walk that render_proof replaced, as the reference.
-    rows = list(_recursive_rows(tree, (c for _, c in oracle_conclusions(tree))))
-    width = max(len(text) for text, _ in rows) + 3
-    expected = "\n".join(f"{text:<{width}}{rule:>4}" for text, rule in rows)
+    expected = _reference_render(tree)
     with recursion_limit(50):
         text = render_proof(tree)
     assert text == expected
+
+
+def test_render_proof_matches_reference():
+    # Forward proofs, and mutants whose nodes below misplaced rule data
+    # show as ``?``.
+    rng = random.Random(26)
+    unknown = 0
+    for k in range(600):
+        tree = forward_proof(rng, list(CalculusMode)[k % 3])
+        assert render_proof(tree) == _reference_render(tree)
+        mutant = mutate_proof(rng, tree)
+        if mutant is not None:
+            text = render_proof(mutant)
+            assert text == _reference_render(mutant)
+            unknown += "?" in text
+    assert unknown > 100
 
 
 def test_nodes_and_counts():

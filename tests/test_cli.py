@@ -289,14 +289,22 @@ def test_budget_must_be_positive(capsys):
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
-    def crash(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
+    # A ValueError is bad input only where input is read: one raised
+    # while rendering a proof is a bug, and nothing is printed.
+    rows = [
+        ("lambek.cli.prove", RecursionError("maximum recursion depth exceeded"), ["prove", "a => a"]),
+        ("lambek.cli.render_proof", ValueError("not a proof"), ["prove", "a => a", "--proof"]),
+    ]
+    for target, error, argv in rows:
+        def crash(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr("lambek.cli.prove", crash)
-    code, out, err = run(capsys, "prove", "a => a")
-    assert code == EXIT_INTERNAL == 4
-    assert out == ""
-    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+        with monkeypatch.context() as m:
+            m.setattr(target, crash)
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 def test_prove_a_formula_nested_thousands_of_parentheses_deep(capsys):

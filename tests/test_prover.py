@@ -12,18 +12,22 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    ATOMS,
     brute_force_splits,
     chain_sequent,
     forward_proof,
     mirror_sequent,
     naive_derivable,
+    oracle_balanced,
     oracle_conclusions,
     oracle_counts,
     oracle_premise_conclusions,
+    pending_bag_sequent,
     random_formula,
     random_sequent,
     recursion_limit,
     reference_violations,
+    rename_sequent,
     shuffled_sequent,
     swap_or_flip,
     zero_linimp_sequent,
@@ -197,14 +201,6 @@ def _refused_at_root(s: Sequent, mode: CalculusMode) -> bool:
     return stats.nodes_expanded == 0 and stats.pruned_by_count == 0
 
 
-def _counts_balance(s: Sequent) -> bool:
-    lhs: dict[str, int] = {}
-    for f in s.antecedent:
-        for name, n in oracle_counts(f).items():
-            lhs[name] = lhs.get(name, 0) + n
-    return {name: n for name, n in lhs.items() if n} == oracle_counts(s.succedent)
-
-
 def _without_linimp(f):
     """``f`` with every ``B -o A`` written ``B\\A``: the same counts, no -o."""
     if isinstance(f, Atom):
@@ -247,7 +243,7 @@ def test_root_check_matches_reference():
         made_in = (L, SDL, SDLM)[i % 3]
         for s in (random_sequent(rng), zero_linimp_sequent(rng, made_in)):
             for mode in (L, SDL, SDLM):
-                balanced, violated = _counts_balance(s), bool(reference_violations(s, mode))
+                balanced, violated = oracle_balanced(s), bool(reference_violations(s, mode))
                 assert _refused_at_root(s, mode) == (balanced and violated), (s, mode)
                 outcomes[mode].add((balanced, violated))
     # Every combination occurs, in every mode.
@@ -285,26 +281,6 @@ def test_search_order_ignores_hash_seed():
         )
         outputs.add(run.stdout)
     assert len(outputs) == 1
-
-
-def _pending_bag_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
-    """A forward-generated sequent closed by /R or \\R and then two -oR steps.
-
-    Half of those with two or more antecedent formulas left have two of
-    them swapped, which keeps the counts and often the derivability too.
-    """
-    while True:
-        s = forward_proof(rng, mode).conclusion
-        if len(s.antecedent) >= 4:
-            break
-    ant, succ = list(s.antecedent), s.succedent
-    succ = Over(succ, ant.pop()) if rng.random() < 0.5 else Under(ant.pop(0), succ)
-    for _ in range(2):
-        succ = LinImp(ant.pop(rng.randrange(len(ant))), succ)
-    if len(ant) > 1 and rng.random() < 0.5:
-        i, j = rng.sample(range(len(ant)), 2)
-        ant[i], ant[j] = ant[j], ant[i]
-    return Sequent(tuple(ant), succ)
 
 
 def _nested_json(t: ProofTree) -> dict:
@@ -356,7 +332,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     digest, proofs = hashlib.sha256(), hashlib.sha256()
     picked = tried = 0
     while picked < 200:
-        s = _pending_bag_sequent(rng, (SDL, SDLM)[tried % 2])
+        s = pending_bag_sequent(rng, (SDL, SDLM)[tried % 2])
         tried += 1
         materialized.clear()
         results = [prove(s, SDL)]
@@ -400,7 +376,7 @@ def test_each_interleaving_is_materialized_in_one_order(monkeypatch):
     monkeypatch.setattr(prover._Search, "_materializations", spy)
     rng = random.Random(6)
     for k in range(150):
-        s = _pending_bag_sequent(rng, (SDL, SDLM)[k % 2])
+        s = pending_bag_sequent(rng, (SDL, SDLM)[k % 2])
         for search in (lambda: prove(s, SDL), lambda: enumerate_proofs(s, SDL, limit=8)):
             parents.clear()
             search()
@@ -740,6 +716,32 @@ def test_mirror_image_has_the_same_verdict_and_proof_count():
             assert counts[0] == counts[1], (mode, str(s))
             several += counts[0] > 1
     assert several > 300
+
+
+def _rules(tree: ProofTree | None) -> list[tuple] | None:
+    return tree and [(n.rule, n.split, n.insert) for n in tree.nodes()]
+
+
+def test_renamed_primitives_give_the_same_proofs():
+    # An injective renaming of primitives changes no rule and no rule
+    # data, so each search must find the same proofs in the same order:
+    # nothing in it may go by a primitive's name.  Pending-bag sequents
+    # watch the order in which pending formulas are materialized.
+    rng = random.Random(17)
+    forward, random_kind = (lambda r, m: forward_proof(r, m).conclusion), (lambda r, m: random_sequent(r))
+    cases = [(kind, mode) for kind in (forward, random_kind) for mode in (L, SDL, SDLM)] * 300
+    cases += [(pending_bag_sequent, SDL), (pending_bag_sequent, SDLM)] * 400
+    for kind, mode in cases:
+        s = kind(rng, mode)
+        names = dict(zip(ATOMS, rng.sample(ATOMS, len(ATOMS))))
+        r = rename_sequent(s, names)
+        found = [prove(x, mode, budget=100_000)[0] for x in (s, r)]
+        assert (found[0] is None) == (found[1] is None), (mode, str(s))
+        assert _rules(found[0]) == _rules(found[1]), (mode, str(s))
+        if found[0] is not None:
+            assert found[1].conclusion == r
+            listed = [list(map(_rules, enumerate_proofs(x, mode, limit=8, budget=100_000))) for x in (s, r)]
+            assert listed[0] == listed[1], (mode, str(s))
 
 
 def test_stats_dict_shape():
