@@ -406,6 +406,57 @@ def test_search_is_pinned():
     assert stats.hexdigest()[:16] == "09490a469ede50b8"
 
 
+def _right_run_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
+    """A forward-generated sequent with two copies of an antecedent formula ``X`` moved into ``X -o X -o A``.
+
+    So -oR has two copies of ``X`` to insert.  Half have a third -o on
+    another antecedent formula, and half a /R or \\R on the formula at
+    the end its slash faces, either ahead of the -o's or behind them.
+    """
+    while True:
+        s = forward_proof(rng, mode).conclusion
+        ant = list(s.antecedent)
+        repeated = [f for k, f in enumerate(ant) if f in ant[:k]]
+        if repeated and len(ant) >= 3:
+            break
+    x = rng.choice(repeated)
+    for _ in range(2):
+        ant.pop(rng.choice([k for k, f in enumerate(ant) if f is x]))
+    args = [x, x]
+    if len(ant) >= 2 and rng.random() < 0.5:
+        args.append(ant.pop(rng.randrange(len(ant))))
+    succ, slash = s.succedent, None
+    if len(ant) >= 2 and rng.random() < 0.5:
+        slash = (lambda a: Over(a, ant.pop())) if rng.random() < 0.5 else (lambda a: Under(ant.pop(0), a))
+    late = slash and rng.random() < 0.5
+    if late:
+        succ = slash(succ)
+    for arg in args:
+        succ = LinImp(arg, succ)
+    if slash and not late:
+        succ = slash(succ)
+    return Sequent(tuple(ant), succ)
+
+
+def test_enumeration_across_right_runs_is_pinned():
+    # Every proof enumerate_proofs returns, in order, on sequents whose
+    # succedent opens with two or more right rules and whose -oR's have
+    # several pending copies of their argument to insert: the order of
+    # insert choices across a run of right rules must not change.
+    rng = random.Random(41)
+    proofs = hashlib.sha256()
+    several = 0
+    for k in range(150):
+        s = _right_run_sequent(rng, (L, SDL, SDLM)[k % 3])
+        for mode in CalculusMode:
+            trees = enumerate_proofs(s, mode, limit=8)
+            assert all(check_proof(t, mode) for t in trees), (str(s), mode)
+            several += len(trees) >= 2
+            proofs.update(json.dumps([str(s), str(mode), [proof_to_json_text(t) for t in trees]]).encode() + b"\n")
+    assert several >= 50
+    assert proofs.hexdigest()[:16] == "ae551ba8b3905e69"
+
+
 def test_enumerate_proofs():
     # One proof per focused normal form.  Both readings of two a/a are
     # f(g(x)); with a/a on the left and a\a on the right of x, f(g(x))
