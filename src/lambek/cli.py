@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=DEFAULT_BUDGET,
         metavar="N",
-        help=f"search node budget (default: {DEFAULT_BUDGET})",
+        help=f"search node budget: search states expanded, a run of right rules being one (default: {DEFAULT_BUDGET})",
     )
     search.add_argument("--proof", action="store_true", help="include a proof when one exists")
 

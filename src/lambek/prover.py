@@ -41,7 +41,12 @@ inside ``T``, so the left rule applies again and -oR, whose
 hypothesis may be inserted at any position, finishes.  Hence when the
 succedent's right rule exists in the mode, the search tries only that
 rule (with the materializations /R and \\R need first, below) and no
-left rule.
+left rule.  A state takes the whole run of right rules its succedent
+allows as one step (focusing's invertible phase): -oR wherever the
+mode has it, /R and \\R while nothing is pending, so a run's /R and \\R
+all come before its first -oR.  The run's one premise is the state
+after its last rule; ``SearchStats.nodes_expanded`` counts the run as
+one state, and the depth counts each of its rules as a level.
 
 The left phase is focused (Andreoli 1992; for L this is the normal
 form of Hepple 1990 and Hendriks 1993, free of spurious ambiguity).
@@ -114,7 +119,7 @@ import enum
 import itertools
 import time
 from dataclasses import asdict, dataclass, replace
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule
@@ -161,9 +166,25 @@ class CalculusMode(enum.Enum):
 # The bits of syntax._Node._usable that mean positive and negative in each mode.
 _POLARITIES = {m: (_POSITIVE, _NEGATIVE) if m.has_linimp_right else (_POSITIVE_L, _NEGATIVE_L) for m in CalculusMode}
 
+# The rules the search builds: reading a member off the Rule class is a slow attribute lookup.
+_AX, _OVER_L, _UNDER_L = Rule.AX, Rule.OVER_L, Rule.UNDER_L
+_OVER_R, _UNDER_R, _LINIMP_R = Rule.OVER_R, Rule.UNDER_R, Rule.LINIMP_R
+
 
 @dataclass
 class SearchStats:
+    """The counters of one search, each a count.
+
+    ``nodes_expanded``: search states expanded, not answered by the memo;
+    a run of right rules is one state.  The node budget bounds it.
+    ``cache_hits``: states answered by the memo.
+    ``pruned_by_count``: root goals and left-rule spans refuted by the
+    primitive count test.
+    ``max_depth``: the deepest rule level of a state expanded, the root
+    being level 1; every rule of a right run is a level.  ``_MAX_DEPTH``
+    bounds it.
+    """
+
     nodes_expanded: int = 0
     cache_hits: int = 0
     pruned_by_count: int = 0
@@ -239,13 +260,17 @@ State = tuple[tuple[Formula, ...], Bag, Formula, int]
 # the masks alone.
 Result = tuple[ProofTree, tuple[Formula | None, ...]]
 
-# An option is its premises, solved in order, and its move: the rule and
-# the data its conclusion needs, (Rule.AX, atom, pending), (Rule.OVER_R
-# or UNDER_R, succedent), (Rule.LINIMP_R, succedent), (Rule.OVER_L or
-# UNDER_L, functor, pending, a) with ``a`` the fixed ordinal of the
-# functor's result in the right premise, or (None, p, f) for a pending
-# formula ``f`` fixed at ordinal ``p``, which is not a rule.
-_Option = tuple[list[State], tuple]
+# An option is its premises, solved in order, and its move: the number
+# of rule levels it adds, then the data its conclusion needs.  That is
+# (1, Rule.AX, atom, pending), (1, Rule.OVER_L or UNDER_L, functor,
+# pending, a) with ``a`` the fixed ordinal of the functor's result in the
+# right premise, (k, succedent) for a run of k right rules on the
+# succedent, or (0, p, f) for a pending formula ``f`` fixed at ordinal
+# ``p``, which is not a rule.
+_Option = tuple[tuple[State, ...], tuple]
+
+# The options of a state that has none; an exhausted iterator stays so.
+_NO_OPTIONS: Iterator[_Option] = iter(())
 
 
 # Count vectors are packed into one int with a lane of _LANE_BITS bits
@@ -276,6 +301,7 @@ class _Search:
 
     def __init__(self, mode: CalculusMode, budget: int = DEFAULT_BUDGET, deadline: float | None = None):
         self.mode = mode
+        self._directional, self._linimp = mode.has_directional_right, mode.has_linimp_right
         self.budget = budget
         self.deadline = deadline
         self.stats = SearchStats()
@@ -398,7 +424,7 @@ class _Search:
             u = self._units[f] = 1 << _LANE_BITS * len(self._units)
             self._high |= _LANE_HALF * u
             if not isinstance(f, Atom):
-                self._compounds = sorted([*self._compounds, (f, u)], key=lambda gu: self._rank[gu[0]])
+                self._compounds = sorted([*self._compounds, (f, u)], key=lambda gu, rank=self._rank: rank[gu[0]])
                 self._compound_bits |= _LANE_MASK * u
         return u
 
@@ -423,7 +449,7 @@ class _Search:
         A task ``(state, depth, rest)`` solves a state, and a task
         ``((state, move, premises), None, rest)`` concludes an option
         whose premises are solved, their results on top (``_conclude``).
-        A move that is a rule adds a level of depth.  The tasks still
+        A move adds its rule levels to the depth.  The tasks still
         to do and the results not yet used are linked lists, so a choice
         point (the options left at a state, or the results left at a
         conclusion) saves both as they are.  With ``commit``, a state
@@ -482,7 +508,7 @@ class _Search:
                 else:
                     children, move = x
                     todo = ((state, move, len(children)), None, todo)
-                    depth += move[0] is not None
+                    depth += move[0]
                     if children:  # one or two premises, solved in order
                         todo = (children[-1], depth, todo)
                         if len(children) == 2:
@@ -494,47 +520,60 @@ class _Search:
     # -- option generation ----------------------------------------------------
 
     def _options(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, focus: int) -> Iterator[_Option]:
-        mode = self.mode
-        # Ax: the antecedent is the succedent's atom alone, committed or
-        # pending.  A focused state's succedent is an atom, and its
-        # antecedent is never empty.
-        if isinstance(succ, Atom) and (fixed == (succ,) and not bag or not fixed and bag == self._packed[succ]):
-            yield [], (Rule.AX, succ, not fixed)
+        """The options of a state, as one iterator: a state on the search path holds no more."""
+        if type(succ) is Atom:
+            # Ax: the antecedent is the succedent's atom alone, committed or
+            # pending.  No left option goes with it: an atom has no head, and
+            # a bag of one atom holds no functor.
+            if fixed == (succ,) and not bag or not fixed and bag == self._packed[succ]:
+                return iter([((), (1, _AX, succ, not fixed))])
+        else:
+            # The succedent's right rules are invertible (module docstring), so
+            # their run is the one option.  A succedent that is not an atom has
+            # no left option anyway: a focused chain ends in Ax on its head.
+            directional, linimp = self._directional, self._linimp
+            levels, g, lefts, rights = 0, succ, [], []
+            while True:
+                t = type(g)
+                if t is LinImp and linimp:
+                    bag += self._unit(g.arg)
+                elif t is Over and directional and not bag:
+                    rights.append(g.arg)  # joins the antecedent at the end the slash faces
+                elif t is Under and directional and not bag:
+                    lefts.append(g.arg)
+                else:
+                    break
+                levels += 1
+                g = g.result
+            if levels:
+                if lefts or rights:
+                    fixed = (*reversed(lefts), *fixed, *rights)
+                return iter([(((fixed, bag, g, -1),), (levels, succ))])
+            if bag and directional:
+                return self._materializations(fixed, bag, succ)
+            return _NO_OPTIONS
         if focus >= 0:
             # Keep decomposing the formula under focus; an atom there had
             # Ax or nothing, and a -o has no left rule.
             functor = fixed[focus]
             if isinstance(functor, (Over, Under)):
-                yield from self._left(fixed, bag, succ, [(functor, focus)])
-            return
-
-        # The succedent's right rule is invertible (module docstring), so
-        # when it applies, no left option at this state is needed.
-        if isinstance(succ, (Over, Under)) and mode.has_directional_right:
-            if bag:
-                yield from self._materializations(fixed, bag, succ)
-                return
-            # The argument joins the antecedent at the end the slash faces.
-            over = isinstance(succ, Over)
-            child = (fixed + (succ.arg,) if over else (succ.arg,) + fixed, 0, succ.result, -1)
-            yield [child], (Rule.OVER_R if over else Rule.UNDER_R, succ)
-            return
-        if isinstance(succ, LinImp) and mode.has_linimp_right:
-            yield [(fixed, bag + self._unit(succ.arg), succ.result, -1)], (Rule.LINIMP_R, succ)
-            return
+                return self._left(fixed, bag, succ, ((functor, focus),))
+            return _NO_OPTIONS
 
         # Left rules, fixed functors in order and then pending ones, on
         # those whose head is the succedent: a focused chain ends in Ax
-        # on its head (module docstring), so a succedent that is not an
-        # atom has none.  A fixed functor must also be able to end from
-        # where it sits.  An atom's or a -o's head is None, not itself, so
-        # neither is a functor here.
-        can_end, n = self._can_end, len(fixed)
-        functors = [(f, i) for i, f in enumerate(fixed) if f._head is succ and can_end(f, i, n, bag)]
+        # on its head (module docstring).  A fixed functor must also be
+        # able to end from where it sits.  An atom's or a -o's head is
+        # None, not itself, so neither is a functor here.
+        can_end, n, functors = self._can_end, len(fixed), []
+        for i, f in enumerate(fixed):
+            if f._head is succ and can_end(f, i, n, bag):
+                functors.append((f, i))
         if bag & self._compound_bits:
-            functors += [(g, -1) for g, u in self._compounds if g._head is succ and bag & _LANE_MASK * u]
-        if functors:
-            yield from self._left(fixed, bag, succ, functors)
+            for g, u in self._compounds:
+                if g._head is succ and bag & _LANE_MASK * u:
+                    functors.append((g, -1))
+        return self._left(fixed, bag, succ, functors) if functors else _NO_OPTIONS
 
     def _materializations(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """Commit one pending formula to a concrete position.
@@ -545,11 +584,13 @@ class _Search:
         fixed, at each position in turn; the rest are fixed in the
         states below, so each interleaving is reached in one order only.
         """
-        units = self._units
-        f = min((f for f, u in units.items() if bag // u & _LANE_MASK), key=self._rank.__getitem__)
-        rest = bag - units[f]
+        rank, f = self._rank, None
+        for g, u in self._units.items():
+            if bag // u & _LANE_MASK and (f is None or rank[g] < rank[f]):
+                f = g
+        rest = bag - self._units[f]
         for p in range(len(fixed) + 1):
-            yield [(fixed[:p] + (f,) + fixed[p:], rest, succ, -1)], (None, p, f)
+            yield ((fixed[:p] + (f,) + fixed[p:], rest, succ, -1),), (0, p, f)
 
     def _float_splits(self, full: Bag, need: int) -> Iterator[Bag]:
         """Sub-multisets of the pending bag ``full`` whose summed counts equal ``need``.
@@ -560,9 +601,11 @@ class _Search:
         is the residual need, when the lane test (see ``_left``) accepts
         it.
         """
-        packed, high = self._packed, self._high
-        compounds = [(u, packed[g], full // u & _LANE_MASK) for g, u in self._compounds if full & _LANE_MASK * u]
-        for counts in itertools.product(*(range(k + 1) for _, _, k in compounds)):
+        packed, high, compounds = self._packed, self._high, []
+        for g, u in self._compounds:
+            if full & _LANE_MASK * u:
+                compounds.append((u, packed[g], full // u & _LANE_MASK))
+        for counts in itertools.product(*[range(k + 1) for _, _, k in compounds]):
             residual, take = need, 0
             for (u, v, _), t in zip(compounds, counts):
                 residual -= t * v
@@ -571,7 +614,7 @@ class _Search:
                 yield residual + take
 
     def _left(
-        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: list[tuple[Formula, int]]
+        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: Sequence[tuple[Formula, int]]
     ) -> Iterator[_Option]:
         """/L and \\L on each of ``functors``: (formula, fixed position, or -1 if pending).
 
@@ -603,14 +646,14 @@ class _Search:
             if pending:
                 # The functor's own copy is not in its premises' bag.
                 full -= self._units[functor]
-                spans = ((lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1))
+                spans = itertools.combinations_with_replacement(range(n + 1), 2)  # every lo <= hi
             elif isinstance(functor, Over):
                 spans = zip(itertools.repeat(i + 1), range(i + 1, n + 1))
             else:
                 spans = zip(range(i, -1, -1), itertools.repeat(i))
             split = full & self._compound_bits
             arg, res = functor.arg, functor.result
-            rule = Rule.OVER_L if isinstance(functor, Over) else Rule.UNDER_L
+            rule = _OVER_L if isinstance(functor, Over) else _UNDER_L
             want = packed[arg]
             for lo, hi in spans:
                 need = want - sums[hi] + sums[lo]
@@ -630,7 +673,7 @@ class _Search:
                         # The search may stop at this yield: count the spans scanned so far.
                         stats.pruned_by_count += pruned
                         pruned = 0
-                        yield [p1, p2], (rule, functor, pending, a)
+                        yield (p1, p2), (1, rule, functor, pending, a)
                     if found:
                         continue
                 pruned += 1
@@ -640,14 +683,13 @@ class _Search:
 def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
     """The results of an option with ``move`` whose premises have the results ``rs``.
 
-    Only -oR can give more than one: one per pending copy of its argument.
-    The move is told apart by its premises and operands: reading a
-    member off the ``Rule`` class is a slow attribute lookup.  No
-    conclusion is built: a node holds its rule, premises and rule data.
+    Only a run with -oR can give more than one: one per choice of a
+    pending copy of each -oR's argument.  The move is told apart by its
+    premises and its level count.  No conclusion is built: a node holds
+    its rule, premises and rule data.
     """
-    rule = move[0]
     if len(rs) == 2:  # /L or \L
-        _, functor, pending, a = move
+        _, rule, functor, pending, a = move
         (t1, m1), (t2, m2) = rs
         q = _nth_fixed_index(m2, a)
         f = functor if pending else None
@@ -657,28 +699,58 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
             mask = m2[:q] + m1 + (f,) + m2[q + 1 :]
         yield ProofTree(rule, None, (t1, t2), (q, len(m1))), mask
     elif not rs:  # Ax
-        _, f, pending = move
+        _, rule, f, pending = move
         yield ProofTree(rule), (f if pending else None,)
-    elif rule is None:
+    elif not move[0]:
         # The materialized formula is pending again.
         _, p, f = move
         tree, mask = rs[0]
         q = _nth_fixed_index(mask, p)
         yield tree, mask[:q] + (f,) + mask[q + 1 :]
-    elif type(move[1]) is LinImp:  # -oR
-        arg = move[1].arg
-        tree, mask = rs[0]
-        k = -1
-        while True:
-            try:
-                k = mask.index(arg, k + 1)
-            except ValueError:
-                return
-            yield ProofTree(rule, None, (tree,), None, k), mask[:k] + mask[k + 1 :]
     else:
-        # /R or \R: the argument left the antecedent at the end the slash faces.
+        # A right run: its /R and \R, whose arguments took the ends of the
+        # antecedent, then its -oR's, whose arguments pend.  The -oR's are
+        # concluded innermost first on one mask, each at every pending copy
+        # of its argument in turn, the outermost one's choice changing
+        # fastest; a deletion is undone on backtracking.
+        levels, g = move
+        slashes, args, lefts = [], [], 0
+        for _ in range(levels):
+            t = type(g)
+            if t is LinImp:
+                args.append(g.arg)
+            else:
+                slashes.append(_OVER_R if t is Over else _UNDER_R)
+                lefts += t is Under
+            g = g.result
+        rights = len(slashes) - lefts
         tree, mask = rs[0]
-        yield ProofTree(rule, None, (tree,)), mask[:-1] if type(move[1]) is Over else mask[1:]
+        mask, trees, inserts, k = list(mask), [tree], [], 0
+        while True:
+            level = len(inserts)
+            if level < len(args):
+                try:
+                    k = mask.index(args[~level], k)
+                except ValueError:
+                    pass
+                else:
+                    del mask[k]
+                    inserts.append(k)
+                    trees.append(ProofTree(_LINIMP_R, None, (trees[-1],), None, k))
+                    k = 0
+                    continue
+            else:
+                tree = trees[-1]
+                for rule in reversed(slashes):
+                    tree = ProofTree(rule, None, (tree,))
+                yield tree, tuple(mask[lefts : len(mask) - rights])
+            # Backtrack: the newest -oR takes its next pending copy.
+            if not inserts:
+                return
+            k = inserts.pop()
+            trees.pop()
+            mask.insert(k, args[~len(inserts)])
+            k += 1
 
 
 def prove(

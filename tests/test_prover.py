@@ -310,10 +310,11 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
     # dropped (fewer spans scanned and nodes expanded, the same proofs),
     # and when only the first pending formula in rank order was
     # materialized at each state (fewer nodes expanded and cache hits,
-    # the same proofs: the proofs-only digest did not change), on the
-    # first 200 sequents whose sdl search materializes two or more
-    # distinct pending formulas.  Each is proved in sdl- as well, where
-    # left rules split the same bags.
+    # the same proofs: the proofs-only digest did not change), and when
+    # a run of right rules became one search state (fewer nodes
+    # expanded, the same proofs), on the first 200 sequents whose sdl
+    # search materializes two or more distinct pending formulas.  Each
+    # is proved in sdl- as well, where left rules split the same bags.
     # The proofs are digested in the nested JSON form the digest was
     # recorded with, which proof_to_json does not write.
     materialized = set()
@@ -347,7 +348,7 @@ def test_search_order_with_pending_bags_is_pinned(monkeypatch):
             proofs.update(json.dumps([str(s), str(mode), proof]).encode() + b"\n")
     assert tried < 300
     assert proofs.hexdigest()[:16] == "8c27117e6f258428"
-    assert digest.hexdigest() == "2491634b80dba0c0de5c774ee775667dd1e7007c2eace6e242437c940b121f2b"
+    assert digest.hexdigest() == "eb97d57fbd132254368a3af534934b7fcdecf7645c3b563dd26a6f6d448b9154"
 
 
 def test_each_interleaving_is_materialized_in_one_order(monkeypatch):
@@ -386,7 +387,9 @@ def test_each_interleaving_is_materialized_in_one_order(monkeypatch):
 def test_search_is_pinned():
     # Every proof `prove` and `enumerate_proofs` return, and every
     # SearchStats, on seeded sequents of three kinds in all three modes.
-    # A refactor of the search must leave both digests as they are.
+    # A refactor of the search must leave both digests as they are.  The
+    # stats digest was re-recorded when a run of right rules became one
+    # search state: fewer nodes expanded, every other counter the same.
     rng = random.Random(31)
     proofs, stats = hashlib.sha256(), hashlib.sha256()
     kinds = (lambda r, m: forward_proof(r, m).conclusion, zero_linimp_sequent, shuffled_sequent)
@@ -403,7 +406,7 @@ def test_search_is_pinned():
             proofs.update(json.dumps(lines).encode() + b"\n")
             stats.update(json.dumps(counts).encode() + b"\n")
     assert proofs.hexdigest()[:16] == "39221a6aefa3d6aa"
-    assert stats.hexdigest()[:16] == "09490a469ede50b8"
+    assert stats.hexdigest()[:16] == "5b0ad61a79daece3"
 
 
 def _right_run_sequent(rng: random.Random, mode: CalculusMode) -> Sequent:
@@ -644,6 +647,51 @@ def test_depth_bound_is_exact(monkeypatch):
         prove(chain_sequent(51), SDL)
     with pytest.raises(BudgetExceededError):
         enumerate_proofs(chain_sequent(51), SDL)
+
+
+@pytest.mark.parametrize(
+    "text, mode, depth",
+    [
+        ("b/a/a => a -o a -o b", SDLM, 5),
+        # the run of two -oR's sits in the left premise of the root's /L, on the deepest path
+        ("x/(a -o a -o b), b/a/a => x", SDL, 6),
+        ("c\\(a/d) => c\\(a/d)", L, 5),
+        ("c/b/a/d => (a -o b -o c)/d", SDL, 7),
+    ],
+)
+def test_depth_bound_counts_each_rule_of_a_right_run(monkeypatch, text, mode, depth):
+    # A run of right rules is one search state, but each of its rules is
+    # a level: a proof that reaches the bound through a run is found, and
+    # one a level deeper is "unknown".
+    s = parse_sequent(text)
+    monkeypatch.setattr(prover, "_MAX_DEPTH", depth)
+    tree, stats = prove(s, mode)
+    assert tree.depth() == stats.max_depth == depth and check_proof(tree, mode)
+    assert enumerate_proofs(s, mode, limit=1) == [tree]
+    monkeypatch.setattr(prover, "_MAX_DEPTH", depth - 1)
+    for search in (prove, enumerate_proofs):
+        with pytest.raises(BudgetExceededError):
+            search(s, mode)
+
+
+def test_right_run_across_the_bound_is_unknown(monkeypatch):
+    # The root's run of 13 -oR's ends in a state 14 levels deep: past a
+    # bound of 12 before any state below the root is expanded.
+    monkeypatch.setattr(prover, "_MAX_DEPTH", 12)
+    for search in (prove, enumerate_proofs):
+        with pytest.raises(BudgetExceededError) as e:
+            search(chain_sequent(13), SDL)
+        assert e.value.stats.nodes_expanded == e.value.stats.max_depth == 1
+
+
+def test_search_code_makes_no_closure_cells():
+    # On CPython 3.10 and 3.11 a comprehension or generator expression
+    # that reads a local makes it a cell, allocated on every call and kept
+    # alive with a suspended generator of the search.
+    search = prover._Search
+    methods = (search._options, search._left, search._materializations, search._float_splits, search._search, search._unit)
+    for f in (*methods, prover._conclude):
+        assert f.__code__.co_cellvars == (), f.__qualname__
 
 
 def test_budget_exhaustion():
