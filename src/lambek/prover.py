@@ -29,6 +29,16 @@ have no proof at all.  A state more than ``_MAX_DEPTH`` (10,000) rule
 levels deep stops the search like the node budget and the deadline:
 BudgetExceededError, "unknown".
 
+A deep search holds, per level of its path, only what backtracking
+needs: the level's goal, its move and a cursor over its remaining
+options.  The cursor is a suspended left-rule scan, which keeps its
+place in two ranges, or, for a focused functor with nothing on its
+argument's side, the one option of its one span.  Per query there is
+one packed count vector per subformula and a rank only for the formulas
+that can pend.  On the chain ``b/a/.../a => a -o ... -o b`` that is
+about 0.8 KB per /L level.  The masks that place the formulas of each
+result (``_conclude``) are still Θ(n²) on a chain of n /L levels.
+
 Right rules come first, and alone.  /R, \\R and -oR are invertible: if
 ``G => A/B`` has a proof ending in a left rule, that rule's right
 premise ``U, D, V => A/B`` (``G`` is ``U, D/C, T, V`` or ``U, T, C\\D, V``)
@@ -76,7 +86,7 @@ The span of a \\ argument on its chain takes formulas on its left, that
 of a / argument formulas on its right, and the chain must end on the
 whole antecedent.  So a chain with no \\ argument can end only from
 fixed position 0, one with no / argument only from the last position,
-and one on an atom only with nothing pending (``_Search._can_end``).  A
+and one on an atom only with nothing pending (``_can_end``).  A
 fixed functor that fails this is not tried, and a left rule whose right
 premise would fail it is not yielded, so its left premise is never
 searched.  The first proof found is one of these focused, right-first
@@ -96,7 +106,7 @@ premises, and the count invariant pins the split down.  Count vectors
 are packed into ints, one lane per primitive, so the counts the pending
 part of a premise ``T => B`` must supply (those of ``B`` less those of
 T's committed span) are one subtraction off prefix sums of the
-committed counts, built once per state.  The pending multiset is one
+committed counts, built once per left-rule scan.  The pending multiset is one
 such int too, with a multiplicity lane per pending formula: an atom's
 lane is its primitive's count lane, so the pending atoms are their
 packed count vector, and a compound formula gets a lane of its own
@@ -117,9 +127,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .analysis import _occurrences, _roots
 from .prooftree import ProofTree, Rule
@@ -262,11 +273,11 @@ Result = tuple[ProofTree, tuple[Formula | None, ...]]
 
 # An option is its premises, solved in order, and its move: the number
 # of rule levels it adds, then the data its conclusion needs.  That is
-# (1, Rule.AX, atom, pending), (1, Rule.OVER_L or UNDER_L, functor,
-# pending, a) with ``a`` the fixed ordinal of the functor's result in the
-# right premise, (k, succedent) for a run of k right rules on the
-# succedent, or (0, p, f) for a pending formula ``f`` fixed at ordinal
-# ``p``, which is not a rule.
+# (1, Rule.AX, atom, pending), (1, functor, pending, a) for /L or \L on
+# the functor, with ``a`` the fixed ordinal of its result in the right
+# premise, (k, succedent) for a run of k right rules on the succedent,
+# or (0, p, f) for a pending formula ``f`` fixed at ordinal ``p``, which
+# is not a rule.
 _Option = tuple[tuple[State, ...], tuple]
 
 # The options of a state that has none; an exhausted iterator stays so.
@@ -288,6 +299,18 @@ _LANE_MASK = (1 << _LANE_BITS) - 1
 _LANE_HALF = 1 << (_LANE_BITS - 1)
 
 
+def _can_end(f: Formula, i: int, n: int, bag: Bag) -> bool:
+    """Whether a chain focused on ``f`` at fixed position ``i`` of ``n``, with ``bag`` pending, can end in Ax.
+
+    It must end on the whole antecedent with an empty bag.  Only the
+    span of a \\ argument on the chain takes the fixed formulas left of
+    ``f``, only that of a / argument those right of it, and an atom
+    takes nothing more.
+    """
+    sides = f._sides
+    return bool((sides & _LEFT_ARG or not i) and (sides & _RIGHT_ARG or i == n - 1) and (sides or not bag))
+
+
 def _nth_fixed_index(mask: tuple[Formula | None, ...], p: int) -> int:
     """Index of the p-th positionally committed entry under ``mask``."""
     q = -1
@@ -307,8 +330,9 @@ class _Search:
         self.stats = SearchStats()
         self.memo: dict[State, Result | None] = {}
         self.new_budget_window()
-        # Packed count vector of every subformula of the goals seen so far;
-        # the facts that depend on its shape alone are on its node (syntax._Node).
+        # Packed count vector of every subformula of the goals seen so far,
+        # in order of first sight; the facts that depend on its shape alone
+        # are on its node (syntax._Node).
         self._packed: dict[Formula, int] = {}
         # The bag unit of every formula with a lane, in order of its lane
         # (see _unit), and the compound ones among them, in _rank order.
@@ -316,10 +340,11 @@ class _Search:
         self._compounds: list[tuple[Formula, int]] = []
         self._compound_bits = 0  # every bit of the compound lanes
         self._high = 0  # the top bit of every lane given out
-        # The same subformulas numbered in order of first sight; pending
-        # formulas are read off a bag in this order, so the search order
-        # is the same in every run, although a formula hashes by identity
-        # and so by its address.
+        # The place in ``_packed`` of every formula with a lane: the atoms
+        # and the pending -o arguments, the only formulas that can pend.
+        # Pending formulas are read off a bag in this order, so the search
+        # order is the same in every run, although a formula hashes by
+        # identity and so by its address.
         self._rank: dict[Formula, int] = {}
 
     # -- public entry points ------------------------------------------------
@@ -378,12 +403,11 @@ class _Search:
     def _vec(self, f: Formula) -> int:
         """Packed count vector of ``f``, cached with all its subformulas'.
 
-        New subformulas are ranked in post-order, result before argument.
+        New subformulas are packed in post-order, result before argument.
         """
         packed = self._packed
         if f in packed:
             return packed[f]
-        rank = self._rank
         stack = [f]
         while stack:
             g = stack.pop()
@@ -397,33 +421,23 @@ class _Search:
                 packed[g] = packed[g.result] - packed[g.arg]
             else:
                 stack += (g, g.arg, g.result)  # the result first, then the argument, then g
-                continue
-            rank[g] = len(rank)
         return packed[f]
-
-    def _can_end(self, f: Formula, i: int, n: int, bag: Bag) -> bool:
-        """Whether a chain focused on ``f`` at fixed position ``i`` of ``n``, with ``bag`` pending, can end in Ax.
-
-        It must end on the whole antecedent with an empty bag.  Only the
-        span of a \\ argument on the chain takes the fixed formulas left of
-        ``f``, only that of a / argument those right of it, and an atom
-        takes nothing more.
-        """
-        sides = f._sides
-        return bool((sides & _LEFT_ARG or not i) and (sides & _RIGHT_ARG or i == n - 1) and (sides or not bag))
 
     def _unit(self, f: Formula) -> int:
         """The bag holding one ``f``: a one in the lane of ``f``, given out on first use.
 
         An atom's lane is its primitive's count lane, so its unit is its
-        packed count vector; a compound formula gets a lane of its own
-        when it first pends.
+        packed count vector, given out as ``_vec`` first sees it; a
+        compound formula gets a lane of its own when it first pends.
         """
         u = self._units.get(f)
         if u is None:
             u = self._units[f] = 1 << _LANE_BITS * len(self._units)
             self._high |= _LANE_HALF * u
-            if not isinstance(f, Atom):
+            if type(f) is Atom:
+                self._rank[f] = len(self._packed)  # the place _vec packs it at
+            else:
+                self._rank[f] = operator.indexOf(self._packed, f)
                 self._compounds = sorted([*self._compounds, (f, u)], key=lambda gu, rank=self._rank: rank[gu[0]])
                 self._compound_bits |= _LANE_MASK * u
         return u
@@ -446,9 +460,9 @@ class _Search:
     def _search(self, s: Sequent, commit: bool) -> Iterator[Result]:
         """Results for the root goal ``s``, by backtracking over ``_options``.
 
-        A task ``(state, depth, rest)`` solves a state, and a task
-        ``((state, move, premises), None, rest)`` concludes an option
-        whose premises are solved, their results on top (``_conclude``).
+        A task ``(state, depth, None, rest)`` solves a state, and a task
+        ``(state, premises, move, rest)`` concludes an option whose
+        ``premises`` are solved, their results on top (``_conclude``).
         A move adds its rule levels to the depth.  The tasks still
         to do and the results not yet used are linked lists, so a choice
         point (the options left at a state, or the results left at a
@@ -460,14 +474,14 @@ class _Search:
         """
         memo, points, proved = self.memo, [], set()
         stats, expand, options = self.stats, self._expand, self._options
-        todo = ((tuple(s.antecedent), 0, s.succedent, -1), 1, None)
+        todo = ((tuple(s.antecedent), 0, s.succedent, -1), 1, None, None)
         results = None
         while True:
             if todo is None:
                 yield results[0]
             else:
-                state, depth, todo = todo
-                if depth is not None:
+                state, depth, move, todo = todo
+                if move is None:
                     r = memo.get(state, memo)  # the memo itself marks a miss
                     if r is memo:
                         expand(depth)
@@ -478,7 +492,7 @@ class _Search:
                             results = (r, results)
                             continue
                 else:
-                    state, move, premises = state
+                    premises = depth  # a conclusion's second slot
                     if premises == 2:
                         r2, (r1, results) = results
                         rs = [r1, r2]
@@ -507,12 +521,12 @@ class _Search:
                     break
                 else:
                     children, move = x
-                    todo = ((state, move, len(children)), None, todo)
+                    todo = (state, len(children), move, todo)
                     depth += move[0]
                     if children:  # one or two premises, solved in order
-                        todo = (children[-1], depth, todo)
+                        todo = (children[-1], depth, None, todo)
                         if len(children) == 2:
-                            todo = (children[0], depth, todo)
+                            todo = (children[0], depth, None, todo)
                     break
             else:
                 return
@@ -556,24 +570,32 @@ class _Search:
             # Keep decomposing the formula under focus; an atom there had
             # Ax or nothing, and a -o has no left rule.
             functor = fixed[focus]
-            if isinstance(functor, (Over, Under)):
-                return self._left(fixed, bag, succ, ((functor, focus),))
-            return _NO_OPTIONS
+            if not isinstance(functor, (Over, Under)):
+                return _NO_OPTIONS
+            if bag & self._compound_bits or focus != (len(fixed) - 1 if type(functor) is Over else 0):
+                return self._left(fixed, bag, succ, functor, focus)
+            # Nothing lies on the side the argument faces: the one span is
+            # empty and, with no compound pending, has one take at most.
+            # The level then holds that option, not a suspended scan.
+            option = next(self._left(fixed, bag, succ, functor, focus), None)
+            return iter((option,)) if option else _NO_OPTIONS
 
         # Left rules, fixed functors in order and then pending ones, on
         # those whose head is the succedent: a focused chain ends in Ax
         # on its head (module docstring).  A fixed functor must also be
         # able to end from where it sits.  An atom's or a -o's head is
         # None, not itself, so neither is a functor here.
-        can_end, n, functors = self._can_end, len(fixed), []
+        n, functors = len(fixed), []
         for i, f in enumerate(fixed):
-            if f._head is succ and can_end(f, i, n, bag):
+            if f._head is succ and _can_end(f, i, n, bag):
                 functors.append((f, i))
         if bag & self._compound_bits:
             for g, u in self._compounds:
                 if g._head is succ and bag & _LANE_MASK * u:
                     functors.append((g, -1))
-        return self._left(fixed, bag, succ, functors) if functors else _NO_OPTIONS
+        if len(functors) == 1:
+            return self._left(fixed, bag, succ, *functors[0])
+        return self._lefts(fixed, bag, succ, functors) if functors else _NO_OPTIONS
 
     def _materializations(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """Commit one pending formula to a concrete position.
@@ -613,10 +635,15 @@ class _Search:
             if not (residual | (full - residual)) & high:
                 yield residual + take
 
-    def _left(
-        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: Sequence[tuple[Formula, int]]
+    def _lefts(
+        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: list[tuple[Formula, int]]
     ) -> Iterator[_Option]:
-        """/L and \\L on each of ``functors``: (formula, fixed position, or -1 if pending).
+        """``_left`` on each of ``functors``, in order: (formula, fixed position, or -1 if pending)."""
+        for functor, i in functors:
+            yield from self._left(fixed, bag, succ, functor, i)
+
+    def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functor: Formula, i: int) -> Iterator[_Option]:
+        """/L or \\L on ``functor``, at fixed position ``i``, or pending if ``i`` is -1.
 
         The left premise ``T => functor.arg`` is unfocused, and the right
         premise is focused on the functor's result.  ``T`` takes a span
@@ -624,60 +651,66 @@ class _Search:
         whose counts make up the rest of the argument's: the span's
         need.  A fixed functor's span grows away from it; a pending
         functor may land at any ``lo``, its span then growing
-        rightwards.  Prefix sums of the fixed counts are built once per
-        state, so a need is one subtraction; with no compound pending,
-        the lane test alone decides the one take, the need itself.
+        rightwards.  Prefix sums of the fixed counts make a need one
+        subtraction; with no compound pending, the lane test alone
+        decides the one take, the need itself.
+
+        A focused level of a deep search keeps one such scan suspended,
+        so it holds its place in two ranges and little else.
         """
-        packed = self._packed
         n = len(fixed)
-        sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
+        sums = list(itertools.accumulate(map(self._packed.__getitem__, fixed), initial=0))
+        # A pending functor's own copy is in neither premise's bag.
+        full = bag - self._units[functor] if i < 0 else bag
+        split = full & self._compound_bits
+        arg, res = functor.arg, functor.result
+        want = self._packed[arg]
         # The atoms can supply ``need`` iff every lane of ``need`` and of
         # ``full - need`` lies in [0, _LANE_HALF).  All lanes stay below
         # _LANE_HALF in magnitude (_admissible), so that holds iff
         # neither int has a lane's top bit set: a negative int sets the
         # top bit of its highest negative lane.  Count vectors are zero
         # on the compound lanes, where ``full`` is never negative.
-        high, can_end = self._high, self._can_end
-        stats = self.stats
-        pruned = 0
-        for functor, i in functors:
-            pending = i < 0
-            full = bag
-            if pending:
-                # The functor's own copy is not in its premises' bag.
-                full -= self._units[functor]
-                spans = itertools.combinations_with_replacement(range(n + 1), 2)  # every lo <= hi
-            elif isinstance(functor, Over):
-                spans = zip(itertools.repeat(i + 1), range(i + 1, n + 1))
-            else:
-                spans = zip(range(i, -1, -1), itertools.repeat(i))
-            split = full & self._compound_bits
-            arg, res = functor.arg, functor.result
-            rule = _OVER_L if isinstance(functor, Over) else _UNDER_L
-            want = packed[arg]
-            for lo, hi in spans:
+        high, pruned = self._high, 0
+        # The spans, by lo and then hi: every lo <= hi for a pending
+        # functor; a fixed / takes from i + 1 rightwards, a fixed \\ up to
+        # i leftwards.
+        under = i >= 0 and type(functor) is Under
+        top = i + 1 if under else n + 1
+        for lo in range(i, -1, -1) if under else range(n + 1) if i < 0 else range(i + 1, i + 2):
+            for hi in range(lo if lo > i else i, top):
                 need = want - sums[hi] + sums[lo]
-                if split or not (need | (full - need)) & high:
-                    found = False
-                    for take in self._float_splits(full, need) if split else (need,):
-                        if lo == hi and not take:
-                            continue
-                        found = True
-                        # p2 replaces the functor and its span by the result,
-                        # and is dead unless its chain can end from there.
-                        a, b = (lo, hi) if pending else (min(lo, i), max(hi, i + 1))
-                        if not can_end(res, a, n - b + a + 1, full - take):
-                            continue
-                        p1 = (fixed[lo:hi], take, arg, -1)
-                        p2 = (fixed[:a] + (res,) + fixed[b:], full - take, succ, a)
-                        # The search may stop at this yield: count the spans scanned so far.
-                        stats.pruned_by_count += pruned
-                        pruned = 0
-                        yield (p1, p2), (1, rule, functor, pending, a)
-                    if found:
+                # The right premise replaces the functor and its span by the
+                # result, and is dead unless its chain can end from there.
+                # The search may stop at a yield: the spans scanned so far
+                # are counted first.
+                if not split:
+                    if (need | (full - need)) & high or not (need or lo < hi):
+                        pruned += 1
                         continue
-                pruned += 1
-        stats.pruned_by_count += pruned
+                    a, b = (lo, hi) if i < 0 else (min(lo, i), max(hi, i + 1))
+                    if _can_end(res, a, n - b + a + 1, full - need):
+                        self.stats.pruned_by_count += pruned
+                        pruned = 0
+                        yield (
+                            ((fixed[lo:hi], need, arg, -1), (fixed[:a] + (res,) + fixed[b:], full - need, succ, a)),
+                            (1, functor, i < 0, a),
+                        )
+                    continue
+                found = False
+                for take in self._float_splits(full, need):
+                    if take or lo < hi:
+                        found = True
+                        a, b = (lo, hi) if i < 0 else (min(lo, i), max(hi, i + 1))
+                        if _can_end(res, a, n - b + a + 1, full - take):
+                            self.stats.pruned_by_count += pruned
+                            pruned = 0
+                            yield (
+                                ((fixed[lo:hi], take, arg, -1), (fixed[:a] + (res,) + fixed[b:], full - take, succ, a)),
+                                (1, functor, i < 0, a),
+                            )
+                pruned += not found
+        self.stats.pruned_by_count += pruned
 
 
 def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
@@ -689,14 +722,14 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
     its rule, premises and rule data.
     """
     if len(rs) == 2:  # /L or \L
-        _, rule, functor, pending, a = move
+        _, functor, pending, a = move
         (t1, m1), (t2, m2) = rs
         q = _nth_fixed_index(m2, a)
         f = functor if pending else None
         if type(functor) is Over:
-            mask = m2[:q] + (f,) + m1 + m2[q + 1 :]
+            rule, mask = _OVER_L, m2[:q] + (f,) + m1 + m2[q + 1 :]
         else:
-            mask = m2[:q] + m1 + (f,) + m2[q + 1 :]
+            rule, mask = _UNDER_L, m2[:q] + m1 + (f,) + m2[q + 1 :]
         yield ProofTree(rule, None, (t1, t2), (q, len(m1))), mask
     elif not rs:  # Ax
         _, rule, f, pending = move

@@ -36,6 +36,9 @@ against itself:
 * ``all_valid_instances``, every small 3-partition instance, and
   ``brute_force_3partition``, every split into triples, for
   ``solve_3partition``,
+* ``reduction_proof``, the paper's witness proof of a reduction word
+  built from a partition with no search, for the encoding at sizes the
+  search cannot reach,
 * ``reference_repr``, the dataclass ``repr`` written out recursively,
   for the explicit-stack ``repr`` of formulas and proof trees,
 * ``recursion_limit``, to show that a walk does not recurse per level,
@@ -705,6 +708,68 @@ def _triple_partitions(n: int) -> list[tuple[tuple[int, int, int], ...]]:
         for p, q in itertools.combinations(rest[1:], 2):
             stack.append((done + ((rest[0], p, q),), tuple(i for i in rest[1:] if i != p and i != q)))
     return out
+
+
+def reduction_proof(inst: ThreePartitionInstance, partition) -> ProofTree:
+    """The paper's witness proof of ``v w1 ... w3m => a`` for ``partition``, built with no search.
+
+    The types are written out here from the construction, not taken from
+    ``lambek.reduction``: ``v`` is ``a / (h1 -o ... -o hK -o d)`` with
+    the hypotheses ``b1 b1 b1 ... bm bm bm`` and then ``target`` copies
+    each of ``c1``, ..., ``cm``; item ``i`` of slot ``j`` is
+    ``(((d/cj)/.../cj)/bj)/d`` with one ``cj`` per unit of its size, the
+    last item without the outer ``/d``.  The proof is:
+
+    * /L on ``v`` over the whole word, with Ax on ``a``;
+    * -oR for each hypothesis, whose inserts place the block
+      ``bj cj ... cj`` of each item after all the ``w``s, in reverse
+      item order;
+    * on each ``wi`` but the last, /L over the rest of the word for its
+      ``d``;
+    * on each item's own type, /L on its ``bj`` and then on each of its
+      ``cj``, down to Ax on ``d``.
+    """
+    n, slot = 3 * inst.m, {}
+    for j, triple in enumerate(partition, start=1):
+        for i in triple:
+            slot[i] = j
+    a, d = Atom("a"), Atom("d")
+    hypotheses = [Atom(f"b{j}") for j in range(1, inst.m + 1) for _ in range(3)]
+    hypotheses += [Atom(f"c{j}") for j in range(1, inst.m + 1) for _ in range(inst.target)]
+    body = d
+    for h in reversed(hypotheses):
+        body = LinImp(h, body)
+    words, blocks = [], []
+    for i in range(n):
+        bj, cj = Atom(f"b{slot[i]}"), Atom(f"c{slot[i]}")
+        t = functools.reduce(Over, [d, *[cj] * inst.sizes[i], bj])
+        words.append(Over(t, d) if i < n - 1 else t)
+        blocks.append([bj, *[cj] * inst.sizes[i]])
+
+    def block_proof(i: int) -> ProofTree:
+        """``((d/cj/.../cj)/bj), bj, cj, ..., cj => d``."""
+        tree = ProofTree(Rule.AX)
+        for _ in blocks[i]:
+            tree = ProofTree(Rule.OVER_L, None, (ProofTree(Rule.AX), tree), (0, 1))
+        return tree
+
+    # ``wi, ..., w3m, B3m, ..., Bi => d``, from the last item up.
+    tree, span = block_proof(n - 1), 1 + len(blocks[n - 1])
+    for i in reversed(range(n - 1)):
+        tree = ProofTree(Rule.OVER_L, None, (tree, block_proof(i)), (0, span))
+        span += 1 + len(blocks[i])
+    # The k-th copy of an atom among the hypotheses lands on its k-th
+    # place in the blocks after the words; each -oR inserts its hypothesis
+    # after the words and the hypotheses before it that land further left.
+    places: dict[Atom, list[int]] = {}
+    for p, x in enumerate(x for i in reversed(range(n)) for x in blocks[i]):
+        places.setdefault(x, []).append(p)
+    landing = [places[h].pop(0) for h in hypotheses]
+    for k in reversed(range(len(hypotheses))):
+        insert = n + sum(p < landing[k] for p in landing[:k])
+        tree = ProofTree(Rule.LINIMP_R, None, (tree,), None, insert)
+    root = Sequent((Over(a, body), *words), a)
+    return ProofTree(Rule.OVER_L, root, (tree, ProofTree(Rule.AX)), (0, n))
 
 
 def reference_repr(x: object, out: list[str] | None = None) -> str:

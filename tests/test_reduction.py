@@ -8,11 +8,12 @@ import tracemalloc
 
 import pytest
 
-from helpers import all_valid_instances, brute_force_3partition, oracle_balanced, recursion_limit
+from helpers import all_valid_instances, brute_force_3partition, oracle_balanced, recursion_limit, reduction_proof
 from lambek import (
     AssignmentDecodeError,
     Atom,
     CalculusMode,
+    check_proof,
     Grammar,
     Sequent,
     ThreePartitionInstance,
@@ -207,6 +208,48 @@ def test_assignment_to_partition_rejects():
     unequal = (grammar.lexicon["v"][0],) + tuple(grammar.lexicon[f"w{i}"][i in (3, 5, 6)] for i in range(1, 7))
     with pytest.raises(AssignmentDecodeError, match="slot 1 sizes"):
         assignment_to_partition(TWO, unequal)
+
+
+def _instance_from_triples(rng: random.Random, m: int) -> tuple[ThreePartitionInstance, tuple]:
+    """A valid instance with ``m`` triples and a target of 13 to 30, and its partition.
+
+    The triples are drawn first and their items shuffled into place, so
+    no search is needed to know a partition.
+    """
+    target = rng.randint(13, 30)
+    low, high = target // 4 + 1, (target - 1) // 2
+    triples = []
+    while len(triples) < m:
+        x, y = rng.randint(low, high), rng.randint(low, high)
+        if low <= target - x - y <= high:
+            triples.append((x, y, target - x - y))
+    places = rng.sample(range(3 * m), 3 * m)
+    sizes = [0] * (3 * m)
+    for k, triple in enumerate(triples):
+        for i, size in zip(places[3 * k : 3 * k + 3], triple):
+            sizes[i] = size
+    partition = canonical_partition(places[3 * k : 3 * k + 3] for k in range(m))
+    return ThreePartitionInstance(m, target, tuple(sizes)), partition
+
+
+def test_paper_witness_proof_replays_and_decodes():
+    # The paper's direction "a 3-partition gives a derivation", with no
+    # search: the witness proof built from a partition replays in sdl and
+    # sdl-, not in l, which has no -oR, and derives exactly the assignment
+    # that the partition encodes, which decodes back to it.  Instances
+    # drawn from their triples reach m = 8, where the search gives up.
+    rng = random.Random(26)
+    cases = [(inst, brute_force_3partition(inst)) for inst in all_valid_instances(2, 16)]
+    cases = [case for case in cases if case[1] is not None]
+    cases += [_instance_from_triples(rng, m) for m in range(1, 9) for _ in range(4)]
+    for inst, partition in cases:
+        assert validate_instance(inst) == []
+        tree = reduction_proof(inst, partition)
+        assert check_proof(tree, CalculusMode.SDL) and check_proof(tree, CalculusMode.SDL_MINUS), inst
+        assert not check_proof(tree, CalculusMode.L), inst
+        assert tree.conclusion == Sequent(partition_to_assignment(inst, partition), Atom("a")), inst
+        assert assignment_to_partition(inst, tree.conclusion.antecedent) == partition, inst
+    assert len(cases) == 598 + 32
 
 
 def test_membership_matches_solvability():
