@@ -24,6 +24,7 @@ until they meet in the middle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -400,9 +401,11 @@ def grammar_from_text(text: str) -> Grammar:
 
 
 def grammar_to_text(g: Grammar) -> str:
+    """The grammar's text, which ``grammar_from_text`` reads back; each distinct formula is formatted once."""
+    text_of = functools.cache(format_formula)
     lines = [f"start: {g.start}"]
     for terminal, entry in g.lexicon.items():
-        lines.append(f"{terminal}: " + " | ".join(format_formula(f) for f in entry))
+        lines.append(f"{terminal}: " + " | ".join(map(text_of, entry)))
     return "\n".join(lines) + "\n"
 
 

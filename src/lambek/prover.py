@@ -29,15 +29,15 @@ have no proof at all.  A state more than ``_MAX_DEPTH`` (10,000) rule
 levels deep stops the search like the node budget and the deadline:
 BudgetExceededError, "unknown".
 
-A deep search holds, per level of its path, only what backtracking
-needs: the level's goal, its move and a cursor over its remaining
+A deep search holds, per state on its path, only what backtracking
+needs: the state's goal, its move and a cursor over its remaining
 options.  The cursor is a suspended left-rule scan, which keeps its
-place in two ranges, or, for a focused functor with nothing on its
-argument's side, the one option of its one span.  Per query there is
-one packed count vector per subformula and a rank only for the formulas
-that can pend.  On the chain ``b/a/.../a => a -o ... -o b`` that is
-about 0.8 KB per /L level.  The masks that place the formulas of each
-result (``_conclude``) are still Θ(n²) on a chain of n /L levels.
+place in two ranges, or the one option of a descent (below).  Per
+query there is one packed count vector per subformula and a rank only
+for the formulas that can pend.  On the chain ``b/a/.../a => a -o ...
+-o b`` a descent holds about 0.2 KB per /L level: its left premise,
+solved once and then a memo hit.  The masks that place the formulas of
+each result (``_conclude``) are still Θ(n²) on a chain of n /L levels.
 
 Right rules come first, and alone.  /R, \\R and -oR are invertible: if
 ``G => A/B`` has a proof ending in a left rule, that rule's right
@@ -96,6 +96,26 @@ rejected by the count test, so only those of the functors tried: the
 head filter, the position test and the focus leave the others
 unscanned, and a span the count test passes is not counted even when
 the position test then drops its right premise.
+
+A focused state whose functor has nothing on its argument's side, a /
+at the last fixed position or a \\ at position 0, with no compound
+formula pending, has at most one option: its one span is empty, and
+the pending atoms must supply the argument's counts, the need, which
+the lane test accepts or not.  The right premise of that option is
+focused on the functor's result at the same position, with the same
+formulas around it and the atoms taken out of the bag, so while the
+result is again such a slash it has one option too.  A state's proofs
+are then exactly those of its one option, and the proofs of the first
+state of such a run are exactly those of its levels' left premises and
+of the state after its last level, combined level by level.  So the
+run is one option (focusing's synchronous phase taken as one step, a
+descent, ``_Search._descent``): the search loses no proof, and it
+skips only the memo entry and the choice point of each state in
+between.  The premises are solved in the same order as before, left
+premises outermost first, and each still counts as a rule level below
+the state that starts the descent.  A level that fails the need test
+counts as a span refuted by the count test, and leaves the whole
+descent without an option.
 
 -oR is the one rule whose backward reading branches over positions.
 To keep it tractable the searcher does not commit to an insertion
@@ -187,13 +207,16 @@ class SearchStats:
     """The counters of one search, each a count.
 
     ``nodes_expanded``: search states expanded, not answered by the memo;
-    a run of right rules is one state.  The node budget bounds it.
+    a run of right rules is one state, and so is a descent, the run of
+    focused /L or \\L levels that have one option each.  The node
+    budget bounds it.
     ``cache_hits``: states answered by the memo.
     ``pruned_by_count``: root goals and left-rule spans refuted by the
     primitive count test.
     ``max_depth``: the deepest rule level of a state expanded, the root
-    being level 1; every rule of a right run is a level.  ``_MAX_DEPTH``
-    bounds it.
+    being level 1; every rule of a right run is a level, and so is
+    every level of a descent, whose states in between are not expanded.
+    ``_MAX_DEPTH`` bounds it.
     """
 
     nodes_expanded: int = 0
@@ -275,9 +298,11 @@ Result = tuple[ProofTree, tuple[Formula | None, ...]]
 # of rule levels it adds, then the data its conclusion needs.  That is
 # (1, Rule.AX, atom, pending), (1, functor, pending, a) for /L or \L on
 # the functor, with ``a`` the fixed ordinal of its result in the right
-# premise, (k, succedent) for a run of k right rules on the succedent,
-# or (0, p, f) for a pending formula ``f`` fixed at ordinal ``p``, which
-# is not a rule.
+# premise, (k, functor, False, a) for a descent of k such levels down
+# the fixed functor's result chain, its k left premises and then the
+# last right premise, (k, succedent) for a run of k right rules on the
+# succedent, or (0, p, f) for a pending formula ``f`` fixed at ordinal
+# ``p``, which is not a rule.
 _Option = tuple[tuple[State, ...], tuple]
 
 # The options of a state that has none; an exhausted iterator stays so.
@@ -496,9 +521,13 @@ class _Search:
                     if premises == 2:
                         r2, (r1, results) = results
                         rs = [r1, r2]
-                    elif premises:
+                    elif premises == 1:
                         r1, results = results
                         rs = [r1]
+                    elif premises:
+                        rs = [None] * premises
+                        for j in range(premises - 1, -1, -1):
+                            rs[j], results = results
                     else:
                         rs = []
                     if commit:
@@ -523,10 +552,14 @@ class _Search:
                     children, move = x
                     todo = (state, len(children), move, todo)
                     depth += move[0]
-                    if children:  # one or two premises, solved in order
+                    if children:  # solved in order
                         todo = (children[-1], depth, None, todo)
                         if len(children) == 2:
                             todo = (children[0], depth, None, todo)
+                        elif len(children) > 2:
+                            # A descent: its level j's left premise is j + 1 levels down.
+                            for j in range(len(children) - 2, -1, -1):
+                                todo = (children[j], depth - move[0] + j + 1, None, todo)
                     break
             else:
                 return
@@ -574,11 +607,7 @@ class _Search:
                 return _NO_OPTIONS
             if bag & self._compound_bits or focus != (len(fixed) - 1 if type(functor) is Over else 0):
                 return self._left(fixed, bag, succ, functor, focus)
-            # Nothing lies on the side the argument faces: the one span is
-            # empty and, with no compound pending, has one take at most.
-            # The level then holds that option, not a suspended scan.
-            option = next(self._left(fixed, bag, succ, functor, focus), None)
-            return iter((option,)) if option else _NO_OPTIONS
+            return self._descent(fixed, bag, succ, functor, focus)
 
         # Left rules, fixed functors in order and then pending ones, on
         # those whose head is the succedent: a focused chain ends in Ax
@@ -613,6 +642,33 @@ class _Search:
         rest = bag - self._units[f]
         for p in range(len(fixed) + 1):
             yield ((fixed[:p] + (f,) + fixed[p:], rest, succ, -1),), (0, p, f)
+
+    def _descent(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functor: Formula, i: int) -> Iterator[_Option]:
+        """/L or \\L on the focused ``functor`` at fixed position ``i``, and down its result chain, as one option.
+
+        With a / last or a \\ first and no compound pending, a level has
+        one span, empty, and one take, the need; the descent goes on
+        while the result is again such a slash (module docstring).  The
+        premises are each level's left premise ``() => arg``, then the
+        state after the last level.  A level that fails the need test,
+        or whose right premise cannot end, leaves no option.
+        """
+        packed, high, n, premises, g = self._packed, self._high, len(fixed), [], functor
+        while True:
+            arg, g = g.arg, g.result
+            need = packed[arg]
+            if not need or (need | (bag - need)) & high:
+                self.stats.pruned_by_count += 1
+                return _NO_OPTIONS
+            bag -= need
+            if not _can_end(g, i, n, bag):
+                return _NO_OPTIONS
+            premises.append(((), need, arg, -1))
+            t = type(g)
+            if not (t is Over and i == n - 1 or t is Under and not i):
+                break
+        premises.append((fixed[:i] + (g,) + fixed[i + 1 :], bag, succ, i))
+        return iter((((*premises,), (len(premises) - 1, functor, False, i)),))
 
     def _float_splits(self, full: Bag, need: int) -> Iterator[Bag]:
         """Sub-multisets of the pending bag ``full`` whose summed counts equal ``need``.
@@ -731,6 +787,23 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
         else:
             rule, mask = _UNDER_L, m2[:q] + m1 + (f,) + m2[q + 1 :]
         yield ProofTree(rule, None, (t1, t2), (q, len(m1))), mask
+    elif len(rs) > 2:
+        # A descent: /L or \L on each level of a fixed functor's result
+        # chain, concluded innermost first, the result always at ordinal a.
+        levels, functor, _, a = move
+        functors = [functor]
+        for _ in range(1, levels):
+            functors.append(functors[-1].result)
+        tree, mask = rs[-1]
+        for j in range(levels - 1, -1, -1):
+            t1, m1 = rs[j]
+            q = _nth_fixed_index(mask, a)
+            if type(functors[j]) is Over:
+                rule, mask = _OVER_L, mask[:q] + (None,) + m1 + mask[q + 1 :]
+            else:
+                rule, mask = _UNDER_L, mask[:q] + m1 + (None,) + mask[q + 1 :]
+            tree = ProofTree(rule, None, (t1, tree), (q, len(m1)))
+        yield tree, mask
     elif not rs:  # Ax
         _, rule, f, pending = move
         yield ProofTree(rule), (f if pending else None,)

@@ -29,6 +29,20 @@ result)``, so that finding a live node builds its key and nothing else.
 A node also carries four facts about its shape, set once from its
 operands' facts before it enters the table, for the prover's filters.
 
+Construction takes no lock.  A miss builds the whole node first and
+then publishes it with one ``dict.setdefault``, which enters it only
+if no entry for its key is there.  The key is a tuple of a class and
+strings or nodes, which hash and compare in C (a node by identity), so
+no Python code runs inside that call: it is one step under the GIL,
+and free-threaded builds hold the dict's own lock for it.  Of two
+threads that build the same formula, one publishes its node and the
+other finds that node live and returns it, dropping its own; no thread
+sees a node before its operands and facts are set.  A dead entry, left
+while a dropped node's removal callback has not run yet, is removed
+with ``_remove_dead_weakref``, which deletes an entry only while it is
+still dead, and the publication is tried again.  The callback deletes
+in the same way, so it never removes a newer live node of its key.
+
 The tokenizer checks the whole text once, with one regular-expression
 match, for characters that start no token, and then takes every
 token's text with one ``findall``.  Token positions are not kept: the
@@ -39,7 +53,6 @@ the error is raised.
 from __future__ import annotations
 
 import re
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
@@ -80,14 +93,12 @@ class _Ref(weakref.ref):
 
 
 def _forget(ref: _Ref) -> None:
-    # Runs when the node dies, possibly inside the locked code below, so it
-    # takes no lock: it deletes the entry only while that holds a dead
-    # reference, not one to a newer node with the same key.
+    # Runs when the node dies: it deletes the entry only while that holds
+    # a dead reference, not one to a newer node with the same key.
     _remove_dead_weakref(_nodes, ref.key)
 
 
 _nodes: dict[tuple, _Ref] = {}  # (class, *operands) -> the one live node
-_lock = threading.Lock()  # makes a miss's check and insert one step
 
 # _Node._sides: whether the result chain has a \ argument, whose span takes fixed
 # formulas on its left, and whether it has a / argument, whose span takes those on its right.
@@ -99,37 +110,53 @@ _POSITIVE, _NEGATIVE, _POSITIVE_L, _NEGATIVE_L = 1, 2, 4, 8
 
 
 def _insert(key: tuple) -> _Node:
-    """The live node of ``key``, made and entered in the table if there is none.
+    """The live node of ``key``, made and published in the table if there is none.
 
-    The check and the insert are one step under the lock; a new node's
-    operands and facts (``_Node``) are set here, once, before it is seen.
+    A new node's operands and facts (``_Node``) are set here, once,
+    before it is published: ``setdefault`` enters it unless a live node
+    is there already, which is then returned and the new one dropped.  A
+    dead entry whose callback has not run yet is removed, and the
+    publication tried again.
     """
-    with _lock:
-        ref = _nodes.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            cls = key[0]
-            node = object.__new__(cls)
-            for set_operand, value in zip(_set_operands[cls], key[1:]):
-                set_operand(node, value)
-            if cls is Atom:
-                head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _POSITIVE_L | _NEGATIVE_L
+    cls = key[0]
+    node = object.__new__(cls)
+    if cls is Atom:
+        _set_name(node, key[1])
+        head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _POSITIVE_L | _NEGATIVE_L
+    else:
+        if cls is Over:
+            _, r, a = key
+            _set_over_result(node, r)
+            _set_over_arg(node, a)
+        else:
+            _, a, r = key
+            if cls is Under:
+                _set_under_arg(node, a)
+                _set_under_result(node, r)
             else:
-                r, a = node.result, node.arg
-                atoms, u = r._atoms + a._atoms, a._usable
-                # The result keeps the polarity and the argument flips it.
-                usable = r._usable & ((u >> 1 & (_POSITIVE | _POSITIVE_L)) | (u & (_POSITIVE | _POSITIVE_L)) << 1)
-                if cls is LinImp:
-                    head, sides, usable = None, 0, usable & _POSITIVE
-                else:
-                    head, sides = r._head or r, r._sides | (_RIGHT_ARG if cls is Over else _LEFT_ARG)
-            _set_head(node, head)
-            _set_sides(node, sides)
-            _set_atoms(node, atoms)
-            _set_usable(node, usable)
-            ref = _nodes[key] = _Ref(node, _forget)
-            ref.key = key
-    return node
+                _set_linimp_arg(node, a)
+                _set_linimp_result(node, r)
+        atoms, u = r._atoms + a._atoms, a._usable
+        # The result keeps the polarity and the argument flips it.
+        usable = r._usable & ((u >> 1 & (_POSITIVE | _POSITIVE_L)) | (u & (_POSITIVE | _POSITIVE_L)) << 1)
+        if cls is LinImp:
+            head, sides, usable = None, 0, usable & _POSITIVE
+        else:
+            head, sides = r._head or r, r._sides | (_RIGHT_ARG if cls is Over else _LEFT_ARG)
+    _set_head(node, head)
+    _set_sides(node, sides)
+    _set_atoms(node, atoms)
+    _set_usable(node, usable)
+    ref = _Ref(node, _forget)
+    ref.key = key
+    while True:
+        found = _nodes.setdefault(key, ref)
+        if found is ref:
+            return node
+        live = found()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_nodes, key)
 
 
 class _Node:
@@ -255,8 +282,11 @@ class LinImp(_Node):
 
 Formula = Atom | Over | Under | LinImp
 
-# Each class's operand setters, in the order of its key, for _insert.
-_set_operands = {cls: [getattr(cls, name).__set__ for name in cls.__match_args__] for cls in (Atom, Over, Under, LinImp)}
+# Each class's operand setters, for _insert.
+_set_name = Atom.name.__set__
+_set_over_result, _set_over_arg = Over.result.__set__, Over.arg.__set__
+_set_under_arg, _set_under_result = Under.arg.__set__, Under.result.__set__
+_set_linimp_arg, _set_linimp_result = LinImp.arg.__set__, LinImp.result.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -595,9 +595,9 @@ def test_no_focused_state_whose_chain_cannot_end(monkeypatch):
             )
         for option in real_options(self, fixed, bag, succ, focus):
             children = option[0]
-            if len(children) == 2:
-                ant, rest, _, a = children[1]
-                assert _chain_can_end(ant[a], a, len(ant), rest), (fixed, succ, children[1])
+            if len(children) >= 2:  # a left rule, or a descent of several
+                ant, rest, _, a = children[-1]
+                assert _chain_can_end(ant[a], a, len(ant), rest), (fixed, succ, children[-1])
             yield option
 
     def spy_left(self, fixed, bag, succ, f, i):
@@ -633,16 +633,25 @@ def test_search_does_not_recurse_per_level():
 
 
 def test_search_deeper_than_the_bound_is_unknown():
+    # The root's run of 6,000 -oR's leaves a state at level 6,001, whose
+    # /L has its left premise a => a at 6,002 and a right premise that
+    # descends the other 5,999 /L levels as one option.  Those levels'
+    # left premises are the same goal, memo hits, so the deepest state
+    # expanded is at 6,002 when the descent's last state, at 12,001, is
+    # past the bound.
     with pytest.raises(BudgetExceededError) as e:
         prove(chain_sequent(6000), SDL)
-    assert e.value.stats.max_depth == prover._MAX_DEPTH == 10_000
+    assert prover._MAX_DEPTH == 10_000
+    assert e.value.stats.max_depth == 6_002
 
 
 def test_search_path_memory_at_the_depth_bound():
-    # A deep search keeps alive per level only what backtracking needs.
-    # At the bound, the n = 6,000 chain has 4,000 focused /L levels on
-    # its path, each holding its goal and its one option but no suspended
-    # span scan: the peak beyond the parse is about 4.1 MB on CPython 3.11.
+    # A deep search keeps alive per state only what backtracking needs.
+    # When the n = 6,000 chain gives up, its path holds one descent of
+    # 5,999 focused /L levels, an option with a left premise per level
+    # and no state, memo entry or choice point in between: the peak
+    # beyond the parse is about 2.1 MB on CPython 3.11, 0.95 MB of it the
+    # count vectors of the chain's subformulas.
     s = chain_sequent(6000)
     tracemalloc.start()
     try:
@@ -722,8 +731,8 @@ def test_search_code_makes_no_closure_cells():
     # that reads a local makes it a cell, allocated on every call and kept
     # alive with a suspended generator of the search.
     search = prover._Search
-    methods = (search._options, search._lefts, search._left, search._materializations, search._float_splits)
-    methods += (search._search, search._unit)
+    methods = (search._options, search._descent, search._lefts, search._left, search._materializations)
+    methods += (search._float_splits, search._search, search._unit)
     for f in (*methods, prover._conclude):
         assert f.__code__.co_cellvars == (), f.__qualname__
 
@@ -818,6 +827,78 @@ def test_pending_functors_agree_with_naive_search(monkeypatch):
             verdicts.append(expected)
     assert verdicts.count(True) > 300 and verdicts.count(False) > 900
     assert pending_tries > 1000
+
+
+def _descent_sequent(rng: random.Random) -> Sequent:
+    """A sequent ``[x,] F => p1 -o ... -o pk -o h`` whose functor ``F = C/Ak/.../A1`` takes each ``Ai`` from the bag.
+
+    ``F`` is last and nothing pends but atoms, so after its first /L
+    its result chain descends k - 1 >= 3 levels deterministically.  An
+    argument is an atom or, at times, one raised to ``x/(p\\x)`` or
+    ``(x/p)\\x``, which counts as ``p`` but needs a left premise of its
+    own.  ``C`` is ``h``, or ``x\\h`` with an ``x`` ahead of ``F``, so
+    that the descent ends in a state with a span to scan.  A quarter
+    have one of ``p1 ... pk`` moved into the antecedent, where a level's
+    need test may find it missing from the bag.  A quarter are mirrored, to
+    descend through \\L, and a third mutated by ``swap_or_flip``; neither
+    edit changes the counts.
+    """
+    atoms = [Atom(name) for name in "abc"]
+    args, pending = [], []
+    for _ in range(rng.randint(4, 6)):
+        p, x = rng.choice(atoms), rng.choice(atoms)
+        pending.append(p)
+        raised = (Over(x, Under(p, x)), Under(Over(x, p), x))
+        args.append(rng.choice(raised) if rng.random() < 0.3 else p)
+    h = rng.choice(atoms)
+    prefix, functor = (), h
+    if rng.random() < 0.5:
+        x = rng.choice(atoms)
+        prefix, functor = (x,), Under(x, h)
+    for arg in args:
+        functor = Over(functor, arg)
+    ant = [*prefix, functor]
+    if rng.random() < 0.25:
+        ant.insert(rng.randint(0, len(ant)), pending.pop(rng.randrange(len(pending))))
+    succ = h
+    for p in rng.sample(pending, len(pending)):
+        succ = LinImp(p, succ)
+    s = Sequent(tuple(ant), succ)
+    if rng.random() < 0.25:
+        s = mirror_sequent(s)
+    return swap_or_flip(rng, s) if rng.random() < 1 / 3 else s
+
+
+def test_descents_agree_with_naive_search(monkeypatch):
+    # A focused chain's deterministic levels are one option with a left
+    # premise per level: verdicts against the positional oracle in every
+    # mode, and every proof replayed.
+    descents = compound = failed = 0
+    real = prover._Search._descent
+
+    def spy(self, fixed, bag, succ, functor, i):
+        nonlocal descents, compound, failed
+        options = list(real(self, fixed, bag, succ, functor, i))
+        failed += not options
+        for premises, move in options:
+            descents += move[0] >= 3
+            compound += any(type(p[2]) is not Atom for p in premises[:-1])
+        return iter(options)
+
+    monkeypatch.setattr(prover._Search, "_descent", spy)
+    rng = random.Random(27)
+    verdicts = []
+    for _ in range(120):
+        s = _descent_sequent(rng)
+        for mode in CalculusMode:
+            tree, _ = prove(s, mode)
+            expected = naive_derivable(s, mode)
+            assert (tree is not None) == expected, (mode, str(s))
+            for t in [tree] * expected + enumerate_proofs(s, mode, limit=8):
+                assert t.conclusion == s and check_proof(t, mode), (mode, str(s))
+            verdicts.append(expected)
+    assert verdicts.count(True) > 60 and verdicts.count(False) > 150
+    assert descents > 200 and compound > 150 and failed > 20, (descents, compound, failed)
 
 
 def test_mode_monotonicity_spot():

@@ -17,9 +17,11 @@ from lambek import (
     Grammar,
     Sequent,
     ThreePartitionInstance,
+    anbncn_grammar,
     assignment_to_partition,
     build_reduction,
     canonical_partition,
+    format_formula,
     grammar_from_text,
     grammar_to_text,
     instance_from_json,
@@ -165,6 +167,20 @@ def test_shared_rows_and_per_file_parsing_change_no_grammar():
         assert grammar == expected, inst
         assert list(grammar.lexicon) == list(expected.lexicon) == list(word)
         assert grammar_from_text(grammar_to_text(expected)) == expected, inst
+
+
+def test_grammar_text_formats_each_row_as_before():
+    # grammar_to_text formats each distinct formula once; the text must
+    # stay byte for byte what formatting every entry gives, on every
+    # grammar of a seeded reduction round (every instance with m <= 2 and
+    # N <= 16, seeded m = 3 and 4 ones, and one with m = 5) and on anbncn.
+    rng = random.Random(1)
+    instances = [*all_valid_instances(2, 16), *(_random_instance(rng, m) for m in (3, 3, 4, 4, 5))]
+    grammars = [build_reduction(inst)[0] for inst in instances] + [anbncn_grammar()]
+    for g in grammars:
+        lines = [f"start: {g.start}"]
+        lines += [f"{t}: " + " | ".join(format_formula(f) for f in entry) for t, entry in g.lexicon.items()]
+        assert grammar_to_text(g) == "\n".join(lines) + "\n"
 
 
 def test_build_reduction_rejects_bad_instance():

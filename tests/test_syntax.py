@@ -466,6 +466,29 @@ def test_dropped_formulas_leave_the_table_without_the_collector():
         gc.enable()
 
 
+def test_a_dead_entry_gives_way_to_a_live_node(monkeypatch):
+    # With the removal callback off, a dropped formula leaves a dead
+    # reference in the table, as between a node's death and its callback
+    # in another thread.  The next miss on its key must remove it and
+    # publish a live node.
+    x, y = Atom("dead_result"), Atom("dead_arg")
+    key = (Over, x, y)
+    monkeypatch.setattr(syntax, "_forget", lambda ref: None)
+    f = parse_formula("dead_result/(dead_arg)")
+    assert f is Over(x, y) and _nodes[key]() is f
+    del f
+    assert _nodes[key]() is None
+    g = Over(x, y)
+    assert g.result is x and g.arg is y
+    assert parse_formula("dead_result/dead_arg") is g
+    assert _nodes[key]() is g
+    _assert_facts(g)
+    # The node's callback is the no-op too: leave no dead entry behind.
+    del g
+    syntax._remove_dead_weakref(_nodes, key)
+    assert key not in _nodes
+
+
 def test_connective_count_of_a_deep_formula():
     f = a
     for i in range(20_000):
