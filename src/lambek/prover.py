@@ -25,9 +25,9 @@ recursion limit.  It has two modes.  ``prove`` and
 ``grammar.recognize`` commit: a state keeps its first result, and
 solved and failed states go to the memo.  ``enumerate_proofs``
 resumes the loop after each result and memoizes only the states that
-have no proof at all.  A state more than ``_MAX_DEPTH`` (10,000) rule
-levels deep stops the search like the node budget and the deadline:
-BudgetExceededError, "unknown".
+have no proof at all.  A state expanded more than ``_MAX_DEPTH``
+(10,000) rule levels deep stops the search like the node budget and
+the deadline: BudgetExceededError, "unknown".
 
 A deep search holds, per state on its path, only what backtracking
 needs: the state's goal, its move and a cursor over its remaining
@@ -116,6 +116,18 @@ premises outermost first, and each still counts as a rule level below
 the state that starts the descent.  A level that fails the need test
 counts as a span refuted by the count test, and leaves the whole
 descent without an option.
+
+A descent checks all of its levels when its first state is expanded,
+before any left premise is solved, and the states in between are never
+expanded.  A level-by-level search would reach a level only once the
+left premises above it were proved, and two readings differ from it.
+``pruned_by_count`` counts a failing level even below a left premise
+that has no proof.  And a descent that fails past ``_MAX_DEPTH`` is a
+definite "no proof", where level by level the search would stop at the
+bound with "unknown"; the answer is right, since the descent's one
+option is the state's only one.  The bound still stops the search at
+every state it expands, so at a descent's left premises and at the
+state after its last level.
 
 -oR is the one rule whose backward reading branches over positions.
 To keep it tractable the searcher does not commit to an insertion
@@ -212,11 +224,13 @@ class SearchStats:
     budget bounds it.
     ``cache_hits``: states answered by the memo.
     ``pruned_by_count``: root goals and left-rule spans refuted by the
-    primitive count test.
+    primitive count test; a descent's failing level counts even where
+    a left premise above it has no proof (module docstring).
     ``max_depth``: the deepest rule level of a state expanded, the root
     being level 1; every rule of a right run is a level, and so is
     every level of a descent, whose states in between are not expanded.
-    ``_MAX_DEPTH`` bounds it.
+    ``_MAX_DEPTH`` bounds it; a descent that fails past the bound is
+    "no proof", not "unknown".
     """
 
     nodes_expanded: int = 0
@@ -777,20 +791,12 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
     premises and its level count.  No conclusion is built: a node holds
     its rule, premises and rule data.
     """
-    if len(rs) == 2:  # /L or \L
-        _, functor, pending, a = move
-        (t1, m1), (t2, m2) = rs
-        q = _nth_fixed_index(m2, a)
+    if len(rs) >= 2:
+        # /L or \L, or a descent: one on each level of a fixed functor's
+        # result chain, concluded innermost first, the result always at
+        # ordinal a.  Only a one-level option's functor can be pending.
+        levels, functor, pending, a = move
         f = functor if pending else None
-        if type(functor) is Over:
-            rule, mask = _OVER_L, m2[:q] + (f,) + m1 + m2[q + 1 :]
-        else:
-            rule, mask = _UNDER_L, m2[:q] + m1 + (f,) + m2[q + 1 :]
-        yield ProofTree(rule, None, (t1, t2), (q, len(m1))), mask
-    elif len(rs) > 2:
-        # A descent: /L or \L on each level of a fixed functor's result
-        # chain, concluded innermost first, the result always at ordinal a.
-        levels, functor, _, a = move
         functors = [functor]
         for _ in range(1, levels):
             functors.append(functors[-1].result)
@@ -799,9 +805,9 @@ def _conclude(move: tuple, rs: list[Result]) -> Iterator[Result]:
             t1, m1 = rs[j]
             q = _nth_fixed_index(mask, a)
             if type(functors[j]) is Over:
-                rule, mask = _OVER_L, mask[:q] + (None,) + m1 + mask[q + 1 :]
+                rule, mask = _OVER_L, mask[:q] + (f,) + m1 + mask[q + 1 :]
             else:
-                rule, mask = _UNDER_L, mask[:q] + m1 + (None,) + mask[q + 1 :]
+                rule, mask = _UNDER_L, mask[:q] + m1 + (f,) + mask[q + 1 :]
             tree = ProofTree(rule, None, (t1, tree), (q, len(m1)))
         yield tree, mask
     elif not rs:  # Ax
@@ -869,10 +875,10 @@ def prove(
 
     Returns the first proof in canonical search order, or None when the
     search space is exhausted without one.  Raises BudgetExceededError
-    after ``budget`` node expansions, or on a state more than 10,000 rule
-    levels deep; that outcome means "unknown", not "underivable".  Raises
-    ValueError for a sequent of 32,768 or more atom occurrences, too many
-    for the packed count vectors.
+    after ``budget`` node expansions, or on expanding a state more than
+    10,000 rule levels deep; that outcome means "unknown", not
+    "underivable".  Raises ValueError for a sequent of 32,768 or more
+    atom occurrences, too many for the packed count vectors.
     """
     search = _Search(mode, budget)
     tree = search.run(s)

@@ -120,22 +120,12 @@ def _insert(key: tuple) -> _Node:
     """
     cls = key[0]
     node = object.__new__(cls)
+    for set_operand, value in zip(_set_operands[cls], key[1:]):
+        set_operand(node, value)
     if cls is Atom:
-        _set_name(node, key[1])
         head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _POSITIVE_L | _NEGATIVE_L
     else:
-        if cls is Over:
-            _, r, a = key
-            _set_over_result(node, r)
-            _set_over_arg(node, a)
-        else:
-            _, a, r = key
-            if cls is Under:
-                _set_under_arg(node, a)
-                _set_under_result(node, r)
-            else:
-                _set_linimp_arg(node, a)
-                _set_linimp_result(node, r)
+        r, a = node.result, node.arg
         atoms, u = r._atoms + a._atoms, a._usable
         # The result keeps the polarity and the argument flips it.
         usable = r._usable & ((u >> 1 & (_POSITIVE | _POSITIVE_L)) | (u & (_POSITIVE | _POSITIVE_L)) << 1)
@@ -282,11 +272,8 @@ class LinImp(_Node):
 
 Formula = Atom | Over | Under | LinImp
 
-# Each class's operand setters, for _insert.
-_set_name = Atom.name.__set__
-_set_over_result, _set_over_arg = Over.result.__set__, Over.arg.__set__
-_set_under_arg, _set_under_result = Under.arg.__set__, Under.result.__set__
-_set_linimp_arg, _set_linimp_result = LinImp.arg.__set__, LinImp.result.__set__
+# Each class's operand setters, in the order of its key, for _insert.
+_set_operands = {cls: [getattr(cls, name).__set__ for name in cls.__match_args__] for cls in (Atom, Over, Under, LinImp)}
 
 
 @dataclass(frozen=True, slots=True)
