@@ -25,6 +25,11 @@ range, a functor or succedent of the wrong connective) make the tree
 no proof: the walk gives the nodes below them no conclusion, and
 ``check_proof`` rejects it.
 
+Nodes are immutable, and a proof is a DAG of them: the search shares
+the subtree of a state it solved once, and every inner Ax node is the
+one ``_AX_LEAF``.  So no caller may rely on a node's identity or count
+distinct node objects; ``nodes()`` lists a shared node at each place.
+
 The JSON form lists the nodes in preorder, after the root's sequent
 as concrete text.  A node's rule fixes its number of premises, so the
 list needs no nesting and no premise counts::
@@ -40,7 +45,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
 from .syntax import Formula, LinImp, Over, Sequent, Under, _dataclass_repr, format_formula, format_sequent, parse_sequent
@@ -175,6 +180,9 @@ class ProofTree:
 # The fields' slot setters, as a frozen dataclass's own __setattr__ raises.
 _set_rule, _set_conclusion, _set_premises, _set_split, _set_insert = (getattr(ProofTree, f.name).__set__ for f in fields(ProofTree))
 
+# The one inner Ax node: a leaf without a conclusion holds nothing else.
+_AX_LEAF = ProofTree(Rule.AX)
+
 
 def premise_conclusions(
     rule: Rule, ant: list[Formula], succ: Formula, split: tuple[int, int] | None, insert: int | None
@@ -227,12 +235,21 @@ def _walk(t: ProofTree) -> Iterator[tuple[ProofTree, list[Formula] | None, Formu
 
 
 def _assemble(conclusion: Sequent | None, rows: list[tuple[Rule, Any, Any]]) -> ProofTree:
-    """The tree under ``conclusion`` whose nodes, in preorder, have these rules and rule data."""
-    built: list[ProofTree] = []
-    for rule, split, insert in reversed(rows):
-        premises = tuple(built.pop() for _ in range(rule.arity))
-        built.append(ProofTree(rule, None, premises, split, insert))
-    return replace(built[0], conclusion=conclusion)
+    """The tree under ``conclusion`` whose nodes, in preorder, have these
+    rules and rule data; every inner Ax node is ``_AX_LEAF``."""
+    built: list[ProofTree] = []  # the subtrees built so far, the next one's first premise last
+    for rule, split, insert in rows[:0:-1]:
+        k = rule.arity
+        if k:
+            node = ProofTree(rule, None, tuple(built[: -k - 1 : -1]), split, insert)
+            del built[-k:]
+        else:  # Ax: the shared leaf, unless ProofTree refuses its data
+            node = _AX_LEAF if split is None and insert is None else ProofTree(rule, None, (), split, insert)
+        built.append(node)
+    if conclusion is None and rows[0] == (Rule.AX, None, None):
+        return _AX_LEAF  # a copy or pickle of the leaf itself
+    rule, split, insert = rows[0]
+    return ProofTree(rule, conclusion, tuple(reversed(built)), split, insert)
 
 
 def proof_to_json(t: ProofTree) -> dict[str, Any]:
@@ -297,8 +314,11 @@ def proof_from_json(data: dict[str, Any]) -> ProofTree:
         raise ValueError(f"malformed proof node: {e!r}") from e
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def proof_to_json_text(t: ProofTree) -> str:
-    return json.dumps(proof_to_json(t), separators=(",", ":"))
+    return _ENCODER.encode(proof_to_json(t))
 
 
 def proof_from_json_text(text: str) -> ProofTree:

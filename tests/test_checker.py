@@ -29,6 +29,7 @@ from lambek import (
     Sequent,
     Under,
     check_proof,
+    enumerate_proofs,
     format_sequent,
     parse_sequent,
     proof_from_json,
@@ -38,6 +39,7 @@ from lambek import (
     prove,
     render_proof,
 )
+from lambek import prooftree
 
 L, SDL, SDLM = CalculusMode.L, CalculusMode.SDL, CalculusMode.SDL_MINUS
 
@@ -220,6 +222,38 @@ def test_mode_restriction_on_whole_tree():
         else:
             assert check_proof(t, L)
     assert seen_l_reject > 10
+
+
+def test_inner_ax_nodes_are_one_shared_leaf():
+    # A proof is a DAG of immutable nodes: every inner Ax node of a tree
+    # that the search, the JSON reader, a pickle or a copy builds is the
+    # one shared leaf, and an Ax node that carries rule data is still
+    # refused, whether built directly or read from JSON.
+    leaf = prooftree._AX_LEAF
+    rng = random.Random(28)
+    trees = [prove(chain_sequent(300), SDL)[0]]
+    for _ in range(60):
+        s = forward_proof(rng, SDL).conclusion
+        trees += [prove(s, SDL)[0], *enumerate_proofs(s, SDL, limit=4)]
+    leaves = 0
+    for t in trees:
+        text = proof_to_json_text(t)
+        for u in (t, proof_from_json(proof_to_json(t)), proof_from_json_text(text), pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert u == t
+            inner = [n for n in u.nodes()[1:] if n.rule is Rule.AX]
+            assert all(n is leaf for n in inner)
+            leaves += len(inner)
+    assert leaves > 1_000
+    for copied in (pickle.loads(pickle.dumps(leaf)), copy.copy(leaf), copy.deepcopy(leaf)):
+        assert copied is leaf
+    with pytest.raises(ValueError):
+        ProofTree(Rule.AX, None, (), (0, 1))
+    data = proof_to_json(prove(parse_sequent("a/b, b => a"), SDL)[0])
+    for k, extra in [(1, {"split": [0, 1]}), (2, {"insert": 0})]:
+        nodes = [dict(n) for n in data["nodes"]]
+        nodes[k].update(extra)
+        with pytest.raises(ValueError):
+            proof_from_json({"sequent": data["sequent"], "nodes": nodes})
 
 
 def test_json_round_trip():

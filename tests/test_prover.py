@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -643,6 +644,8 @@ def test_search_deeper_than_the_bound_is_unknown():
         prove(chain_sequent(6000), SDL)
     assert prover._MAX_DEPTH == 10_000
     assert e.value.stats.max_depth == 6_002
+    # The stats alone could be a node-budget give-up's; the reason cannot.
+    assert e.value.reason == "depth" and "depth limit" in str(e.value)
 
 
 def test_search_path_memory_at_the_depth_bound():
@@ -742,9 +745,18 @@ def test_budget_exhaustion():
     with pytest.raises(BudgetExceededError) as e:
         prove(s, SDL, budget=1)
     assert e.value.stats.nodes_expanded >= 1
+    assert e.value.reason == "budget" and "budget limit" in str(e.value)
     # generous budget succeeds
     tree, _ = prove(s, SDL, budget=1000)
     assert tree is not None
+
+
+def test_deadline_gives_up_with_its_reason():
+    search = prover._Search(SDL, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceededError) as e:
+        search.run(parse_sequent("a/b, b => a"))
+    assert e.value.reason == "deadline" and "deadline limit" in str(e.value)
+    assert e.value.stats.nodes_expanded == 0
 
 
 def test_proof_depth_bounded_by_connectives():
@@ -899,6 +911,97 @@ def test_descents_agree_with_naive_search(monkeypatch):
             verdicts.append(expected)
     assert verdicts.count(True) > 60 and verdicts.count(False) > 150
     assert descents > 200 and compound > 150 and failed > 20, (descents, compound, failed)
+
+
+def _mixed_descent_sequent(rng: random.Random) -> Sequent:
+    """``F => p1 -o ... -o pk -o h`` with ``F`` alone in the antecedent and its slashes mixed.
+
+    With ``F`` the only fixed formula, a / on it is last and a \\ on it
+    first, so a descent down its chain may switch between the two at any
+    level.  ``F`` has two to five slashes, both kinds once it has three.
+    An argument is an atom ``p``, at times ``x/(p\\x)``, or
+    ``x/(q\\(p\\x))``, whose left premise takes two atoms in order; the
+    atoms pend, in shuffled -o order, six at most.  A quarter have one
+    pending atom renamed, which a level's need test or a left premise
+    may refute.
+    """
+    atoms = [Atom(name) for name in "abc"]
+    h = functor = rng.choice(atoms)
+    pending, slashes = [], []
+    for _ in range(rng.randint(2, 5)):
+        p, q, x = (rng.choice(atoms) for _ in range(3))
+        r = rng.random()
+        if r < 0.2 and len(pending) < 5:
+            arg, pending = Over(x, Under(q, Under(p, x))), pending + [p, q]
+        else:
+            arg, pending = (Over(x, Under(p, x)) if r < 0.4 else p), pending + [p]
+        slashes.append(rng.random() < 0.5)
+        if len(slashes) == 3 and len(set(slashes)) == 1:
+            slashes[-1] = not slashes[-1]
+        functor = Over(functor, arg) if slashes[-1] else Under(arg, functor)
+        if len(pending) >= 6:
+            break
+    if rng.random() < 0.25:
+        pending[rng.randrange(len(pending))] = rng.choice(atoms)
+    succ = h
+    for p in rng.sample(pending, len(pending)):
+        succ = LinImp(p, succ)
+    return Sequent((functor,), succ)
+
+
+def test_mixed_slash_descents_agree_with_naive_search(monkeypatch):
+    # On the only fixed formula a descent can turn from / to \ and back:
+    # the left premises' slots of its \ levels go before the result's
+    # slot, innermost first, and those of its / levels after it,
+    # outermost first.  Verdicts against the positional oracle in every
+    # mode, and every proof replayed.
+    mixed = 0
+    real = prover._Search._descent
+
+    def spy(self, fixed, bag, succ, functor, i):
+        nonlocal mixed
+        options = list(real(self, fixed, bag, succ, functor, i))
+        for _, (levels, g, _, _) in options:
+            kinds = set()
+            for _ in range(levels):
+                kinds.add(type(g))
+                g = g.result
+            mixed += len(kinds) == 2
+        return iter(options)
+
+    monkeypatch.setattr(prover._Search, "_descent", spy)
+    rng = random.Random(28)
+    verdicts = []
+    for _ in range(150):
+        s = _mixed_descent_sequent(rng)
+        for mode in CalculusMode:
+            tree, _ = prove(s, mode)
+            expected = naive_derivable(s, mode)
+            assert (tree is not None) == expected, (mode, str(s))
+            for t in [tree] * expected + enumerate_proofs(s, mode, limit=8):
+                assert t.conclusion == s and check_proof(t, mode), (mode, str(s))
+            verdicts.append(expected)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 200
+    assert mixed > 200, mixed
+
+
+def test_chain_assembly_is_linear(monkeypatch):
+    # A descent's conclusion finds its result's slot once, not once per
+    # level: proving the chain locates a slot for its one-level /L and
+    # for the descent of the other n - 1 levels.  At n = 2,000 a
+    # conclusion level by level would look it up about 2,000 times.
+    calls = 0
+    real = prover._nth_fixed_index
+
+    def counting(mask, p):
+        nonlocal calls
+        calls += 1
+        return real(mask, p)
+
+    monkeypatch.setattr(prover, "_nth_fixed_index", counting)
+    tree, _ = prove(chain_sequent(2000), SDL)
+    assert tree.depth() == 4001 and check_proof(tree, SDL)
+    assert calls <= 4, calls
 
 
 def test_mode_monotonicity_spot():
