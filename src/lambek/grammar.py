@@ -19,7 +19,9 @@ skipped wholesale (the count invariant makes them underivable): a table
 per prefix length holds the residual count vectors that the rest of the
 word can still supply, so entire prefixes of the assignment product can
 be discarded at once.  The tables are grown from both ends of the word
-until they meet in the middle.
+until they meet in the middle.  The survivors are listed depth-first
+over moves memoized per (prefix length, residual), worked out once per
+query: at most ``len(table) * len(entry)`` per position with a table.
 """
 
 from __future__ import annotations
@@ -250,6 +252,12 @@ def _balanced_assignments(entries, target, skipped, stop=None):
     TimeoutError once ``time.monotonic()`` passes ``stop``; the clock is
     read only when ``stop`` is given, once per lexicon entry of a table
     built or pruned and once per finished prefix.
+
+    The moves out of a state ``(i, residual)`` are worked out once, and
+    memoized where ``suffix[i]`` was built: each formula of
+    ``entries[i]`` with the residual it leaves, or None where
+    ``suffix[i + 1]`` rules it out.  A ruled-out move adds
+    ``sizes[i + 1]`` to ``skipped`` on every visit.
     """
     n = len(entries)
     sizes = [math.prod(len(e) for e in entries[i:]) for i in range(n + 1)]
@@ -257,46 +265,45 @@ def _balanced_assignments(entries, target, skipped, stop=None):
     minus = {f: {name: -k for name, k in vec.items()} for f, vec in plus.items()}
     start = _vkey(target)
     suffix = _residual_tables(entries, start, plus, minus, stop)
-
-    def admit(i: int, residual: tuple[tuple[str, int], ...]) -> bool:
-        """Whether ``i`` entries can be followed by ones summing to ``residual``.
-
-        ``suffix[n]`` is never capped, so a full assignment is admitted
-        only when it reaches ``target``.
-        """
-        ss = suffix[i]
-        if ss is not None and residual not in ss:
-            skipped[0] += sizes[i]
-            return False
-        return True
-
+    if suffix[0] is not None and start not in suffix[0]:
+        skipped[0] += sizes[0]
+        return
     # Depth-first over prefixes, as a loop: a generator that called
     # itself through a closure would be a reference cycle, keeping the
     # tables of every query alive until the cyclic collector runs.
-    if not admit(0, start):
-        return
+    # ``suffix[n]`` is never capped, so a full assignment is admitted
+    # only when it reaches ``target``.
+    memo: dict = {}
     prefix: list[Formula] = []
-    residuals = [start]
-    choices = [iter(entries[0])]
-    while choices:
-        f = next(choices[-1], None)
+    choices: list = []
+    residual = start
+    while True:
+        i = len(prefix)
+        if i == len(choices):  # a new state: i entries chosen, ``residual`` left
+            state = i, residual
+            moves = memo.get(state)
+            if moves is None:
+                above = suffix[i + 1]
+                moves = []
+                for f in entries[i]:
+                    r = _shift(residual, minus[f])
+                    moves.append((f, r if above is None or r in above else None))
+                if suffix[i] is not None:
+                    memo[state] = moves
+            choices.append(iter(moves))
+        f, residual = next(choices[-1], (None, None))
         if f is None:
             _tick(stop)
             choices.pop()
-            residuals.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        residual = _shift(residuals[-1], minus[f])
-        i = len(prefix) + 1
-        if not admit(i, residual):
-            continue
-        if i == n:
+            if not prefix:
+                return
+            prefix.pop()
+        elif residual is None:
+            skipped[0] += sizes[i + 1]
+        elif i + 1 == n:
             yield (*prefix, f)
-            continue
-        prefix.append(f)
-        residuals.append(residual)
-        choices.append(iter(entries[i]))
+        else:
+            prefix.append(f)
 
 
 def recognize(

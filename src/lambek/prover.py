@@ -255,6 +255,10 @@ class BudgetExceededError(RuntimeError):
         self.stats = stats
         self.reason = reason
 
+    def __reduce__(self):
+        # The message is made from these two, so a copy or pickle rebuilds it.
+        return type(self), (self.stats, self.reason)
+
 
 @dataclass(frozen=True)
 class InputViolation:

@@ -91,6 +91,40 @@ MUTANTS = [
             "tests/test_prover.py::test_pending_functors_agree_with_naive_search",
         ),
     ),
+    Mutant(
+        "walk-memo-without-length",
+        "grammar",
+        "            state = i, residual\n",
+        "            state = residual\n",
+        (
+            "tests/test_grammar.py::test_count_filter_matches_brute_force[None]",
+            "tests/test_grammar.py::test_count_filter_matches_brute_force[8]",
+        ),
+    ),
+    Mutant(
+        "walk-rejections-counted-once",
+        "grammar",
+        "                    moves.append((f, r if above is None or r in above else None))\n",
+        "                    if above is None or r in above:\n"
+        "                        moves.append((f, r))\n"
+        "                    else:\n"
+        "                        skipped[0] += sizes[i + 1]\n",
+        (
+            "tests/test_grammar.py::test_count_filter_matches_brute_force[None]",
+            "tests/test_grammar.py::test_count_filter_matches_brute_force[8]",
+            "tests/test_grammar.py::test_count_filter_enumeration_is_pinned",
+        ),
+    ),
+    Mutant(
+        "tables-prune-keeps-keys-that-lead-in",
+        "grammar",
+        "rest = [key for key in rest if _shift(key, vec) not in above]",
+        "rest = [key for key in rest if _shift(key, vec) in above]",
+        (
+            "tests/test_grammar.py::test_count_filter_matches_brute_force[None]",
+            "tests/test_grammar.py::test_count_filter_matches_brute_force[8]",
+        ),
+    ),
 ]
 
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import itertools
+import json
 import math
 import pickle
 import random
@@ -400,3 +402,48 @@ def test_count_filter_matches_brute_force(cap, monkeypatch):
             for prefix in itertools.product(*entries[:i]):
                 residual = _summed(prefix, target, -1)
                 assert (residual in table) is (residual in sums)
+
+
+def test_count_filter_walk_shifts_each_residual_once(monkeypatch):
+    # Every prefix that leaves the same residual after i entries has the
+    # same moves, so the walk works them out once per state of a built
+    # table: at most len(suffix[i]) * len(entries[i]) shifts at level i.
+    # On this word 64 assignments survive and the walk makes 138 shifts
+    # against a bound of 166; shifting again on every prefix made 696.
+    entries = grammar._entries(anbncn_grammar(), "abcbacbcabac")
+    shifts, built = [], []
+    real_shift, real_tables = grammar._shift, grammar._residual_tables
+
+    def tables(*args):
+        built.append(real_tables(*args))
+        shifts.clear()  # count only the walk's shifts
+        return built[-1]
+
+    monkeypatch.setattr(grammar, "_residual_tables", tables)
+    monkeypatch.setattr(grammar, "_shift", lambda *args: shifts.append(1) or real_shift(*args))
+    assert len(list(grammar._balanced_assignments(entries, {"x": 1}, [0]))) == 64
+    (suffix,) = built
+    assert len(shifts) <= sum(len(table) * len(entry) for table, entry in zip(suffix, entries) if table is not None)
+
+
+def test_count_filter_enumeration_is_pinned():
+    # Each balanced word of length 9 in the a^n b^n c^n grammar (1,680
+    # words, 45,360 survivors): its surviving assignments as lexicon
+    # indices, and the number it discards.  A change to how the
+    # survivors are walked must leave the digest as it is.
+    g = anbncn_grammar()
+    digest = hashlib.sha256()
+    words = 0
+    for word in itertools.product("abc", repeat=9):
+        if not word.count("a") == word.count("b") == word.count("c"):
+            continue
+        entries = grammar._entries(g, word)
+        skipped = [0]
+        survivors = [
+            [entry.index(f) for entry, f in zip(entries, assignment)]
+            for assignment in grammar._balanced_assignments(entries, {g.start: 1}, skipped)
+        ]
+        digest.update(json.dumps([survivors, skipped[0]]).encode() + b"\n")
+        words += 1
+    assert words == 1_680
+    assert digest.hexdigest()[:16] == "b90b0d4da1dd5b5d"

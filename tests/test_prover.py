@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -757,6 +759,26 @@ def test_deadline_gives_up_with_its_reason():
         search.run(parse_sequent("a/b, b => a"))
     assert e.value.reason == "deadline" and "deadline limit" in str(e.value)
     assert e.value.stats.nodes_expanded == 0
+
+
+def test_give_ups_survive_copy_and_pickle():
+    # An "unknown" can cross a process boundary with its reason and stats.
+    errors = []
+    for attempt in (
+        lambda: prove(parse_sequent("a/b, b => a"), SDL, budget=1),
+        lambda: prover._Search(SDL, deadline=time.monotonic() - 1).run(parse_sequent("a/b, b => a")),
+        lambda: prove(chain_sequent(6000), SDL),
+    ):
+        with pytest.raises(BudgetExceededError) as e:
+            attempt()
+        errors.append(e.value)
+    assert [e.reason for e in errors] == ["budget", "deadline", "depth"]
+    for e in errors:
+        for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert type(copied) is BudgetExceededError
+            assert copied.reason == e.reason and str(copied) == str(e)
+            assert copied.stats.nodes_expanded == e.stats.nodes_expanded
+            assert copied.stats == e.stats
 
 
 def test_proof_depth_bounded_by_connectives():
