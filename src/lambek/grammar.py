@@ -320,11 +320,11 @@ def recognize(
     caps the whole query.  When either trips without a witness the
     result has ``member=False`` and ``budget_exhausted=True``, meaning
     "unknown" rather than "no".  The deadline covers the count filter as
-    well as the search.  A NaN deadline, which would never trip, is a
-    ValueError.
+    well as the search.  A deadline that is negative, or NaN (which would
+    never trip), is a ValueError; a deadline of 0 is valid.
     """
-    if deadline is not None and math.isnan(deadline):
-        raise ValueError("the deadline is not a number")
+    if deadline is not None and not deadline >= 0:
+        raise ValueError(f"the deadline must be a number of seconds >= 0, not {deadline}")
     entries = _entries(g, word)
     target = {g.start: 1}
     goal = Atom(g.start)

@@ -32,7 +32,7 @@ the deadline: BudgetExceededError, "unknown".
 A deep search holds, per state on its path, only what backtracking
 needs: the state's goal, its move and a cursor over its remaining
 options.  The cursor is a suspended left-rule scan, which keeps its
-place in two ranges, or the one option of a descent (below).  Per
+place in a list and two ranges, or a descent's one option (below).  Per
 query there is one packed count vector per subformula and a rank only
 for the formulas that can pend.  On the chain ``b/a/.../a => a -o ...
 -o b`` a descent holds about 0.2 KB per /L level: its left premise,
@@ -140,7 +140,7 @@ premises, and the count invariant pins the split down.  Count vectors
 are packed into ints, one lane per primitive, so the counts the pending
 part of a premise ``T => B`` must supply (those of ``B`` less those of
 T's committed span) are one subtraction off prefix sums of the
-committed counts, built once per left-rule scan.  The pending multiset is one
+committed counts, built once per state.  The pending multiset is one
 such int too, with a multiplicity lane per pending formula: an atom's
 lane is its primitive's count lane, so the pending atoms are their
 packed count vector, and a compound formula gets a lane of its own
@@ -168,7 +168,7 @@ from collections.abc import Iterator
 
 from .analysis import _occurrences, _roots
 from .prooftree import _AX_LEAF, ProofTree, Rule
-from .syntax import _LEFT_ARG, _NEGATIVE, _NEGATIVE_L, _POSITIVE, _POSITIVE_L, _RIGHT_ARG
+from .syntax import _LEFT_ARG, _NEGATIVE, _NO_LINIMP, _POSITIVE, _RIGHT_ARG
 from .syntax import Atom, Formula, LinImp, Over, Sequent, Under, format_formula
 
 __all__ = [
@@ -209,7 +209,7 @@ class CalculusMode(enum.Enum):
 
 
 # The bits of syntax._Node._usable that mean positive and negative in each mode.
-_POLARITIES = {m: (_POSITIVE, _NEGATIVE) if m.has_linimp_right else (_POSITIVE_L, _NEGATIVE_L) for m in CalculusMode}
+_POLARITIES = {m: (_POSITIVE, _NEGATIVE) if m.has_linimp_right else (_NO_LINIMP, _NO_LINIMP) for m in CalculusMode}
 
 # The rules the search builds: reading a member off the Rule class is a slow attribute lookup.
 _OVER_L, _UNDER_L = Rule.OVER_L, Rule.UNDER_L
@@ -631,7 +631,7 @@ class _Search:
             if not isinstance(functor, (Over, Under)):
                 return _NO_OPTIONS
             if bag & self._compound_bits or focus != (len(fixed) - 1 if type(functor) is Over else 0):
-                return self._left(fixed, bag, succ, functor, focus)
+                return self._left(fixed, bag, succ, [(functor, focus)])
             return self._descent(fixed, bag, succ, functor, focus)
 
         # Left rules, fixed functors in order and then pending ones, on
@@ -647,9 +647,7 @@ class _Search:
             for g, u in self._compounds:
                 if g._head is succ and bag & _LANE_MASK * u:
                     functors.append((g, -1))
-        if len(functors) == 1:
-            return self._left(fixed, bag, succ, *functors[0])
-        return self._lefts(fixed, bag, succ, functors) if functors else _NO_OPTIONS
+        return self._left(fixed, bag, succ, functors) if functors else _NO_OPTIONS
 
     def _materializations(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula) -> Iterator[_Option]:
         """Commit one pending formula to a concrete position.
@@ -716,15 +714,8 @@ class _Search:
             if not (residual | (full - residual)) & high:
                 yield residual + take
 
-    def _lefts(
-        self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: list[tuple[Formula, int]]
-    ) -> Iterator[_Option]:
-        """``_left`` on each of ``functors``, in order: (formula, fixed position, or -1 if pending)."""
-        for functor, i in functors:
-            yield from self._left(fixed, bag, succ, functor, i)
-
-    def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functor: Formula, i: int) -> Iterator[_Option]:
-        """/L or \\L on ``functor``, at fixed position ``i``, or pending if ``i`` is -1.
+    def _left(self, fixed: tuple[Formula, ...], bag: Bag, succ: Formula, functors: list[tuple[Formula, int]]) -> Iterator[_Option]:
+        """/L or \\L on each of ``functors`` in order: (formula, fixed position ``i``, or -1 if pending).
 
         The left premise ``T => functor.arg`` is unfocused, and the right
         premise is focused on the functor's result.  ``T`` takes a span
@@ -732,65 +723,58 @@ class _Search:
         whose counts make up the rest of the argument's: the span's
         need.  A fixed functor's span grows away from it; a pending
         functor may land at any ``lo``, its span then growing
-        rightwards.  Prefix sums of the fixed counts make a need one
-        subtraction; with no compound pending, the lane test alone
-        decides the one take, the need itself.
+        rightwards.  Prefix sums of the fixed counts, built once per
+        state, make a need one subtraction; with no compound pending,
+        the lane test alone decides the one take, the need itself.
 
         A focused level of a deep search keeps one such scan suspended,
-        so it holds its place in two ranges and little else.
+        so it holds a one-item functor list, two ranges and little else.
         """
-        n = len(fixed)
-        sums = list(itertools.accumulate(map(self._packed.__getitem__, fixed), initial=0))
-        # A pending functor's own copy is in neither premise's bag.
-        full = bag - self._units[functor] if i < 0 else bag
-        split = full & self._compound_bits
-        arg, res = functor.arg, functor.result
-        want = self._packed[arg]
-        # The atoms can supply ``need`` iff every lane of ``need`` and of
-        # ``full - need`` lies in [0, _LANE_HALF).  All lanes stay below
-        # _LANE_HALF in magnitude (_admissible), so that holds iff
-        # neither int has a lane's top bit set: a negative int sets the
-        # top bit of its highest negative lane.  Count vectors are zero
-        # on the compound lanes, where ``full`` is never negative.
-        high, pruned = self._high, 0
-        # The spans, by lo and then hi: every lo <= hi for a pending
-        # functor; a fixed / takes from i + 1 rightwards, a fixed \\ up to
-        # i leftwards.
-        under = i >= 0 and type(functor) is Under
-        top = i + 1 if under else n + 1
-        for lo in range(i, -1, -1) if under else range(n + 1) if i < 0 else range(i + 1, i + 2):
-            for hi in range(lo if lo > i else i, top):
-                need = want - sums[hi] + sums[lo]
-                # The right premise replaces the functor and its span by the
-                # result, and is dead unless its chain can end from there.
-                # The search may stop at a yield: the spans scanned so far
-                # are counted first.
-                if not split:
-                    if (need | (full - need)) & high or not (need or lo < hi):
-                        pruned += 1
-                        continue
-                    a, b = (lo, hi) if i < 0 else (min(lo, i), max(hi, i + 1))
-                    if _can_end(res, a, n - b + a + 1, full - need):
-                        self.stats.pruned_by_count += pruned
-                        pruned = 0
-                        yield (
-                            ((fixed[lo:hi], need, arg, -1), (fixed[:a] + (res,) + fixed[b:], full - need, succ, a)),
-                            (1, functor, i < 0, a),
-                        )
-                    continue
-                found = False
-                for take in self._float_splits(full, need):
-                    if take or lo < hi:
-                        found = True
-                        a, b = (lo, hi) if i < 0 else (min(lo, i), max(hi, i + 1))
-                        if _can_end(res, a, n - b + a + 1, full - take):
-                            self.stats.pruned_by_count += pruned
-                            pruned = 0
-                            yield (
-                                ((fixed[lo:hi], take, arg, -1), (fixed[:a] + (res,) + fixed[b:], full - take, succ, a)),
-                                (1, functor, i < 0, a),
-                            )
-                pruned += not found
+        n, packed, units, high, pruned = len(fixed), self._packed, self._units, self._high, 0
+        sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
+        for functor, i in functors:
+            # A pending functor's own copy is in neither premise's bag.
+            full = bag - units[functor] if i < 0 else bag
+            split = full & self._compound_bits
+            arg, res = functor.arg, functor.result
+            want = packed[arg]
+            # The spans, by lo and then hi: every lo <= hi for a pending
+            # functor; a fixed / takes from i + 1 rightwards, a fixed \\ up to
+            # i leftwards.
+            under = i >= 0 and type(functor) is Under
+            top = i + 1 if under else n + 1
+            for lo in range(i, -1, -1) if under else range(n + 1) if i < 0 else range(i + 1, i + 2):
+                for hi in range(lo if lo > i else i, top):
+                    need = want - sums[hi] + sums[lo]
+                    if split:
+                        takes = self._float_splits(full, need)
+                    elif (need | (full - need)) & high:
+                        # The atoms can supply ``need`` iff every lane of ``need`` and
+                        # of ``full - need`` lies in [0, _LANE_HALF).  All lanes stay
+                        # below _LANE_HALF in magnitude (_admissible), so that holds
+                        # iff neither int has a lane's top bit set: a negative int sets
+                        # the top bit of its highest negative lane.  Count vectors are
+                        # zero on the compound lanes, where ``full`` is never negative.
+                        takes = ()
+                    else:
+                        takes = (need,)
+                    # The right premise replaces the functor and its span by the
+                    # result, and is dead unless its chain can end from there.
+                    # The search may stop at a yield: the spans scanned so far
+                    # are counted first.
+                    found = False
+                    for take in takes:
+                        if take or lo < hi:
+                            found = True
+                            a, b = (lo, hi) if i < 0 else (min(lo, i), max(hi, i + 1))
+                            if _can_end(res, a, n - b + a + 1, full - take):
+                                self.stats.pruned_by_count += pruned
+                                pruned = 0
+                                yield (
+                                    ((fixed[lo:hi], take, arg, -1), (fixed[:a] + (res,) + fixed[b:], full - take, succ, a)),
+                                    (1, functor, i < 0, a),
+                                )
+                    pruned += not found
         self.stats.pruned_by_count += pruned
 
 

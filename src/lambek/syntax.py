@@ -105,8 +105,8 @@ _nodes: dict[tuple, _Ref] = {}  # (class, *operands) -> the one live node
 _LEFT_ARG, _RIGHT_ARG = 1, 2
 
 # _Node._usable: the polarities where -o has its right rule (the sdl modes: a -o is
-# usable in positive position), and, with _L, where it has none (mode l: nowhere).
-_POSITIVE, _NEGATIVE, _POSITIVE_L, _NEGATIVE_L = 1, 2, 4, 8
+# usable in positive position), and _NO_LINIMP: no -o inside (mode l has no rule for -o).
+_POSITIVE, _NEGATIVE, _NO_LINIMP = 1, 2, 4
 
 
 def _insert(key: tuple) -> _Node:
@@ -123,12 +123,12 @@ def _insert(key: tuple) -> _Node:
     for set_operand, value in zip(_set_operands[cls], key[1:]):
         set_operand(node, value)
     if cls is Atom:
-        head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _POSITIVE_L | _NEGATIVE_L
+        head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _NO_LINIMP
     else:
         r, a = node.result, node.arg
         atoms, u = r._atoms + a._atoms, a._usable
-        # The result keeps the polarity and the argument flips it.
-        usable = r._usable & ((u >> 1 & (_POSITIVE | _POSITIVE_L)) | (u & (_POSITIVE | _POSITIVE_L)) << 1)
+        # The result keeps the polarity and the argument flips it; _NO_LINIMP needs both.
+        usable = r._usable & ((u >> 1 & _POSITIVE) | (u & _POSITIVE) << 1 | (u & _NO_LINIMP))
         if cls is LinImp:
             head, sides, usable = None, 0, usable & _POSITIVE
         else:

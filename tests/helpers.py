@@ -299,7 +299,7 @@ def mutate_proof(rng: random.Random, t: ProofTree) -> ProofTree | None:
     if kind == "split":
         u, n = node.split
         for _ in range(8):
-            new_split = (rng.randint(0, ant_len - 1), rng.randint(1, max(ant_len - 1, 1)))
+            new_split = (rng.randint(0, ant_len - 1), rng.randint(0, max(ant_len - 1, 1)))
             if new_split != (u, n):
                 break
         else:

@@ -92,6 +92,44 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "left-scan-takes-an-empty-premise",
+        "prover",
+        "if take or lo < hi:",
+        "if take or lo <= hi:",
+        (
+            "tests/test_prover.py::test_prove_agrees_with_naive_search",
+            "tests/test_prover.py::test_search_is_pinned",
+        ),
+    ),
+    Mutant(
+        "checker-takes-an-empty-span",
+        "prooftree",
+        "0 <= u and 1 <= t and u + t < n",
+        "0 <= u and 0 <= t and u + t < n",
+        ("tests/test_checker.py::test_left_premise_with_an_empty_antecedent_is_rejected",),
+    ),
+    Mutant(
+        "checker-ax-on-any-atom",
+        "checker",
+        "len(ant) == 1 and ant[0] is succ and type(succ) is Atom",
+        "len(ant) == 1 and type(succ) is Atom",
+        (
+            "tests/test_checker.py::test_axiom",
+            "tests/test_checker.py::test_checker_agrees_with_naive_replay",
+            "tests/test_checker.py::test_json_round_trips_rule_inconsistent_trees",
+        ),
+    ),
+    Mutant(
+        "reduction-one-c-too-few",
+        "reduction",
+        "[cj] * inst.sizes[i - 1]",
+        "[cj] * (inst.sizes[i - 1] - 1)",
+        (
+            "tests/test_reduction.py::test_paper_witness_proof_replays_and_decodes",
+            "tests/test_reduction.py::test_partition_assignment_round_trip",
+        ),
+    ),
+    Mutant(
         "walk-memo-without-length",
         "grammar",
         "            state = i, residual\n",

@@ -85,6 +85,16 @@ def test_under_left():
         ProofTree(Rule.UNDER_L, concl, (AX_A, AX_B), split=(0, 1))
 
 
+def test_left_premise_with_an_empty_antecedent_is_rejected():
+    # b/b and b\b have proofs from no formulas at all, by /R or \R over
+    # Ax, but a sequent's antecedent is never empty: a left rule whose
+    # span is empty is no rule application, in any mode.
+    for rule, right_rule, text in [(Rule.OVER_L, Rule.OVER_R, "a/(b/b) => a"), (Rule.UNDER_L, Rule.UNDER_R, "(b\\b)\\a => a")]:
+        tree = ProofTree(rule, parse_sequent(text), (ProofTree(right_rule, None, (AX,)), AX), split=(0, 0))
+        for mode in CalculusMode:
+            assert not check_proof(tree, mode) and not naive_check(tree, mode), (text, mode)
+
+
 def test_rule_data_only_on_their_rules():
     # A split belongs to /L and \\L, an insert to -oR; a node of any other
     # rule that carries one is not built, and its JSON does not load.

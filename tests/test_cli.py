@@ -173,6 +173,12 @@ def test_parse_nan_deadline_is_an_input_error(capsys):
     assert out == "" and "deadline" in err
 
 
+def test_parse_negative_deadline_is_an_input_error(capsys):
+    code, out, err = run(capsys, "parse", "--builtin", "anbncn", "a", "b", "c", "--deadline", "-1")
+    assert code == 2
+    assert out == "" and "deadline" in err
+
+
 def test_parse_grammar_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("start: s\nthe: np/n\ncat: n\nsleeps: np\\s\n")

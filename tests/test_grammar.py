@@ -351,6 +351,12 @@ def test_nan_deadline_is_rejected():
         recognize(anbncn_grammar(), ["a", "b", "c"], SDL, deadline=float("nan"))
 
 
+def test_negative_deadline_is_rejected():
+    for deadline in (-1.0, -0.001, float("-inf")):
+        with pytest.raises(ValueError, match="deadline"):
+            recognize(anbncn_grammar(), ["a", "b", "c"], SDL, deadline=deadline)
+
+
 def _filter_input(rng: random.Random) -> tuple[list[tuple], dict[str, int]]:
     """Entries drawn from a small pool, so formulas and whole entries repeat."""
     pool = [random_formula(rng, 2) for _ in range(rng.randint(1, 6))]

@@ -603,9 +603,10 @@ def test_no_focused_state_whose_chain_cannot_end(monkeypatch):
                 assert _chain_can_end(ant[a], a, len(ant), rest), (fixed, succ, children[-1])
             yield option
 
-    def spy_left(self, fixed, bag, succ, f, i):
-        assert i < 0 or _chain_can_end(f, i, len(fixed), bag), (fixed, succ, f, i)
-        return real_left(self, fixed, bag, succ, f, i)
+    def spy_left(self, fixed, bag, succ, functors):
+        for f, i in functors:
+            assert i < 0 or _chain_can_end(f, i, len(fixed), bag), (fixed, succ, f, i)
+        return real_left(self, fixed, bag, succ, functors)
 
     monkeypatch.setattr(prover._Search, "_options", spy_options)
     monkeypatch.setattr(prover._Search, "_left", spy_left)
@@ -736,7 +737,7 @@ def test_search_code_makes_no_closure_cells():
     # that reads a local makes it a cell, allocated on every call and kept
     # alive with a suspended generator of the search.
     search = prover._Search
-    methods = (search._options, search._descent, search._lefts, search._left, search._materializations)
+    methods = (search._options, search._descent, search._left, search._materializations)
     methods += (search._float_splits, search._search, search._unit)
     for f in (*methods, prover._conclude):
         assert f.__code__.co_cellvars == (), f.__qualname__
@@ -842,10 +843,10 @@ def test_pending_functors_agree_with_naive_search(monkeypatch):
     pending_tries = 0
     real = prover._Search._left
 
-    def spy(self, fixed, bag, succ, functor, i):
+    def spy(self, fixed, bag, succ, functors):
         nonlocal pending_tries
-        pending_tries += i < 0
-        return real(self, fixed, bag, succ, functor, i)
+        pending_tries += sum(i < 0 for _, i in functors)
+        return real(self, fixed, bag, succ, functors)
 
     monkeypatch.setattr(prover._Search, "_left", spy)
     rng = random.Random(22)

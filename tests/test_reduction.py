@@ -268,6 +268,24 @@ def test_paper_witness_proof_replays_and_decodes():
     assert len(cases) == 598 + 32
 
 
+def test_search_finds_a_partition_of_instances_drawn_from_triples():
+    # The paper's other direction, "a derivation gives a 3-partition",
+    # through the search: the witness it finds decodes to a valid
+    # partition, though not always the one the triples were drawn as.
+    # The search stays fast up to m = 4; at m = 6 it can take seconds.
+    rng = random.Random(26)
+    for m in range(1, 5):
+        for _ in range(4):
+            inst, _ = _instance_from_triples(rng, m)
+            grammar, word = build_reduction(inst)
+            r = recognize(grammar, word, CalculusMode.SDL)
+            assert r.member and not r.budget_exhausted, inst
+            assert check_proof(r.proof, CalculusMode.SDL), inst
+            partition = assignment_to_partition(inst, r.assignment)
+            assert sorted(i for triple in partition for i in triple) == list(range(3 * m)), inst
+            assert all(len(t) == 3 and sum(inst.sizes[i] for i in t) == inst.target for t in partition), inst
+
+
 def test_membership_matches_solvability():
     for inst, solvable in [
         (GOOD, True),
