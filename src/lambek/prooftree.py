@@ -83,24 +83,14 @@ class Rule(enum.Enum):
         return self.symbol
 
 
-def _check_shape(rule: Rule, n: int, split: Any, insert: Any) -> None:
-    """Raise ValueError unless a ``rule`` node takes ``n`` premises and this rule data."""
-    if n != rule.arity:
-        raise ValueError(f"{rule} takes {rule.arity} premises, got {n}")
-    if rule.data == "split":
-        ok = insert is None and type(split) is tuple and len(split) == 2 and type(split[0]) is int and type(split[1]) is int
-    else:
-        ok = split is None and (type(insert) is int if rule.data == "insert" else insert is None)
-    if not ok:
-        raise ValueError(f"{rule} node with split={split!r}, insert={insert!r}: /L and \\L take a split of two ints, -oR an int insert")
-
-
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ProofTree:
     """A proof node: its rule, premises and rule data, and at the root of a
-    tree its conclusion.  Every premise's conclusion must be None (else
-    ValueError).  Trees are equal when their conclusions are and their
-    nodes in preorder have the same rule, split and insert.
+    tree its conclusion.  The rule must take that many premises and its
+    rule data, a split of two ints for /L and \\L and an int insert for
+    -oR, and every premise's conclusion must be None (else ValueError).
+    Trees are equal when their conclusions are and their nodes in
+    preorder have the same rule, split and insert.
 
     The ``repr`` is the dataclass one, and a copy or pickle goes through
     the node list; neither recurses per level of the tree.
@@ -120,7 +110,15 @@ class ProofTree:
         split: tuple[int, int] | None = None,
         insert: int | None = None,
     ) -> None:
-        _check_shape(rule, len(premises), split, insert)
+        if len(premises) != rule.arity:
+            raise ValueError(f"{rule} takes {rule.arity} premises, got {len(premises)}")
+        data = rule.data
+        if data == "split":
+            ok = insert is None and type(split) is tuple and len(split) == 2 and type(split[0]) is int and type(split[1]) is int
+        else:
+            ok = split is None and (type(insert) is int if data == "insert" else insert is None)
+        if not ok:
+            raise ValueError(f"{rule} node with split={split!r}, insert={insert!r}: /L and \\L take a split of two ints, -oR an int insert")
         for p in premises:
             if p.conclusion is not None:
                 raise ValueError(f"{rule} premise {format_sequent(p.conclusion)} has a conclusion; only the root holds one")
@@ -258,14 +256,16 @@ def proof_to_json(t: ProofTree) -> dict[str, Any]:
     ValueError on an inner node, which has no sequent of its own."""
     if t.conclusion is None:
         raise ValueError("an inner proof node has no conclusion to write")
-    nodes = []
-    for node in t.nodes():
+    nodes, stack = [], [t]
+    while stack:
+        node = stack.pop()
         out: dict[str, Any] = {"rule": node.rule.symbol}
         if node.split is not None:
-            out["split"] = list(node.split)
-        if node.insert is not None:
+            out["split"] = [*node.split]
+        elif node.insert is not None:  # a node has at most one of the two
             out["insert"] = node.insert
         nodes.append(out)
+        stack += node.premises[::-1]
     return {"sequent": format_sequent(t.conclusion), "nodes": nodes}
 
 

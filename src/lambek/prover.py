@@ -32,14 +32,15 @@ the deadline: BudgetExceededError, "unknown".
 A deep search holds, per state on its path, only what backtracking
 needs: the state's goal, its move and a cursor over its remaining
 options.  The cursor is a suspended left-rule scan, which keeps its
-place in a list and two ranges, or a descent's one option (below).  Per
-query there is one packed count vector per subformula and a rank only
-for the formulas that can pend.  On the chain ``b/a/.../a => a -o ...
--o b`` a descent holds about 0.2 KB per /L level: its left premise,
-solved once and then a memo hit.  ``_conclude`` builds the mask that
-places the formulas of a descent's result with one splice, so the
-chain's proof is assembled in time linear in n: ``prove`` takes about
-4 / 9 / 19 ms at n = 1,000 / 2,000 / 4,000 (CPython 3.11, 2-core Xeon).
+place in a list and two ranges and its span's running sum, or a
+descent's one option (below).  Per query there is one packed count
+vector per subformula and a rank only for the formulas that can pend.
+On the chain ``b/a/.../a => a -o ... -o b`` a descent holds about
+0.2 KB per /L level: its left premise, solved once and then a memo
+hit.  ``_conclude`` builds the mask that places the formulas of a
+descent's result with one splice, so the chain's proof is assembled in
+time linear in n: ``prove`` takes about 4 / 9 / 19 ms at n = 1,000 /
+2,000 / 4,000 (CPython 3.11, 2-core Xeon).
 
 Right rules come first, and alone.  /R, \\R and -oR are invertible: if
 ``G => A/B`` has a proof ending in a left rule, that rule's right
@@ -139,8 +140,8 @@ position.  Left rules then split the pending multiset between their
 premises, and the count invariant pins the split down.  Count vectors
 are packed into ints, one lane per primitive, so the counts the pending
 part of a premise ``T => B`` must supply (those of ``B`` less those of
-T's committed span) are one subtraction off prefix sums of the
-committed counts, built once per state.  The pending multiset is one
+T's committed span) are one subtraction off a running sum of the
+span's counts, kept as the span grows.  The pending multiset is one
 such int too, with a multiplicity lane per pending formula: an atom's
 lane is its primitive's count lane, so the pending atoms are their
 packed count vector, and a compound formula gets a lane of its own
@@ -361,11 +362,21 @@ def _can_end(f: Formula, i: int, n: int, bag: Bag) -> bool:
 
 
 def _nth_fixed_index(mask: tuple[Formula | None, ...], p: int) -> int:
-    """Index of the p-th positionally committed entry under ``mask``."""
-    q = -1
-    for _ in range(p + 1):
-        q = mask.index(None, q + 1)  # skips a run of pending entries at C speed
-    return q
+    """Index of the p-th positionally committed entry under ``mask``.
+
+    That index is ``p`` plus the number of pending entries before it.
+    From ``q = p``, each pass counts the pending entries in ``mask[:q +
+    1]`` and moves ``q`` to the first committed entry at or after ``p``
+    plus that count: ``q`` never passes the index sought, and stops on
+    it.  Each pass runs at C speed, and a run of pending entries takes
+    one pass, where a step per committed entry would cost Θ(p) in Python.
+    """
+    q = p
+    while True:
+        nxt = mask.index(None, p + q + 1 - mask[: q + 1].count(None))
+        if nxt == q:
+            return q
+        q = nxt
 
 
 class _Search:
@@ -452,24 +463,29 @@ class _Search:
     def _vec(self, f: Formula) -> int:
         """Packed count vector of ``f``, cached with all its subformulas'.
 
-        New subformulas are packed in post-order, result before argument.
+        New subformulas are packed in post-order, result before argument:
+        each is pushed once, and packed from the top of the stack once
+        both its operands are.
         """
         packed = self._packed
         if f in packed:
             return packed[f]
         stack = [f]
         while stack:
-            g = stack.pop()
-            if g in packed:
-                continue
+            g = stack[-1]
             if type(g) is Atom:
                 # Atoms are equal exactly when their names are, so this is
                 # the first sight of the primitive: it gets the next lane.
                 packed[g] = self._unit(g)
-            elif g.result in packed and g.arg in packed:
-                packed[g] = packed[g.result] - packed[g.arg]
+            elif g.result not in packed:
+                stack.append(g.result)
+                continue
+            elif g.arg not in packed:
+                stack.append(g.arg)
+                continue
             else:
-                stack += (g, g.arg, g.result)  # the result first, then the argument, then g
+                packed[g] = packed[g.result] - packed[g.arg]
+            stack.pop()
         return packed[f]
 
     def _unit(self, f: Formula) -> int:
@@ -723,15 +739,15 @@ class _Search:
         whose counts make up the rest of the argument's: the span's
         need.  A fixed functor's span grows away from it; a pending
         functor may land at any ``lo``, its span then growing
-        rightwards.  Prefix sums of the fixed counts, built once per
-        state, make a need one subtraction; with no compound pending,
-        the lane test alone decides the one take, the need itself.
+        rightwards.  A running sum of the span's counts, one addition per
+        formula the span grows by, makes a need one subtraction; with no
+        compound pending, the lane test alone decides the one take, the
+        need itself.
 
         A focused level of a deep search keeps one such scan suspended,
-        so it holds a one-item functor list, two ranges and little else.
+        so it holds a one-item functor list, two ranges and a few ints.
         """
         n, packed, units, high, pruned = len(fixed), self._packed, self._units, self._high, 0
-        sums = list(itertools.accumulate(map(packed.__getitem__, fixed), initial=0))
         for functor, i in functors:
             # A pending functor's own copy is in neither premise's bag.
             full = bag - units[functor] if i < 0 else bag
@@ -742,10 +758,17 @@ class _Search:
             # functor; a fixed / takes from i + 1 rightwards, a fixed \\ up to
             # i leftwards.
             under = i >= 0 and type(functor) is Under
-            top = i + 1 if under else n + 1
+            top, span = i + 1 if under else n + 1, 0  # span: the counts of fixed[lo:hi]
             for lo in range(i, -1, -1) if under else range(n + 1) if i < 0 else range(i + 1, i + 2):
-                for hi in range(lo if lo > i else i, top):
-                    need = want - sums[hi] + sums[lo]
+                if lo < i:
+                    span += packed[fixed[lo]]  # a fixed \\'s span grows leftwards
+                else:
+                    span = 0  # the others grow rightwards from lo
+                first = lo if lo > i else i
+                for hi in range(first, top):
+                    if hi > first:
+                        span += packed[fixed[hi - 1]]
+                    need = want - span
                     if split:
                         takes = self._float_splits(full, need)
                     elif (need | (full - need)) & high:

@@ -29,19 +29,21 @@ result)``, so that finding a live node builds its key and nothing else.
 A node also carries four facts about its shape, set once from its
 operands' facts before it enters the table, for the prover's filters.
 
-Construction takes no lock.  A miss builds the whole node first and
-then publishes it with one ``dict.setdefault``, which enters it only
-if no entry for its key is there.  The key is a tuple of a class and
-strings or nodes, which hash and compare in C (a node by identity), so
-no Python code runs inside that call: it is one step under the GIL,
-and free-threaded builds hold the dict's own lock for it.  Of two
-threads that build the same formula, one publishes its node and the
-other finds that node live and returns it, dropping its own; no thread
-sees a node before its operands and facts are set.  A dead entry, left
-while a dropped node's removal callback has not run yet, is removed
-with ``_remove_dead_weakref``, which deletes an entry only while it is
-still dead, and the publication is tried again.  The callback deletes
-in the same way, so it never removes a newer live node of its key.
+Construction takes no lock.  On a miss the class's constructor builds
+the whole node first, its operands and its facts by that class's rule,
+and then publishes it with one ``dict.setdefault`` (``_publish``, the
+one step the four classes share), which enters it only if no entry for
+its key is there.  The key is a tuple of a class and strings or nodes,
+which hash and compare in C (a node by identity), so no Python code
+runs inside that call: it is one step under the GIL, and free-threaded
+builds hold the dict's own lock for it.  Of two threads that build the
+same formula, one publishes its node and the other finds that node
+live and returns it, dropping its own; no thread sees a node before
+its operands and facts are set.  A dead entry, left while a dropped
+node's removal callback has not run yet, is removed with
+``_remove_dead_weakref``, which deletes an entry only while it is still
+dead, and the publication is tried again.  The callback deletes in the
+same way, so it never removes a newer live node of its key.
 
 The tokenizer checks the whole text once, with one regular-expression
 match, for characters that start no token, and then takes every
@@ -108,35 +110,19 @@ _LEFT_ARG, _RIGHT_ARG = 1, 2
 # usable in positive position), and _NO_LINIMP: no -o inside (mode l has no rule for -o).
 _POSITIVE, _NEGATIVE, _NO_LINIMP = 1, 2, 4
 
+# The _usable bits an argument passes to its parent, indexed by its own: an argument
+# flips the polarity and keeps _NO_LINIMP.  The parent keeps those its result has too.
+_FLIPPED = tuple((u >> 1 & _POSITIVE) | (u & _POSITIVE) << 1 | (u & _NO_LINIMP) for u in range(8))
 
-def _insert(key: tuple) -> _Node:
-    """The live node of ``key``, made and published in the table if there is none.
 
-    A new node's operands and facts (``_Node``) are set here, once,
-    before it is published: ``setdefault`` enters it unless a live node
-    is there already, which is then returned and the new one dropped.  A
-    dead entry whose callback has not run yet is removed, and the
+def _publish(key: tuple, node: _Node) -> _Node:
+    """Publish ``node``, its operands and facts set, as the live node of
+    ``key``; return the live node: ``node``, or the one found there.
+
+    ``setdefault`` enters ``node`` unless an entry for ``key`` is there.
+    A dead entry, whose callback has not run yet, is removed, and the
     publication tried again.
     """
-    cls = key[0]
-    node = object.__new__(cls)
-    for set_operand, value in zip(_set_operands[cls], key[1:]):
-        set_operand(node, value)
-    if cls is Atom:
-        head, sides, atoms, usable = None, 0, 1, _POSITIVE | _NEGATIVE | _NO_LINIMP
-    else:
-        r, a = node.result, node.arg
-        atoms, u = r._atoms + a._atoms, a._usable
-        # The result keeps the polarity and the argument flips it; _NO_LINIMP needs both.
-        usable = r._usable & ((u >> 1 & _POSITIVE) | (u & _POSITIVE) << 1 | (u & _NO_LINIMP))
-        if cls is LinImp:
-            head, sides, usable = None, 0, usable & _POSITIVE
-        else:
-            head, sides = r._head or r, r._sides | (_RIGHT_ARG if cls is Over else _LEFT_ARG)
-    _set_head(node, head)
-    _set_sides(node, sides)
-    _set_atoms(node, atoms)
-    _set_usable(node, usable)
     ref = _Ref(node, _forget)
     ref.key = key
     while True:
@@ -153,10 +139,13 @@ class _Node:
     """A hash-consed formula node: equal formulas are one object.
 
     Each class's constructor looks its key ``(class, *operands)`` up in
-    the table and returns the node found there as it is; only a miss
-    goes to ``_insert``.  A copy or pickle is the formula's text, parsed
-    back into the live node, and the ``repr`` is the dataclass one built
-    without recursion, so no depth of formula recurses.
+    the table and returns the node found there as it is.  On a miss it
+    builds its own node: it sets the operands through its slots and the
+    four facts below by its class's rule, and then ``_publish`` enters
+    the node, or returns the live node another thread published first.
+    A copy or pickle is the formula's text, parsed back into the live
+    node, and the ``repr`` is the dataclass one built without recursion,
+    so no depth of formula recurses.
 
     Four facts about its shape sit in private slots, not fields:
     ``_head``, the atom or -o its result chain ends in, through / and \\
@@ -223,7 +212,13 @@ class Atom(_Node):
             node = ref()
             if node is not None:
                 return node
-        return _insert(key)
+        node = object.__new__(cls)
+        _set_atom_name(node, name)
+        _set_head(node, None)
+        _set_sides(node, 0)
+        _set_atoms(node, 1)
+        _set_usable(node, _POSITIVE | _NEGATIVE | _NO_LINIMP)
+        return _publish(key, node)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -240,7 +235,14 @@ class Over(_Node):
             node = ref()
             if node is not None:
                 return node
-        return _insert(key)
+        node = object.__new__(cls)
+        _set_over_result(node, result)
+        _set_over_arg(node, arg)
+        _set_head(node, result._head or result)
+        _set_sides(node, result._sides | _RIGHT_ARG)
+        _set_atoms(node, result._atoms + arg._atoms)
+        _set_usable(node, result._usable & _FLIPPED[arg._usable])
+        return _publish(key, node)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -250,14 +252,21 @@ class Under(_Node):
     arg: Formula
     result: Formula
 
-    def __new__(cls, arg: Formula, result: Formula) -> Under | LinImp:
+    def __new__(cls, arg: Formula, result: Formula) -> Under:
         key = (cls, arg, result)
         ref = _nodes.get(key)
         if ref is not None:
             node = ref()
             if node is not None:
                 return node
-        return _insert(key)
+        node = object.__new__(cls)
+        _set_under_arg(node, arg)
+        _set_under_result(node, result)
+        _set_head(node, result._head or result)
+        _set_sides(node, result._sides | _LEFT_ARG)
+        _set_atoms(node, result._atoms + arg._atoms)
+        _set_usable(node, result._usable & _FLIPPED[arg._usable])
+        return _publish(key, node)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -267,13 +276,30 @@ class LinImp(_Node):
     arg: Formula
     result: Formula
 
-    __new__ = Under.__new__  # the same operands, in the same order
+    def __new__(cls, arg: Formula, result: Formula) -> LinImp:
+        key = (cls, arg, result)
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_linimp_arg(node, arg)
+        _set_linimp_result(node, result)
+        _set_head(node, None)
+        _set_sides(node, 0)
+        _set_atoms(node, result._atoms + arg._atoms)
+        _set_usable(node, result._usable & _FLIPPED[arg._usable] & _POSITIVE)
+        return _publish(key, node)
 
 
 Formula = Atom | Over | Under | LinImp
 
-# Each class's operand setters, in the order of its key, for _insert.
-_set_operands = {cls: [getattr(cls, name).__set__ for name in cls.__match_args__] for cls in (Atom, Over, Under, LinImp)}
+# Each class's operand setters, for its constructor's miss.
+_set_atom_name = Atom.name.__set__
+_set_over_result, _set_over_arg = Over.result.__set__, Over.arg.__set__
+_set_under_arg, _set_under_result = Under.arg.__set__, Under.result.__set__
+_set_linimp_arg, _set_linimp_result = LinImp.arg.__set__, LinImp.result.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -163,6 +163,58 @@ MUTANTS = [
             "tests/test_grammar.py::test_count_filter_matches_brute_force[8]",
         ),
     ),
+    Mutant(
+        "checker-split-from-minus-one",
+        "prooftree",
+        "0 <= u and 1 <= t",
+        "-1 <= u and 1 <= t",
+        ("tests/test_checker.py::test_split_or_insert_from_minus_one_is_rejected",),
+    ),
+    Mutant(
+        "checker-insert-at-minus-one",
+        "prooftree",
+        "not 0 <= k <= n",
+        "not -1 <= k <= n",
+        ("tests/test_checker.py::test_split_or_insert_from_minus_one_is_rejected",),
+    ),
+    Mutant(
+        "shape-test-reads-split-1-twice",
+        "prooftree",
+        "type(split[0]) is int and type(split[1]) is int",
+        "type(split[1]) is int and type(split[1]) is int",
+        (
+            "tests/test_checker.py::test_misplaced_or_mistyped_rule_data_raise_where_the_tree_is_built[split-first-not-int]",
+            "tests/test_checker.py::test_json_rejects_nodes_without_their_rule_data[split-first-not-int]",
+        ),
+    ),
+    Mutant(
+        "atom-usable-without-no-linimp",
+        "syntax",
+        "_set_usable(node, _POSITIVE | _NEGATIVE | _NO_LINIMP)",
+        "_set_usable(node, _POSITIVE | _NEGATIVE)",
+        ("tests/test_syntax.py::test_shape_facts_match_the_oracles",),
+    ),
+    Mutant(
+        "over-head-is-its-result",
+        "syntax",
+        "        _set_head(node, result._head or result)\n        _set_sides(node, result._sides | _RIGHT_ARG)\n",
+        "        _set_head(node, result)\n        _set_sides(node, result._sides | _RIGHT_ARG)\n",
+        ("tests/test_syntax.py::test_shape_facts_match_the_oracles",),
+    ),
+    Mutant(
+        "under-sides-as-over",
+        "syntax",
+        "_set_sides(node, result._sides | _LEFT_ARG)",
+        "_set_sides(node, result._sides | _RIGHT_ARG)",
+        ("tests/test_syntax.py::test_shape_facts_match_the_oracles",),
+    ),
+    Mutant(
+        "linimp-usable-unmasked",
+        "syntax",
+        "_set_usable(node, result._usable & _FLIPPED[arg._usable] & _POSITIVE)",
+        "_set_usable(node, result._usable & _FLIPPED[arg._usable])",
+        ("tests/test_syntax.py::test_shape_facts_match_the_oracles",),
+    ),
 ]
 
 

@@ -95,6 +95,24 @@ def test_left_premise_with_an_empty_antecedent_is_rejected():
             assert not check_proof(tree, mode) and not naive_check(tree, mode), (text, mode)
 
 
+def test_split_or_insert_from_minus_one_is_rejected():
+    # A negative index would read the antecedent from its end.  So the
+    # range check refuses it, and the nodes below it get no conclusion.
+    # The \L split (-1, 1) would take an empty span, which b/b derives
+    # by /R, and the -oR insert -1 would put b where 0 does: both trees
+    # would check if the index were taken.
+    for tree in [
+        ProofTree(Rule.UNDER_L, parse_sequent("(b/b)\\a => a"), (ProofTree(Rule.OVER_R, None, (AX,)), AX), split=(-1, 1)),
+        ProofTree(Rule.OVER_L, parse_sequent("b, a/b => a"), (AX, AX), split=(-1, 1)),
+        ProofTree(Rule.LINIMP_R, parse_sequent("b\\a => b -o a"), (ProofTree(Rule.UNDER_L, None, (AX, AX), split=(0, 1)),), insert=-1),
+    ]:
+        conclusions = [c for _, c in tree.conclusions()]
+        assert conclusions == [c for _, c in oracle_conclusions(tree)]
+        assert conclusions[0] == tree.conclusion and conclusions[1:] == [None] * (len(conclusions) - 1)
+        for mode in CalculusMode:
+            assert not check_proof(tree, mode) and not naive_check(tree, mode), (str(tree.conclusion), mode)
+
+
 def test_rule_data_only_on_their_rules():
     # A split belongs to /L and \\L, an insert to -oR; a node of any other
     # rule that carries one is not built, and its JSON does not load.
@@ -134,6 +152,7 @@ def test_rule_data_only_on_their_rules():
         (Rule.LINIMP_R, "a => b -o a", 1, {}),
         (Rule.OVER_L, "a/b, b => a", 2, {"split": (0, 1, 2)}),
         (Rule.OVER_L, "a/b, b => a", 2, {"split": (0, True)}),
+        pytest.param(Rule.OVER_L, "a/b, b => a", 2, {"split": ("0", 1)}, id="split-first-not-int"),
         (Rule.LINIMP_R, "a => b -o a", 1, {"insert": True}),
         (Rule.LINIMP_R, "a => b -o a", 1, {"insert": "1"}),
         (Rule.OVER_L, "a/b, b => a", 1, {"split": (0, 1)}),
@@ -154,6 +173,7 @@ def test_misplaced_or_mistyped_rule_data_raise_where_the_tree_is_built(rule, seq
         {"sequent": "a => b -o a", "nodes": [{"rule": "-oR"}, {"rule": "Ax"}]},
         {"sequent": "a => b -o a", "nodes": [{"rule": "-oR", "insert": 1.0}, {"rule": "Ax"}]},
         {"sequent": "a => a", "nodes": [{"rule": "Ax", "insert": 0}]},
+        pytest.param({"sequent": "a/b, b => a", "nodes": [{"rule": "/L", "split": [0.0, 1]}, {"rule": "Ax"}, {"rule": "Ax"}]}, id="split-first-not-int"),
     ],
 )
 def test_json_rejects_nodes_without_their_rule_data(data):

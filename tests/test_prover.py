@@ -669,6 +669,67 @@ def test_search_path_memory_at_the_depth_bound():
     assert peak < 5_000_000
 
 
+def _spanning_chain(n: int, slash: str) -> Sequent:
+    """``b/a/.../a, a, ..., a => b`` with n of each, or its mirror
+    ``a, ..., a, a\\...\\a\\b => b``: every /L or \\L level takes an atom
+    from the fixed part beside its functor, so no level is a descent."""
+    atoms = ", ".join(["a"] * n)
+    if slash == "/":
+        return parse_sequent("b" + "/a" * n + ", " + atoms + " => b")
+    return parse_sequent(atoms + ", " + "a\\" * n + "b => b")
+
+
+@pytest.mark.parametrize("slash", ["/", "\\"])
+def test_spanning_chain_memory_at_depth_2000(slash):
+    # Each level of this search keeps a left-rule scan suspended on the
+    # path.  A scan holds a running sum of its span's counts, not prefix
+    # sums over its state's fixed part: a list per level took the peak to
+    # 83-98 MB at n = 2,000 on CPython 3.11.  It is now about 33 MB, most
+    # of it the fixed tuples that each level's states still copy.
+    s = _spanning_chain(2000, slash)
+    tracemalloc.start()
+    try:
+        tree, _ = prove(s, SDL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree is not None and check_proof(tree, SDL)
+    assert peak < 50_000_000, peak
+
+
+def test_slot_lookup_work_on_the_under_chain():
+    # A conclusion finds its result's slot in the premise's mask with
+    # _nth_fixed_index.  On the \\ shape the slot's ordinal p grows with
+    # the level, so a Python step per committed entry before it costs
+    # Theta(p) per call, quadratic in all: about 1,000 traced lines per
+    # call at n = 1,000.  Passes at C speed keep it to a few.  The lines
+    # are counted, since test_chain_assembly_is_linear counts only calls.
+    code = prover._nth_fixed_index.__code__
+    calls = lines = 0
+
+    def in_lookup(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return in_lookup
+
+    def on_call(frame, event, arg):
+        nonlocal calls
+        if frame.f_code is not code:
+            return None
+        calls += 1
+        return in_lookup
+
+    s = _spanning_chain(1000, "\\")
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        tree, _ = prove(s, SDL)
+    finally:
+        sys.settrace(previous)
+    assert tree is not None and check_proof(tree, SDL)
+    assert calls >= 1000 and lines <= 10 * calls, (calls, lines)
+
+
 def test_search_leaves_no_cyclic_garbage():
     # The search path, the memo and the proofs are freed by reference
     # counting when a search returns or gives up at the depth bound, so
